@@ -7,7 +7,7 @@ The package provides the model, training loop, latent statistics, scoring,
 standard OOD metrics, dataset/manifold utilities and a CLI.
 """
 
-from latent_guard.autoencoder import Autoencoder, build_autoencoder
+from latent_guard.autoencoder import Autoencoder
 from latent_guard.data import (
     CircularManifold,
     CircularProjectionCodec,
@@ -39,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Autoencoder",
-    "build_autoencoder",
     "CircularManifold",
     "CircularProjectionCodec",
     "ImageDataset",

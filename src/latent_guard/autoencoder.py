@@ -37,7 +37,7 @@ from latent_guard.nn.layers import (
     Sigmoid,
     Upsample2x2,
 )
-from latent_guard.nn.losses import bce_loss, bce_loss_per_sample
+from latent_guard.nn.losses import bce_loss_per_sample
 
 IMAGE_SHAPE = (1, 28, 28)
 INPUT_SIZE = 28 * 28
@@ -90,58 +90,62 @@ class Autoencoder:
 
     # -- parameter access ---------------------------------------------------
 
+    def _named(self, attr):
+        return {
+            f"{prefix}.{i}.{key}": arr
+            for prefix, stack in (("encoder", self.encoder_layers), ("decoder", self.decoder_layers))
+            for i, layer in enumerate(stack)
+            for key, arr in getattr(layer, attr).items()
+        }
+
     def named_parameters(self):
         """Live references to every parameter array, in a stable order."""
-        out = {}
-        for prefix, stack in (("encoder", self.encoder_layers), ("decoder", self.decoder_layers)):
-            for i, layer in enumerate(stack):
-                for key, arr in layer.params.items():
-                    out[f"{prefix}.{i}.{key}"] = arr
-        return out
+        return self._named("params")
 
     def named_grads(self):
-        out = {}
-        for prefix, stack in (("encoder", self.encoder_layers), ("decoder", self.decoder_layers)):
-            for i, layer in enumerate(stack):
-                for key, arr in layer.grads.items():
-                    out[f"{prefix}.{i}.{key}"] = arr
-        return out
+        return self._named("grads")
 
     def num_params(self) -> int:
         return sum(p.size for p in self.named_parameters().values())
 
     # -- inference ----------------------------------------------------------
 
-    def _to_nhwc_batch(self, x, check_range=True):
+    def _to_nhwc_batch(self, x):
         x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 3
         if single:
             x = x[None]
         if x.ndim != 4 or x.shape[1:] != IMAGE_SHAPE:
             raise ShapeError("autoencoder input", IMAGE_SHAPE, x.shape[1:] if x.ndim == 4 else x.shape)
-        if check_range and x.size and (x.min() < 0.0 or x.max() > 1.0):
+        # written so that NaN, for which every comparison is False, fails it too
+        if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
             raise ValueError(
                 f"image values must lie in [0, 1], got range [{x.min()}, {x.max()}]"
             )
         return x.transpose(0, 2, 3, 1), single
 
-    def _run(self, stack, x):
+    def _run(self, stack, x, train=False):
         for layer in stack:
-            x = layer.forward(x, train=False)
+            x = layer.forward(x, train=train)
         return x
 
-    def _chunked(self, stack, x):
-        if x.shape[0] <= _CHUNK:
-            return self._run(stack, x)
-        parts = [
-            self._run(stack, x[i:i + _CHUNK]) for i in range(0, x.shape[0], _CHUNK)
-        ]
-        return np.concatenate(parts, axis=0)
+    def _chunked(self, fn, x):
+        """Applies ``fn`` (chunk -> tuple of per-row arrays) to 128-row chunks
+        of ``x``, filling preallocated outputs; an empty ``x`` still makes one
+        empty call, which fixes the output shapes."""
+        outs = None
+        for i in range(0, max(len(x), 1), _CHUNK):
+            parts = fn(x[i:i + _CHUNK])
+            if outs is None:
+                outs = tuple(np.empty((len(x), *p.shape[1:])) for p in parts)
+            for out, part in zip(outs, parts):
+                out[i:i + len(part)] = part
+        return outs
 
     def encode(self, x):
         """Bottleneck embedding: [1,28,28] -> [k], or [N,1,28,28] -> [N,k]."""
         xb, single = self._to_nhwc_batch(x)
-        z = self._chunked(self.encoder_layers, xb)
+        z = self._chunked(lambda c: (self._run(self.encoder_layers, c),), xb)[0]
         return z[0] if single else z
 
     def decode(self, z):
@@ -152,7 +156,8 @@ class Autoencoder:
             z = z[None]
         if z.shape[1] != self.bottleneck_size:
             raise ShapeError("bottleneck input", (self.bottleneck_size,), z.shape[1:])
-        out = self._chunked(self.decoder_layers, z).transpose(0, 3, 1, 2)
+        out = self._chunked(lambda c: (self._run(self.decoder_layers, c),), z)[0]
+        out = out.transpose(0, 3, 1, 2)
         return out[0] if single else out
 
     def reconstruct(self, x):
@@ -171,29 +176,19 @@ class Autoencoder:
 
     def encode_and_reconstruction_errors(self, x):
         """Single forward pass yielding (embeddings [N,k], errors [N])."""
-        xb, _ = self._to_nhwc_batch(x)
-        n = xb.shape[0]
-        embeddings = np.empty((n, self.bottleneck_size))
-        errors = np.empty(n)
-        for i in range(0, n, _CHUNK):
-            chunk = xb[i:i + _CHUNK]
+
+        def encode_and_errors(chunk):
             z = self._run(self.encoder_layers, chunk)
-            recon = self._run(self.decoder_layers, z)
-            embeddings[i:i + chunk.shape[0]] = z
-            errors[i:i + chunk.shape[0]] = bce_loss_per_sample(recon, chunk)
-        return embeddings, errors
+            return z, bce_loss_per_sample(self._run(self.decoder_layers, z), chunk)
+
+        return self._chunked(encode_and_errors, self._to_nhwc_batch(x)[0])
 
     # -- training hooks -----------------------------------------------------
 
     def forward_training(self, x_nhwc):
         """Caching forward pass; returns (reconstruction, bottleneck), NHWC."""
-        z = x_nhwc
-        for layer in self.encoder_layers:
-            z = layer.forward(z, train=True)
-        out = z
-        for layer in self.decoder_layers:
-            out = layer.forward(out, train=True)
-        return out, z
+        z = self._run(self.encoder_layers, x_nhwc, train=True)
+        return self._run(self.decoder_layers, z, train=True), z
 
     def backward_training(self, d_recon, d_bottleneck=None):
         """Backpropagates loss gradients; fills every layer's ``grads``.
@@ -237,7 +232,3 @@ class Autoencoder:
             params[name][...] = arr
         return model
 
-
-def build_autoencoder(bottleneck_size: int, seed: int, l1_lambda: float = 1e-5) -> Autoencoder:
-    """Deterministic factory; same arguments give bit-identical parameters."""
-    return Autoencoder(bottleneck_size, seed, l1_lambda)

@@ -135,41 +135,42 @@ def _train_bundle(config: TrainConfig, data_dir: Path, out: Path) -> ExperimentB
         raise CliError("bundle", str(exc)) from exc
 
 
-def _evaluate_bundle(bundle: ExperimentBundle, test_set, mode: str) -> EvalReport:
-    """Scores the MNIST test protocol and writes eval artifacts into the bundle."""
+def _evaluate_bundle(bundle: ExperimentBundle, test_set, modes) -> dict:
+    """Scores the MNIST test protocol once and writes each mode's eval
+    artifacts into the bundle; returns ``{mode: EvalReport}``."""
     config = bundle.config()
     model = bundle.load_model()
     stats = bundle.load_stats()
     try:
         calibration = bundle.load_calibration()
     except FileNotFoundError as exc:
-        if mode == novelty.MODE_HYBRID:
+        if novelty.MODE_HYBRID in modes:
             raise CliError("eval", str(exc)) from exc
         calibration = None
 
     re, ld = novelty.features(model, stats, test_set.images)
     is_inlier = test_set.labels == config["inlier_class"]
     hybrid = (
-        calibration.alpha * ld + calibration.beta * re
+        novelty._combine(re, ld, novelty.MODE_HYBRID, calibration)
         if calibration is not None
         else np.full_like(re, np.nan)
     )
-    scores = {"RE": re, "LD": ld, "H": hybrid}[mode]
-
-    report = evaluate(
-        ScoredSet(scores=scores, is_inlier=is_inlier),
-        inlier_class=config["inlier_class"],
-        bottleneck_size=config["bottleneck_size"],
-        mode=mode,
-        seed=config["seed"],
-    )
-    novelty.write_scores_csv(
-        bundle.scores_csv_path(mode), np.arange(len(re)), is_inlier, re, ld, hybrid
-    )
-    bundle.eval_report_path(mode).write_text(report.to_json() + "\n")
-    bundle.record_file(bundle.scores_csv_path(mode).name)
-    bundle.record_file(bundle.eval_report_path(mode).name)
-    return report
+    reports = {}
+    for mode in modes:
+        reports[mode] = evaluate(
+            ScoredSet(scores=novelty._combine(re, ld, mode, calibration), is_inlier=is_inlier),
+            inlier_class=config["inlier_class"],
+            bottleneck_size=config["bottleneck_size"],
+            mode=mode,
+            seed=config["seed"],
+        )
+        novelty.write_scores_csv(
+            bundle.scores_csv_path(mode), np.arange(len(re)), is_inlier, re, ld, hybrid
+        )
+        bundle.eval_report_path(mode).write_text(reports[mode].to_json() + "\n")
+        bundle.record_file(bundle.scores_csv_path(mode).name)
+        bundle.record_file(bundle.eval_report_path(mode).name)
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +196,7 @@ def cmd_eval(args) -> int:
         raise CliError("bundle", f"not a complete bundle: {bundle.path}")
     test_set = _load_split(data_dir, "t10k")
     try:
-        report = _evaluate_bundle(bundle, test_set, args.mode)
+        report = _evaluate_bundle(bundle, test_set, [args.mode])[args.mode]
     except ValueError as exc:
         raise CliError("eval", str(exc)) from exc
     print(report.to_json())
@@ -210,20 +211,20 @@ def _sweep_one(task: dict):
     if not bundle_path.exists():
         _train_bundle(config, data_dir, bundle_path)
     bundle = ExperimentBundle(bundle_path)
-    test_set = _load_split(data_dir, "t10k")
-    rows = []
-    for mode in MODES:
-        report_path = bundle.eval_report_path(mode)
-        if task["resume"] and report_path.exists():
-            report = EvalReport.from_json(report_path.read_text())
-        else:
-            report = _evaluate_bundle(bundle, test_set, mode)
-        rows.append([
-            config.inlier_class, config.bottleneck_size, config.seed, mode,
-            repr(report.fpr_at_95_tpr), repr(report.auroc),
-            repr(report.aupr_in), repr(report.aupr_out),
-        ])
-    return rows
+    reports = {
+        mode: EvalReport.from_json(bundle.eval_report_path(mode).read_text())
+        for mode in MODES
+        if task["resume"] and bundle.eval_report_path(mode).exists()
+    }
+    missing = [mode for mode in MODES if mode not in reports]
+    if missing:
+        reports.update(_evaluate_bundle(bundle, _load_split(data_dir, "t10k"), missing))
+    return [
+        [config.inlier_class, config.bottleneck_size, config.seed, mode,
+         repr(reports[mode].fpr_at_95_tpr), repr(reports[mode].auroc),
+         repr(reports[mode].aupr_in), repr(reports[mode].aupr_out)]
+        for mode in MODES
+    ]
 
 
 def cmd_sweep(args) -> int:

@@ -9,20 +9,6 @@ optimizer.  Everything is CPU-only, 64-bit and bit-reproducible for a fixed
 seed.
 """
 
-from latent_guard.nn.ops import (
-    conv3x3_forward,
-    conv3x3_backward,
-    maxpool2x2_forward,
-    maxpool2x2_backward,
-    upsample2x2_nearest,
-    upsample2x2_backward,
-    dense_forward,
-    dense_backward,
-    relu,
-    relu_backward,
-    sigmoid,
-    sigmoid_backward,
-)
 from latent_guard.nn.losses import bce_loss, bce_loss_and_grad, l1_penalty
 from latent_guard.nn.optim import Adadelta, AdadeltaState, adadelta_step
 from latent_guard.nn.layers import (
@@ -38,18 +24,6 @@ from latent_guard.nn.layers import (
 )
 
 __all__ = [
-    "conv3x3_forward",
-    "conv3x3_backward",
-    "maxpool2x2_forward",
-    "maxpool2x2_backward",
-    "upsample2x2_nearest",
-    "upsample2x2_backward",
-    "dense_forward",
-    "dense_backward",
-    "relu",
-    "relu_backward",
-    "sigmoid",
-    "sigmoid_backward",
     "bce_loss",
     "bce_loss_and_grad",
     "l1_penalty",

@@ -10,6 +10,8 @@ concurrent forward passes over an immutable layer stack are safe.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from latent_guard.nn import ops
@@ -152,7 +154,7 @@ class Flatten(Layer):
 
     def forward(self, x, train=False):
         self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
+        return x.reshape(len(x), math.prod(x.shape[1:]))
 
     def backward(self, dout):
         return dout.reshape(self._shape)

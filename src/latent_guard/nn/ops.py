@@ -1,13 +1,10 @@
-"""Functional forward/backward primitives.
+"""Functional forward/backward kernels behind the layer objects.
 
-Public functions use the channels-first convention: a single sample is
-``[C, H, W]`` and a batch is ``[N, C, H, W]``; conv weights are
-``[C_out, C_in, 3, 3]`` and dense weights ``[out_dim, in_dim]``.
-
-The convolution kernels internally run channels-last ([N, H, W, C]) so the
-im2col/shift buffers copy in long contiguous runs; on a single core the
-hot loop is memory traffic, not FLOPs.  Layer objects (layers.py) call the
-channels-last kernels directly and never pay the layout transpose.
+Activations are channels-last batches ``[N, H, W, C]``, so the im2col/shift
+buffers copy in long contiguous runs; on a single core the hot loop is
+memory traffic, not FLOPs.  Conv weights keep the canonical
+``[C_out, C_in, 3, 3]`` shape.  Dense and ReLU are one-liners and live in
+layers.py.
 """
 
 from __future__ import annotations
@@ -16,17 +13,11 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
-from latent_guard.errors import ShapeError
-
 # Up to this many input channels a single [N*H*W, 9*C_in] im2col block is
 # cheap to materialize; above it the kernels run batched matmuls directly
 # on strided views of the padded input, which avoids any window copy.
 _IM2COL_MAX_CIN = 4
 
-
-# ---------------------------------------------------------------------------
-# channels-last kernels
-# ---------------------------------------------------------------------------
 
 def conv3x3_fwd_nhwc(x, weights, bias=None):
     """Same-padding 3x3 convolution on [N, H, W, C_in].
@@ -95,6 +86,11 @@ def conv3x3_input_grad_nhwc(dout, weights):
 
 
 def maxpool2x2_fwd_nhwc(x):
+    """Disjoint 2x2/stride-2 max pooling.  Returns (output, argmax_indices).
+
+    Indices are flat positions 0..3 inside each window (row-major), shaped
+    like the output; ties resolve to the first maximum, deterministically.
+    """
     n, h, w, c = x.shape
     if h % 2 or w % 2:
         raise ValueError(
@@ -112,6 +108,7 @@ def maxpool2x2_fwd_nhwc(x):
 
 
 def maxpool2x2_bwd_nhwc(dout, idx):
+    """Routes each upstream element to its window's argmax position."""
     n, ho, wo, c = dout.shape
     dwin = np.zeros((n, ho, wo, c, 4))
     np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=4)
@@ -123,156 +120,16 @@ def maxpool2x2_bwd_nhwc(dout, idx):
 
 
 def upsample2x2_fwd_nhwc(x):
+    """Each element replicated into a 2x2 block (nearest-neighbor, factor 2)."""
     return np.repeat(np.repeat(x, 2, axis=1), 2, axis=2)
 
 
 def upsample2x2_bwd_nhwc(dout):
+    """Sums upstream gradients over each 2x2 replication block."""
     n, h2, w2, c = dout.shape
     return dout.reshape(n, h2 // 2, 2, w2 // 2, 2, c).sum(axis=(2, 4))
-
-
-# ---------------------------------------------------------------------------
-# public channels-first operations
-# ---------------------------------------------------------------------------
-
-def _as_batch_nchw(x, what):
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 3:
-        return x[None], True
-    if x.ndim == 4:
-        return x, False
-    raise ShapeError(what, ("C", "H", "W"), x.shape)
-
-
-def _check_conv_shapes(x, weights, bias):
-    if weights.ndim != 4 or weights.shape[2:] != (3, 3):
-        raise ShapeError("conv3x3 weights", ("C_out", "C_in", 3, 3), weights.shape)
-    if x.shape[1] != weights.shape[1]:
-        raise ShapeError(
-            "conv3x3 input channels",
-            (weights.shape[1], "H", "W"),
-            x.shape[1:],
-        )
-    if x.shape[2] < 1 or x.shape[3] < 1:
-        raise ShapeError("conv3x3 spatial dims", ("C", ">=1", ">=1"), x.shape[1:])
-    if bias is not None and bias.shape != (weights.shape[0],):
-        raise ShapeError("conv3x3 bias", (weights.shape[0],), bias.shape)
-
-
-def conv3x3_forward(x, weights, bias):
-    """Same-padding 3x3 convolution; output spatial dims equal input dims."""
-    xb, single = _as_batch_nchw(x, "conv3x3 input")
-    weights = np.asarray(weights, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    _check_conv_shapes(xb, weights, bias)
-    out, _ = conv3x3_fwd_nhwc(
-        np.ascontiguousarray(xb.transpose(0, 2, 3, 1)), weights, bias
-    )
-    out = out.transpose(0, 3, 1, 2)
-    return out[0] if single else out
-
-
-def conv3x3_backward(upstream_grad, cached_input, weights):
-    """Gradients of conv3x3_forward w.r.t. (input, weights, bias)."""
-    xb, single = _as_batch_nchw(cached_input, "conv3x3 input")
-    gb, gsingle = _as_batch_nchw(upstream_grad, "conv3x3 upstream grad")
-    weights = np.asarray(weights, dtype=np.float64)
-    _check_conv_shapes(xb, weights, None)
-    expected = (xb.shape[0], weights.shape[0], xb.shape[2], xb.shape[3])
-    if single != gsingle or gb.shape != expected:
-        raise ShapeError("conv3x3 upstream grad", expected, gb.shape)
-    x_nhwc = np.ascontiguousarray(xb.transpose(0, 2, 3, 1))
-    g_nhwc = np.ascontiguousarray(gb.transpose(0, 2, 3, 1))
-    _, cache = conv3x3_fwd_nhwc(x_nhwc, weights)
-    dw, db = conv3x3_param_grads_nhwc(g_nhwc, cache, weights.shape)
-    dx = conv3x3_input_grad_nhwc(g_nhwc, weights).transpose(0, 3, 1, 2)
-    return (dx[0] if single else dx), dw, db
-
-
-def maxpool2x2_forward(x):
-    """Disjoint 2x2/stride-2 max pooling.  Returns (output, argmax_indices).
-
-    Indices are flat positions 0..3 inside each window (row-major), shaped
-    like the output; ties resolve to the first maximum, deterministically.
-    """
-    xb, single = _as_batch_nchw(x, "maxpool2x2 input")
-    out, idx = maxpool2x2_fwd_nhwc(np.ascontiguousarray(xb.transpose(0, 2, 3, 1)))
-    out = out.transpose(0, 3, 1, 2)
-    idx = idx.transpose(0, 3, 1, 2)
-    return (out[0], idx[0]) if single else (out, idx)
-
-
-def maxpool2x2_backward(upstream_grad, argmax_indices):
-    """Routes each upstream element to its window's argmax position."""
-    gb, single = _as_batch_nchw(upstream_grad, "maxpool2x2 upstream grad")
-    idx = np.asarray(argmax_indices)
-    ib = idx[None] if single else idx
-    if ib.shape != gb.shape:
-        raise ShapeError("maxpool2x2 indices", gb.shape, ib.shape)
-    dx = maxpool2x2_bwd_nhwc(
-        np.ascontiguousarray(gb.transpose(0, 2, 3, 1)),
-        np.ascontiguousarray(ib.transpose(0, 2, 3, 1)),
-    ).transpose(0, 3, 1, 2)
-    return dx[0] if single else dx
-
-
-def upsample2x2_nearest(x):
-    """Each element replicated into a 2x2 block (nearest-neighbor, factor 2)."""
-    xb, single = _as_batch_nchw(x, "upsample2x2 input")
-    out = upsample2x2_fwd_nhwc(xb.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-    return out[0] if single else out
-
-
-def upsample2x2_backward(upstream_grad):
-    """Sums upstream gradients over each 2x2 replication block."""
-    gb, single = _as_batch_nchw(upstream_grad, "upsample2x2 upstream grad")
-    dx = upsample2x2_bwd_nhwc(gb.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
-    return dx[0] if single else dx
-
-
-def dense_forward(x, weights, bias):
-    """out = W @ x + b with weights [out_dim, in_dim]; batched rows allowed."""
-    x = np.asarray(x, dtype=np.float64)
-    weights = np.asarray(weights, dtype=np.float64)
-    bias = np.asarray(bias, dtype=np.float64)
-    if weights.ndim != 2:
-        raise ShapeError("dense weights", ("out_dim", "in_dim"), weights.shape)
-    if x.shape[-1] != weights.shape[1]:
-        raise ShapeError("dense input", (weights.shape[1],), x.shape)
-    if bias.shape != (weights.shape[0],):
-        raise ShapeError("dense bias", (weights.shape[0],), bias.shape)
-    return x @ weights.T + bias
-
-
-def dense_backward(upstream_grad, cached_input, weights):
-    """Gradients of dense_forward w.r.t. (input, weights, bias)."""
-    g = np.asarray(upstream_grad, dtype=np.float64)
-    x = np.asarray(cached_input, dtype=np.float64)
-    if g.shape[-1] != weights.shape[0] or g.ndim != x.ndim:
-        raise ShapeError("dense upstream grad", (weights.shape[0],), g.shape)
-    if g.ndim == 1:
-        dw = np.outer(g, x)
-        db = g.copy()
-    else:
-        dw = g.T @ x
-        db = g.sum(axis=0)
-    dx = g @ weights
-    return dx, dw, db
-
-
-def relu(x):
-    return np.maximum(np.asarray(x, dtype=np.float64), 0.0)
-
-
-def relu_backward(upstream_grad, cached_input):
-    return np.asarray(upstream_grad) * (np.asarray(cached_input) > 0)
 
 
 def sigmoid(x):
     """Numerically stable logistic function; outputs lie in (0, 1)."""
     return expit(np.asarray(x, dtype=np.float64))
-
-
-def sigmoid_backward(upstream_grad, cached_output):
-    y = np.asarray(cached_output)
-    return np.asarray(upstream_grad) * y * (1.0 - y)

@@ -24,14 +24,11 @@ import numpy as np
 
 from latent_guard.autoencoder import Autoencoder
 from latent_guard.data import ImageDataset, filter_class
-from latent_guard.nn.losses import bce_loss, bce_loss_and_grad, l1_penalty
+from latent_guard.nn.losses import bce_loss_and_grad, l1_penalty
 from latent_guard.nn.optim import Adadelta
 
 STOP_EARLY = "early"
 STOP_MAX_EPOCHS = "max_epochs"
-
-# validation forward passes run in bounded chunks
-_VAL_CHUNK = 256
 
 
 def tune_allocator() -> None:
@@ -135,18 +132,10 @@ class EarlyStopping:
         return epoch - self.best_epoch > self.patience
 
 
-def _objective_forward(model, x_nhwc, l1_lambda):
-    """Loss on a batch without caching; used for validation."""
-    total_bce = 0.0
-    total_l1 = 0.0
-    n = x_nhwc.shape[0]
-    for i in range(0, n, _VAL_CHUNK):
-        chunk = x_nhwc[i:i + _VAL_CHUNK]
-        z = model._run(model.encoder_layers, chunk)
-        recon = model._run(model.decoder_layers, z)
-        total_bce += bce_loss(recon, chunk) * chunk.shape[0]
-        total_l1 += np.abs(z).sum()
-    return total_bce / n + l1_lambda * total_l1 / n
+def _objective_forward(model, val_images, l1_lambda):
+    """Validation objective on [N,1,28,28] images: mean BCE plus the L1 term."""
+    z, re = model.encode_and_reconstruction_errors(val_images)
+    return re.mean() + l1_lambda * np.abs(z).sum(axis=1).mean()
 
 
 def train(config: TrainConfig, dataset: ImageDataset):
@@ -160,7 +149,6 @@ def train(config: TrainConfig, dataset: ImageDataset):
     optimizer = Adadelta(model.named_parameters())
 
     x_train = np.ascontiguousarray(train_inliers.images.transpose(0, 2, 3, 1))
-    x_val = np.ascontiguousarray(val_inliers.images.transpose(0, 2, 3, 1))
     n = x_train.shape[0]
 
     record = TrainRecord()
@@ -175,7 +163,10 @@ def train(config: TrainConfig, dataset: ImageDataset):
             batch = x_train[order[start:start + config.batch_size]]
             b = batch.shape[0]
             recon, bottleneck = model.forward_training(batch)
-            bce, d_recon = bce_loss_and_grad(recon, batch)
+            try:
+                bce, d_recon = bce_loss_and_grad(recon, batch)
+            except ValueError:  # NaN reconstruction; reported below with its place
+                bce, d_recon = np.nan, None
             penalty, d_bottleneck = l1_penalty(bottleneck, config.l1_lambda)
             loss = bce + penalty / b
             if not np.isfinite(loss):
@@ -187,7 +178,7 @@ def train(config: TrainConfig, dataset: ImageDataset):
             optimizer.step(model.named_grads())
             total_loss += loss * b
 
-        val_loss = _objective_forward(model, x_val, config.l1_lambda)
+        val_loss = _objective_forward(model, val_inliers.images, config.l1_lambda)
         if not np.isfinite(val_loss):
             raise FloatingPointError(
                 f"non-finite validation loss {val_loss} at epoch {epoch}"

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from latent_guard import Autoencoder, build_autoencoder
+from latent_guard import Autoencoder
 from latent_guard.errors import ShapeError
 from latent_guard.nn import bce_loss
+from latent_guard.nn.losses import bce_loss_per_sample
 
 RNG = np.random.default_rng(42)
 X_SINGLE = RNG.uniform(0.0, 1.0, (1, 28, 28))
@@ -23,14 +24,14 @@ def analytic_param_count(k):
 
 class TestBuild:
     def test_same_seed_is_bit_identical(self):
-        a = build_autoencoder(16, seed=7)
-        b = build_autoencoder(16, seed=7)
+        a = Autoencoder(16, seed=7)
+        b = Autoencoder(16, seed=7)
         for name, pa in a.named_parameters().items():
             assert np.array_equal(pa, b.named_parameters()[name]), name
 
     def test_different_seed_differs(self):
-        a = build_autoencoder(16, seed=7)
-        b = build_autoencoder(16, seed=8)
+        a = Autoencoder(16, seed=7)
+        b = Autoencoder(16, seed=8)
         assert not np.array_equal(
             a.named_parameters()["encoder.0.weight"],
             b.named_parameters()["encoder.0.weight"],
@@ -38,22 +39,22 @@ class TestBuild:
 
     def test_encoder_dense_shape_k2(self):
         # 28 -> 14 -> 7 spatial trace with 2 channels: 7*7*2 = 98 inputs
-        model = build_autoencoder(2, seed=0)
+        model = Autoencoder(2, seed=0)
         assert model.named_parameters()["encoder.7.weight"].shape == (2, 98)
 
     def test_input_sized_bottleneck_is_valid(self):
-        model = build_autoencoder(784, seed=0)
+        model = Autoencoder(784, seed=0)
         z = model.encode(X_SINGLE)
         assert z.shape == (784,)
         assert model.named_parameters()["decoder.0.weight"].shape == (98, 784)
 
     def test_bottleneck_below_one_rejected(self):
         with pytest.raises(ValueError, match="bottleneck"):
-            build_autoencoder(0, seed=0)
+            Autoencoder(0, seed=0)
 
     @pytest.mark.parametrize("k", [2, 4, 8, 16, 32, 64, 128, 256, 512, 784])
     def test_round_trip_shapes_and_range(self, k):
-        model = build_autoencoder(k, seed=1)
+        model = Autoencoder(k, seed=1)
         z = model.encode(X_SINGLE)
         assert z.shape == (k,)
         recon = model.decode(z)
@@ -62,10 +63,10 @@ class TestBuild:
 
     @pytest.mark.parametrize("k", [2, 16, 128])
     def test_param_count_matches_analytic_formula(self, k):
-        assert build_autoencoder(k, seed=0).num_params() == analytic_param_count(k)
+        assert Autoencoder(k, seed=0).num_params() == analytic_param_count(k)
 
     def test_first_conv_param_count(self):
-        model = build_autoencoder(8, seed=0)
+        model = Autoencoder(8, seed=0)
         p = model.named_parameters()
         assert p["encoder.0.weight"].size + p["encoder.0.bias"].size == 320
 
@@ -74,45 +75,52 @@ class TestEncode:
     def test_zero_input_gives_dense_bias(self):
         # biases init to zero, so every pre-activation stays zero and the
         # bottleneck equals the encoder dense bias
-        model = build_autoencoder(6, seed=3)
+        model = Autoencoder(6, seed=3)
         z = model.encode(np.zeros((1, 28, 28)))
         np.testing.assert_array_equal(z, model.named_parameters()["encoder.7.bias"])
 
     def test_batch_rows_match_single_samples(self):
         # BLAS blocking differs across batch shapes, so agreement is to
         # rounding error, not bit-exact (bit-exactness holds per call shape)
-        model = build_autoencoder(16, seed=5)
+        model = Autoencoder(16, seed=5)
         batch = model.encode(X_BATCH)
         assert batch.shape == (5, 16)
         for i in range(5):
             np.testing.assert_allclose(batch[i], model.encode(X_BATCH[i]), atol=1e-12)
 
     def test_finite_for_random_input(self):
-        model = build_autoencoder(32, seed=6)
+        model = Autoencoder(32, seed=6)
         assert np.all(np.isfinite(model.encode(X_BATCH)))
 
     def test_wrong_shape_rejected(self):
-        model = build_autoencoder(4, seed=0)
+        model = Autoencoder(4, seed=0)
         with pytest.raises(ShapeError):
             model.encode(np.zeros((1, 27, 28)))
         with pytest.raises(ShapeError):
             model.decode(np.zeros(5))
 
     def test_out_of_range_values_rejected(self):
-        model = build_autoencoder(4, seed=0)
+        model = Autoencoder(4, seed=0)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             model.encode(np.full((1, 28, 28), 1.5))
+        # NaN fails every comparison, so a naive "< 0 or > 1" test lets it by
+        with_nan = np.full((2, 1, 28, 28), 0.5)
+        with_nan[1, 0, 3, 4] = np.nan
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            model.encode(with_nan)
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            model.reconstruction_errors(with_nan)
 
 
 class TestReconstructionError:
     def test_equals_bce_of_reconstruction(self):
-        model = build_autoencoder(16, seed=9)
+        model = Autoencoder(16, seed=9)
         err = model.reconstruction_error(X_SINGLE)
         assert err == bce_loss(model.reconstruct(X_SINGLE), X_SINGLE)
         assert err >= 0.0
 
     def test_batch_matches_singles(self):
-        model = build_autoencoder(8, seed=10)
+        model = Autoencoder(8, seed=10)
         errs = model.reconstruction_errors(X_BATCH)
         for i in range(5):
             np.testing.assert_allclose(
@@ -121,14 +129,34 @@ class TestReconstructionError:
 
     def test_golden_value_for_seeded_untrained_model(self):
         # frozen once from this implementation's own seeded run
-        model = build_autoencoder(16, seed=123)
+        model = Autoencoder(16, seed=123)
         x = np.random.default_rng(99).uniform(0.0, 1.0, (1, 28, 28))
         assert model.reconstruction_error(x) == float.fromhex("0x1.62d67617d99a3p-1")
 
 
+class TestChunkedForward:
+    # 2 * 128 + 1 rows: two full chunks, then a ragged one-row tail
+    X_MULTI = np.random.default_rng(7).uniform(0.0, 1.0, (2 * 128 + 1, 1, 28, 28))
+
+    def test_multi_chunk_pass_matches_encode_and_reconstruct(self):
+        model = Autoencoder(8, seed=11)
+        z, errs = model.encode_and_reconstruction_errors(self.X_MULTI)
+        assert z.shape == (257, 8) and errs.shape == (257,)
+        assert np.array_equal(z, model.encode(self.X_MULTI))
+        expected = bce_loss_per_sample(model.reconstruct(self.X_MULTI), self.X_MULTI)
+        np.testing.assert_allclose(errs, expected, rtol=1e-12)
+
+    def test_empty_batch_gives_empty_outputs(self):
+        model = Autoencoder(8, seed=11)
+        empty = np.empty((0, 1, 28, 28))
+        z, errs = model.encode_and_reconstruction_errors(empty)
+        assert z.shape == (0, 8) and errs.shape == (0,)
+        assert model.encode(empty).shape == (0, 8)
+
+
 class TestTrainingHooks:
     def test_grads_shape_match_params(self):
-        model = build_autoencoder(8, seed=30)
+        model = Autoencoder(8, seed=30)
         x = RNG.uniform(0.0, 1.0, (4, 28, 28, 1))
         recon, bottleneck = model.forward_training(x)
         assert recon.shape == (4, 28, 28, 1)
@@ -143,7 +171,7 @@ class TestTrainingHooks:
 
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
-        model = build_autoencoder(16, seed=21, l1_lambda=1e-5)
+        model = Autoencoder(16, seed=21, l1_lambda=1e-5)
         path = tmp_path / "model.lgar"
         model.save(path)
         loaded = Autoencoder.load(path)
@@ -166,7 +194,7 @@ class TestCheckpoint:
             Autoencoder.load(path)
 
     def test_truncated_file_rejected(self, tmp_path):
-        model = build_autoencoder(4, seed=0)
+        model = Autoencoder(4, seed=0)
         path = tmp_path / "model.lgar"
         model.save(path)
         (tmp_path / "cut.lgar").write_bytes(path.read_bytes()[:-100])

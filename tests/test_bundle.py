@@ -5,14 +5,14 @@ import json
 import numpy as np
 import pytest
 
-from latent_guard import NoveltyCalibration, build_autoencoder, fit_gaussian
+from latent_guard import Autoencoder, NoveltyCalibration, fit_gaussian
 from latent_guard.bundle import ExperimentBundle, MANIFEST_FILE
 from latent_guard.trainer import EpochStats, TrainConfig, TrainRecord
 
 
 @pytest.fixture
 def parts():
-    model = build_autoencoder(4, seed=2)
+    model = Autoencoder(4, seed=2)
     stats = fit_gaussian(np.random.default_rng(0).standard_normal((30, 4)))
     cal = NoveltyCalibration(alpha=1.0, beta=2.0, val_dm_std=1.0, val_re_std=0.5)
     record = TrainRecord(

@@ -1,19 +1,24 @@
 """End-to-end CLI runs against a small synthetic IDX data directory."""
 
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from latent_guard import cli
+from latent_guard.bundle import ExperimentBundle
 from latent_guard.data import write_idx_images, write_idx_labels
 from latent_guard.metrics import EvalReport, ScoredSet, auroc, fpr_at_tpr
 from latent_guard.novelty import read_scores_csv
 
 from conftest import synthetic_digits
+
+TEST_SIZE = 300
 
 TRAIN_ARGS = ["--max-epochs", "2", "--patience", "1", "--batch-size", "64",
               "--val-size", "120", "--seed", "5"]
@@ -24,7 +29,7 @@ def data_dir(tmp_path_factory):
     """Synthetic MNIST-shaped IDX files under the standard names."""
     root = tmp_path_factory.mktemp("idx-data")
     train = synthetic_digits(640, seed=100)
-    test = synthetic_digits(300, seed=200)
+    test = synthetic_digits(TEST_SIZE, seed=200)
     for name, ds in (("train", train), ("t10k", test)):
         as_u8 = np.round(ds.images[:, 0] * 255.0).astype(np.uint8)
         write_idx_images(root / f"{name}-images-idx3-ubyte", as_u8)
@@ -115,8 +120,6 @@ class TestEval:
         assert fpr_at_tpr(scored) == report.fpr_at_95_tpr
 
     def test_eval_updates_manifest_digests(self, data_dir, trained_bundle):
-        from latent_guard.bundle import ExperimentBundle
-
         cli.main(["eval", "--bundle", str(trained_bundle),
                   "--data-dir", str(data_dir), "--mode", "LD"])
         ExperimentBundle(trained_bundle).verify()
@@ -174,6 +177,39 @@ class TestSweep:
         assert cli.main(args("b.csv")) == 1
         assert cli.main(args("b.csv", "--resume")) == 0
         assert (tmp_path / "b.csv").read_text() == (tmp_path / "a.csv").read_text()
+
+        # a bundle holding only the RE report gets LD and H back, unchanged
+        bundle = tmp_path / "bundles" / "class0_k3_seed5"
+        dropped = {}
+        for name in ("eval_LD.json", "scores_LD.csv", "eval_H.json", "scores_H.csv"):
+            dropped[name] = (bundle / name).read_bytes()
+            (bundle / name).unlink()
+        assert cli.main(args("c.csv", "--resume")) == 0
+        assert (tmp_path / "c.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+        for name, content in dropped.items():
+            assert (bundle / name).read_bytes() == content, name
+        ExperimentBundle(bundle).verify()
+
+    def test_one_feature_pass_per_cell_on_test_split(self, data_dir, tmp_path,
+                                                     monkeypatch):
+        # RE, LD and H all come from one (RE, LD) pass over the test split
+        real = cli.novelty.features
+        test_passes = []
+
+        def counting(model, stats, images):
+            if len(images) == TEST_SIZE:
+                test_passes.append(len(images))
+            return real(model, stats, images)
+
+        monkeypatch.setattr(cli.novelty, "features", counting)
+        code = cli.main(["sweep", "--class", "0", "--bottlenecks", "3", "--seeds", "5",
+                         "--data-dir", str(data_dir),
+                         "--bundles-dir", str(tmp_path / "bundles"),
+                         "--out-csv", str(tmp_path / "sweep.csv"), *TRAIN_ARGS[:-2]])
+        assert code == 0
+        assert len(test_passes) == 1
+        for mode in ("RE", "LD", "H"):
+            assert (tmp_path / "bundles" / "class0_k3_seed5" / f"eval_{mode}.json").exists()
 
     def test_parallel_jobs_match_serial_output(self, data_dir, tmp_path):
         common = ["sweep", "--class", "0", "--bottlenecks", "3,4", "--seeds", "5",
@@ -270,10 +306,13 @@ class TestPlot:
 
 class TestConsoleScript:
     def test_module_invocation_and_usage_exit_code(self):
+        # the child must import the same package this process imported
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         result = subprocess.run(
             [sys.executable, "-m", "latent_guard.cli", "train", "--class", "0",
              "--bottleneck", "0", "--seed", "1", "--out", "/tmp/never"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert result.returncode == 2
         assert "usage" in result.stderr.lower()

@@ -28,6 +28,9 @@ class TestBceLoss:
             bce_loss(np.array([1.2]), np.array([1.0]))
         with pytest.raises(ValueError, match="sigmoid"):
             bce_loss(np.array([-0.1]), np.array([0.0]))
+        # NaN fails every comparison, so a naive "< 0 or > 1" test lets it by
+        with pytest.raises(ValueError, match="sigmoid"):
+            bce_loss(np.array([0.5, np.nan]), np.array([1.0, 0.0]))
 
     def test_binary_target_is_minimized_at_target(self):
         # bce(p, t) >= bce(t, t) for binary t, any p

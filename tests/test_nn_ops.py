@@ -1,229 +1,241 @@
-"""Layer forward examples, backward gradient checks, and algebraic properties."""
+"""Layer forward examples, backward gradient checks, and algebraic properties.
+
+Everything runs on the channels-last ([N, H, W, C]) layer objects and the
+kernels in ``nn.ops`` that they call.
+"""
 
 import numpy as np
 import pytest
 
-from latent_guard.errors import ShapeError
-from latent_guard.nn import (
-    conv3x3_forward,
-    conv3x3_backward,
-    maxpool2x2_forward,
-    maxpool2x2_backward,
-    upsample2x2_nearest,
-    upsample2x2_backward,
-    dense_forward,
-    dense_backward,
-    relu,
-    relu_backward,
-    sigmoid,
-    sigmoid_backward,
-)
+from latent_guard.nn import Conv3x3, Dense, MaxPool2x2, ReLU, Sigmoid, Upsample2x2
+from latent_guard.nn import ops
 
 from helpers import numeric_grad, assert_grad_close
 
 
+def conv(x, w, b):
+    return ops.conv3x3_fwd_nhwc(x, w, b)[0]
+
+
+def with_params(layer, w, b):
+    layer.params["weight"][...] = w
+    layer.params["bias"][...] = b
+    return layer
+
+
+def conv_layer(w, b):
+    return with_params(Conv3x3(w.shape[1], w.shape[0], np.random.default_rng(0)), w, b)
+
+
+def dense_layer(w, b):
+    return with_params(Dense(w.shape[1], w.shape[0], np.random.default_rng(0)), w, b)
+
+
+def dense(x, w, b):
+    return dense_layer(w, b).forward(x)
+
+
+def grads_of(layer, x, upstream):
+    """(dx, grads) of ``sum(layer(x) * upstream)`` via the layer's backward."""
+    layer.forward(x, train=True)
+    return layer.backward(upstream), layer.grads
+
+
 class TestConvForward:
     def test_identity_kernel(self):
-        x = np.array([[[5.0]]])
+        x = np.array([[[[5.0]]]])
         w = np.zeros((1, 1, 3, 3))
         w[0, 0, 1, 1] = 1.0
-        out = conv3x3_forward(x, w, np.zeros(1))
+        out = conv(x, w, np.zeros(1))
         np.testing.assert_array_equal(out, x)
 
     def test_zero_kernel_gives_bias(self):
-        x = np.random.default_rng(0).uniform(-1, 1, (2, 4, 6))
+        x = np.random.default_rng(0).uniform(-1, 1, (1, 4, 6, 2))
         w = np.zeros((3, 2, 3, 3))
         b = np.array([1.5, -2.0, 0.25])
-        out = conv3x3_forward(x, w, b)
-        assert out.shape == (3, 4, 6)
+        out = conv(x, w, b)
+        assert out.shape == (1, 4, 6, 3)
         for c, bias in enumerate(b):
-            np.testing.assert_array_equal(out[c], np.full((4, 6), bias))
+            np.testing.assert_array_equal(out[0, :, :, c], np.full((4, 6), bias))
 
     def test_ones_kernel_sliding_window_sum(self):
         # hand-summed sliding window over all 9 positions of a 3x3 ramp
-        x = np.arange(1.0, 10.0).reshape(1, 3, 3)
+        x = np.arange(1.0, 10.0).reshape(1, 3, 3, 1)
         w = np.ones((1, 1, 3, 3))
-        out = conv3x3_forward(x, w, np.zeros(1))
-        padded = np.pad(x[0], 1)
+        out = conv(x, w, np.zeros(1))
+        padded = np.pad(x[0, :, :, 0], 1)
         expected = np.empty((3, 3))
         for i in range(3):
             for j in range(3):
                 expected[i, j] = padded[i:i + 3, j:j + 3].sum()
-        np.testing.assert_allclose(out[0], expected)
-        assert out[0, 1, 1] == 45.0
+        np.testing.assert_allclose(out[0, :, :, 0], expected)
+        assert out[0, 1, 1, 0] == 45.0
 
     def test_preserves_spatial_dims(self):
         rng = np.random.default_rng(1)
-        x = rng.standard_normal((4, 2, 5, 9))
+        x = rng.standard_normal((4, 5, 9, 2))
         w = rng.standard_normal((3, 2, 3, 3))
-        out = conv3x3_forward(x, w, np.zeros(3))
-        assert out.shape == (4, 3, 5, 9)
+        out = conv(x, w, np.zeros(3))
+        assert out.shape == (4, 5, 9, 3)
 
     def test_linearity(self):
         rng = np.random.default_rng(2)
-        x1 = rng.standard_normal((2, 4, 4))
-        x2 = rng.standard_normal((2, 4, 4))
+        x1 = rng.standard_normal((1, 4, 4, 2))
+        x2 = rng.standard_normal((1, 4, 4, 2))
         w = rng.standard_normal((3, 2, 3, 3))
         b = np.zeros(3)
         a, c = 1.7, -0.4
-        lhs = conv3x3_forward(a * x1 + c * x2, w, b)
-        rhs = a * conv3x3_forward(x1, w, b) + c * conv3x3_forward(x2, w, b)
+        lhs = conv(a * x1 + c * x2, w, b)
+        rhs = a * conv(x1, w, b) + c * conv(x2, w, b)
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
-    def test_shape_mismatch_is_structured(self):
-        x = np.zeros((2, 4, 4))
-        w = np.zeros((3, 5, 3, 3))
-        with pytest.raises(ShapeError) as excinfo:
-            conv3x3_forward(x, w, np.zeros(3))
-        assert excinfo.value.expected[0] == 5
-        w = np.zeros((3, 2, 5, 5))
-        with pytest.raises(ShapeError):
-            conv3x3_forward(x, w, np.zeros(3))
+    def test_strided_path_matches_direct_sum(self):
+        # above _IM2COL_MAX_CIN input channels the kernel skips im2col;
+        # check it against the convolution sum written out term by term
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((2, 4, 5, 6))
+        w = rng.standard_normal((3, 6, 3, 3))
+        b = rng.standard_normal(3)
+        assert x.shape[3] > ops._IM2COL_MAX_CIN
+        padded = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+        expected = np.empty((2, 4, 5, 3))
+        for i in range(4):
+            for j in range(5):
+                window = padded[:, i:i + 3, j:j + 3, :]  # [N, 3, 3, C_in]
+                expected[:, i, j, :] = np.einsum("nuvc,ocuv->no", window, w) + b
+        np.testing.assert_allclose(conv(x, w, b), expected, atol=1e-12)
 
 
 class TestConvBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((2, 4, 4))
+        x = rng.standard_normal((1, 4, 4, 2))
         w = rng.standard_normal((3, 2, 3, 3))
-        dx, dw, db = conv3x3_backward(np.zeros((3, 4, 4)), x, w)
-        assert not dx.any() and not dw.any() and not db.any()
+        dx, grads = grads_of(conv_layer(w, np.zeros(3)), x, np.zeros((1, 4, 4, 3)))
+        assert not dx.any() and not grads["weight"].any() and not grads["bias"].any()
 
     def test_identity_kernel_passes_grad_through(self):
         w = np.zeros((1, 1, 3, 3))
         w[0, 0, 1, 1] = 1.0
-        g = np.random.default_rng(4).standard_normal((1, 5, 5))
-        dx, _, _ = conv3x3_backward(g, np.zeros((1, 5, 5)), w)
+        g = np.random.default_rng(4).standard_normal((1, 5, 5, 1))
+        dx, _ = grads_of(conv_layer(w, np.zeros(1)), np.zeros((1, 5, 5, 1)), g)
         np.testing.assert_allclose(dx, g)
 
-    def test_matches_finite_differences(self):
+    @staticmethod
+    def check_finite_differences(c_in):
         rng = np.random.default_rng(5)
-        x = rng.standard_normal((2, 4, 4))
-        w = rng.standard_normal((3, 2, 3, 3))
+        x = rng.standard_normal((2, 4, 4, c_in))
+        w = rng.standard_normal((3, c_in, 3, 3))
         b = rng.standard_normal(3)
         # project the output onto a fixed random direction to get a scalar
-        proj = rng.standard_normal((3, 4, 4))
+        proj = rng.standard_normal((2, 4, 4, 3))
 
-        dx, dw, db = conv3x3_backward(proj, x, w)
-        num_dx = numeric_grad(lambda xv: float((conv3x3_forward(xv, w, b) * proj).sum()), x.copy())
-        num_dw = numeric_grad(lambda wv: float((conv3x3_forward(x, wv, b) * proj).sum()), w.copy())
-        num_db = numeric_grad(lambda bv: float((conv3x3_forward(x, w, bv) * proj).sum()), b.copy())
+        dx, grads = grads_of(conv_layer(w, b), x, proj)
+        num_dx = numeric_grad(lambda xv: float((conv(xv, w, b) * proj).sum()), x.copy())
+        num_dw = numeric_grad(lambda wv: float((conv(x, wv, b) * proj).sum()), w.copy())
+        num_db = numeric_grad(lambda bv: float((conv(x, w, bv) * proj).sum()), b.copy())
         assert_grad_close(dx, num_dx, rtol=1e-5)
-        assert_grad_close(dw, num_dw, rtol=1e-5)
-        assert_grad_close(db, num_db, rtol=1e-5)
+        assert_grad_close(grads["weight"], num_dw, rtol=1e-5)
+        assert_grad_close(grads["bias"], num_db, rtol=1e-5)
 
-    def test_upstream_shape_checked(self):
-        x = np.zeros((2, 4, 4))
-        w = np.zeros((3, 2, 3, 3))
-        with pytest.raises(ShapeError):
-            conv3x3_backward(np.zeros((3, 5, 4)), x, w)
+    def test_matches_finite_differences(self):
+        self.check_finite_differences(c_in=2)
+
+    def test_strided_path_matches_finite_differences(self):
+        self.check_finite_differences(c_in=ops._IM2COL_MAX_CIN + 1)
 
 
 class TestMaxPool:
     def test_single_window(self):
-        out, idx = maxpool2x2_forward(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
-        np.testing.assert_array_equal(out, [[[4.0]]])
-        assert idx[0, 0, 0] == 3
+        out, idx = ops.maxpool2x2_fwd_nhwc(np.array([[[[1.0], [2.0]], [[3.0], [4.0]]]]))
+        np.testing.assert_array_equal(out, [[[[4.0]]]])
+        assert idx[0, 0, 0, 0] == 3
 
     def test_constant_tensor(self):
-        x = np.full((3, 4, 6), 2.5)
-        out, _ = maxpool2x2_forward(x)
-        np.testing.assert_array_equal(out, np.full((3, 2, 3), 2.5))
+        x = np.full((1, 4, 6, 3), 2.5)
+        out = MaxPool2x2().forward(x)
+        np.testing.assert_array_equal(out, np.full((1, 2, 3, 3), 2.5))
 
     def test_ramp_windows_by_hand(self):
-        x = np.arange(1.0, 17.0).reshape(1, 4, 4)
-        out, _ = maxpool2x2_forward(x)
-        np.testing.assert_array_equal(out[0], [[6.0, 8.0], [14.0, 16.0]])
+        x = np.arange(1.0, 17.0).reshape(1, 4, 4, 1)
+        out = MaxPool2x2().forward(x)
+        np.testing.assert_array_equal(out[0, :, :, 0], [[6.0, 8.0], [14.0, 16.0]])
 
     def test_odd_dims_rejected(self):
         with pytest.raises(ValueError, match="even spatial"):
-            maxpool2x2_forward(np.zeros((1, 7, 7)))
+            MaxPool2x2().forward(np.zeros((1, 7, 7, 1)))
 
     def test_backward_routes_to_argmax(self):
-        x = np.arange(1.0, 17.0).reshape(1, 4, 4)
-        out, idx = maxpool2x2_forward(x)
-        g = np.array([[[10.0, 20.0], [30.0, 40.0]]])
-        dx = maxpool2x2_backward(g, idx)
-        expected = np.zeros((1, 4, 4))
-        expected[0, 1, 1] = 10.0
-        expected[0, 1, 3] = 20.0
-        expected[0, 3, 1] = 30.0
-        expected[0, 3, 3] = 40.0
+        x = np.arange(1.0, 17.0).reshape(1, 4, 4, 1)
+        g = np.array([[10.0, 20.0], [30.0, 40.0]]).reshape(1, 2, 2, 1)
+        dx, _ = grads_of(MaxPool2x2(), x, g)
+        expected = np.zeros((1, 4, 4, 1))
+        expected[0, 1, 1, 0] = 10.0
+        expected[0, 1, 3, 0] = 20.0
+        expected[0, 3, 1, 0] = 30.0
+        expected[0, 3, 3, 0] = 40.0
         np.testing.assert_array_equal(dx, expected)
 
     def test_backward_matches_finite_differences(self):
         # away from ties maxpool is locally linear, so fd applies
         rng = np.random.default_rng(6)
-        x = rng.standard_normal((2, 4, 4))
-        proj = rng.standard_normal((2, 2, 2))
-        _, idx = maxpool2x2_forward(x)
-        dx = maxpool2x2_backward(proj, idx)
-        num = numeric_grad(
-            lambda xv: float((maxpool2x2_forward(xv)[0] * proj).sum()), x.copy()
-        )
+        x = rng.standard_normal((1, 4, 4, 2))
+        proj = rng.standard_normal((1, 2, 2, 2))
+        dx, _ = grads_of(MaxPool2x2(), x, proj)
+        num = numeric_grad(lambda xv: float((MaxPool2x2().forward(xv) * proj).sum()), x.copy())
         assert_grad_close(dx, num, rtol=1e-5)
 
 
 class TestUpsample:
     def test_block_replication(self):
-        out = upsample2x2_nearest(np.array([[[1.0, 2.0], [3.0, 4.0]]]))
-        expected = np.array([[[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]]], float)
-        np.testing.assert_array_equal(out, expected)
+        out = Upsample2x2().forward(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1))
+        expected = np.array([[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]], float)
+        np.testing.assert_array_equal(out[0, :, :, 0], expected)
 
     def test_constant(self):
-        out = upsample2x2_nearest(np.full((2, 3, 5), 7.0))
-        np.testing.assert_array_equal(out, np.full((2, 6, 10), 7.0))
+        out = Upsample2x2().forward(np.full((1, 3, 5, 2), 7.0))
+        np.testing.assert_array_equal(out, np.full((1, 6, 10, 2), 7.0))
 
     def test_backward_block_sum(self):
-        dx = upsample2x2_backward(np.ones((1, 4, 4)))
-        np.testing.assert_array_equal(dx, np.full((1, 2, 2), 4.0))
+        dx = Upsample2x2().backward(np.ones((1, 4, 4, 1)))
+        np.testing.assert_array_equal(dx, np.full((1, 2, 2, 1), 4.0))
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(7)
-        x = rng.standard_normal((2, 3, 3))
-        proj = rng.standard_normal((2, 6, 6))
-        dx = upsample2x2_backward(proj)
-        num = numeric_grad(
-            lambda xv: float((upsample2x2_nearest(xv) * proj).sum()), x.copy()
-        )
+        x = rng.standard_normal((1, 3, 3, 2))
+        proj = rng.standard_normal((1, 6, 6, 2))
+        dx, _ = grads_of(Upsample2x2(), x, proj)
+        num = numeric_grad(lambda xv: float((Upsample2x2().forward(xv) * proj).sum()), x.copy())
         assert_grad_close(dx, num, rtol=1e-5)
 
     def test_maxpool_of_upsample_is_identity_on_constants(self):
-        x = np.full((2, 4, 4), 3.25)
-        out, _ = maxpool2x2_forward(upsample2x2_nearest(x))
+        x = np.full((1, 4, 4, 2), 3.25)
+        out = MaxPool2x2().forward(Upsample2x2().forward(x))
         np.testing.assert_array_equal(out, x)
 
 
 class TestDense:
     def test_identity(self):
-        x = np.array([1.0, -2.0, 3.0])
-        out = dense_forward(x, np.eye(3), np.zeros(3))
+        x = np.array([[1.0, -2.0, 3.0]])
+        out = dense(x, np.eye(3), np.zeros(3))
         np.testing.assert_array_equal(out, x)
 
     def test_zero_weights_give_bias(self):
-        out = dense_forward(np.array([4.0, 5.0]), np.zeros((1, 2)), np.array([7.0]))
-        np.testing.assert_array_equal(out, [7.0])
+        out = dense(np.array([[4.0, 5.0]]), np.zeros((1, 2)), np.array([7.0]))
+        np.testing.assert_array_equal(out, [[7.0]])
 
     def test_hand_matvec(self):
-        out = dense_forward(
-            np.array([1.0, 1.0]), np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2)
-        )
-        np.testing.assert_array_equal(out, [3.0, 7.0])
+        out = dense(np.array([[1.0, 1.0]]), np.array([[1.0, 2.0], [3.0, 4.0]]), np.zeros(2))
+        np.testing.assert_array_equal(out, [[3.0, 7.0]])
 
     def test_linearity(self):
         rng = np.random.default_rng(8)
         w = rng.standard_normal((4, 6))
-        x1, x2 = rng.standard_normal((2, 6))
+        x1, x2 = rng.standard_normal((2, 1, 6))
         a, c = 0.3, -2.1
-        lhs = dense_forward(a * x1 + c * x2, w, np.zeros(4))
-        rhs = a * dense_forward(x1, w, np.zeros(4)) + c * dense_forward(x2, w, np.zeros(4))
+        lhs = dense(a * x1 + c * x2, w, np.zeros(4))
+        rhs = a * dense(x1, w, np.zeros(4)) + c * dense(x2, w, np.zeros(4))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ShapeError):
-            dense_forward(np.zeros(3), np.zeros((2, 4)), np.zeros(2))
-        with pytest.raises(ShapeError):
-            dense_forward(np.zeros(4), np.zeros((2, 4)), np.zeros(3))
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(9)
@@ -231,61 +243,61 @@ class TestDense:
         w = rng.standard_normal((4, 5))
         b = rng.standard_normal(4)
         proj = rng.standard_normal((3, 4))
-        dx, dw, db = dense_backward(proj, x, w)
-        num_dx = numeric_grad(lambda v: float((dense_forward(v, w, b) * proj).sum()), x.copy())
-        num_dw = numeric_grad(lambda v: float((dense_forward(x, v, b) * proj).sum()), w.copy())
-        num_db = numeric_grad(lambda v: float((dense_forward(x, w, v) * proj).sum()), b.copy())
+        dx, grads = grads_of(dense_layer(w, b), x, proj)
+        num_dx = numeric_grad(lambda v: float((dense(v, w, b) * proj).sum()), x.copy())
+        num_dw = numeric_grad(lambda v: float((dense(x, v, b) * proj).sum()), w.copy())
+        num_db = numeric_grad(lambda v: float((dense(x, w, v) * proj).sum()), b.copy())
         assert_grad_close(dx, num_dx, rtol=1e-5)
-        assert_grad_close(dw, num_dw, rtol=1e-5)
-        assert_grad_close(db, num_db, rtol=1e-5)
+        assert_grad_close(grads["weight"], num_dw, rtol=1e-5)
+        assert_grad_close(grads["bias"], num_db, rtol=1e-5)
 
 
 class TestActivations:
     def test_relu_values(self):
-        np.testing.assert_array_equal(relu(np.array([-3.0, 3.0])), [0.0, 3.0])
+        np.testing.assert_array_equal(ReLU().forward(np.array([-3.0, 3.0])), [0.0, 3.0])
 
     def test_sigmoid_values(self):
-        assert sigmoid(np.array(0.0)) == 0.5
-        np.testing.assert_allclose(sigmoid(np.array(np.log(3.0))), 0.75, rtol=1e-15)
+        assert ops.sigmoid(np.array(0.0)) == 0.5
+        np.testing.assert_allclose(ops.sigmoid(np.array(np.log(3.0))), 0.75, rtol=1e-15)
 
     def test_sigmoid_range(self):
         # float64 saturates to exactly 0/1 beyond |x| ~ 36.7; test inside it
         x = np.linspace(-36, 36, 101)
-        y = sigmoid(x)
+        y = Sigmoid().forward(x)
         assert np.all(y > 0) and np.all(y < 1)
 
     def test_relu_backward_matches_fd(self):
         rng = np.random.default_rng(10)
         x = rng.standard_normal(20) + 0.05  # keep away from the kink at 0
         proj = rng.standard_normal(20)
-        dx = relu_backward(proj, x)
-        num = numeric_grad(lambda v: float((relu(v) * proj).sum()), x.copy())
+        dx, _ = grads_of(ReLU(), x, proj)
+        num = numeric_grad(lambda v: float((ReLU().forward(v) * proj).sum()), x.copy())
         assert_grad_close(dx, num, rtol=1e-5)
 
     def test_sigmoid_backward_matches_fd(self):
         rng = np.random.default_rng(11)
         x = rng.standard_normal(20)
         proj = rng.standard_normal(20)
-        dx = sigmoid_backward(proj, sigmoid(x))
-        num = numeric_grad(lambda v: float((sigmoid(v) * proj).sum()), x.copy())
+        dx, _ = grads_of(Sigmoid(), x, proj)
+        num = numeric_grad(lambda v: float((ops.sigmoid(v) * proj).sum()), x.copy())
         assert_grad_close(dx, num, rtol=1e-5)
 
 
 class TestDeterminism:
     def test_conv_bit_identical(self):
         rng = np.random.default_rng(12)
-        x = rng.standard_normal((3, 2, 6, 6))
+        x = rng.standard_normal((3, 6, 6, 2))
         w = rng.standard_normal((4, 2, 3, 3))
         b = rng.standard_normal(4)
-        a = conv3x3_forward(x, w, b)
-        c = conv3x3_forward(x.copy(), w.copy(), b.copy())
+        a = conv(x, w, b)
+        c = conv(x.copy(), w.copy(), b.copy())
         assert np.array_equal(a, c)
 
     def test_batch_matches_per_sample(self):
         rng = np.random.default_rng(13)
-        x = rng.standard_normal((4, 2, 6, 6))
+        x = rng.standard_normal((4, 6, 6, 2))
         w = rng.standard_normal((3, 2, 3, 3))
         b = rng.standard_normal(3)
-        batched = conv3x3_forward(x, w, b)
+        batched = conv(x, w, b)
         for i in range(4):
-            np.testing.assert_allclose(batched[i], conv3x3_forward(x[i], w, b), atol=1e-12)
+            np.testing.assert_allclose(batched[i], conv(x[i:i + 1], w, b)[0], atol=1e-12)

@@ -177,10 +177,10 @@ class TestWideBottleneck:
         # rank-deficient latent covariance: jitter ladder must engage and
         # the whole scoring pipeline stay finite
         from conftest import synthetic_digits
-        from latent_guard import build_autoencoder
+        from latent_guard import Autoencoder
 
         ds = synthetic_digits(90, seed=33, n_classes=1)
-        model = build_autoencoder(512, seed=1)
+        model = Autoencoder(512, seed=1)
         stats = fit_gaussian(model.encode(ds.images[:60]))
         assert stats.jitter > 0.0
         cal = calibrate(model, stats, ds.images[60:])

@@ -192,6 +192,22 @@ class TestTrainLoop:
         with pytest.raises(FloatingPointError, match="epoch 1"):
             train(config, tiny_train_set)
 
+    def test_diverged_weights_abort_with_diagnostic(self, tiny_train_set, monkeypatch):
+        # weights that go NaN after the first step give a NaN reconstruction,
+        # which must be reported as a training failure at its epoch and batch
+        import latent_guard.trainer as trainer_module
+
+        class Diverging(trainer_module.Adadelta):
+            def step(self, grads):
+                super().step(grads)
+                for param in self.params.values():
+                    param[...] = np.nan
+
+        monkeypatch.setattr(trainer_module, "Adadelta", Diverging)
+        config = TrainConfig(**{**self.CONFIG, "batch_size": 64})
+        with pytest.raises(FloatingPointError, match="epoch 1, batch 1"):
+            train(config, tiny_train_set)
+
     def test_missing_class_fails(self, tiny_train_set):
         config = TrainConfig(**{**self.CONFIG, "inlier_class": 7})
         with pytest.raises(ValueError, match="no samples"):
