@@ -30,10 +30,9 @@ from latent_guard.novelty import (
     NoveltyCalibration,
     calibrate,
     classify,
-    novelty_score,
     novelty_scores,
 )
-from latent_guard.trainer import TrainConfig, TrainRecord, split_dataset, train
+from latent_guard.trainer import TrainConfig, TrainRecord, inlier_split, split_dataset, train
 
 __version__ = "0.1.0"
 
@@ -66,10 +65,10 @@ __all__ = [
     "NoveltyCalibration",
     "calibrate",
     "classify",
-    "novelty_score",
     "novelty_scores",
     "TrainConfig",
     "TrainRecord",
+    "inlier_split",
     "split_dataset",
     "train",
     "__version__",

@@ -10,8 +10,8 @@ Architecture (bottleneck size k is configurable):
              conv3x3(2->32) + relu -> upsample2x2     14x14 -> 28x28
              conv3x3(32->1) + sigmoid
 
-The bottleneck dense layer carries an L1 activity penalty (default weight
-1e-5) during training; the penalty never enters the reconstruction-error
+Training puts an L1 activity penalty on the bottleneck dense layer (weight
+``TrainConfig.l1_lambda``); the penalty never enters the reconstruction-error
 novelty score.  All convolutions are same-padding, so spatial shape is
 preserved except at the pool/upsample steps.  Weights are Glorot-uniform
 from a seeded generator: the same (bottleneck_size, seed) pair always
@@ -40,7 +40,6 @@ from latent_guard.nn.layers import (
 from latent_guard.nn.losses import bce_loss_per_sample
 
 IMAGE_SHAPE = (1, 28, 28)
-INPUT_SIZE = 28 * 28
 _FLAT_DIM = 7 * 7 * 2  # encoder spatial trace: 28 -> 14 -> 7 with 2 channels
 
 # Batch rows processed per internal chunk during inference; bounds the
@@ -58,12 +57,11 @@ class Autoencoder:
     through a single writer.
     """
 
-    def __init__(self, bottleneck_size: int, seed: int, l1_lambda: float = 1e-5):
+    def __init__(self, bottleneck_size: int, seed: int):
         if bottleneck_size < 1:
             raise ValueError(f"bottleneck_size must be >= 1, got {bottleneck_size}")
         self.bottleneck_size = int(bottleneck_size)
         self.seed = int(seed)
-        self.l1_lambda = float(l1_lambda)
         rng = np.random.default_rng(seed)
         self.encoder_layers = [
             Conv3x3(1, 32, rng, needs_input_grad=False),
@@ -104,9 +102,6 @@ class Autoencoder:
 
     def named_grads(self):
         return self._named("grads")
-
-    def num_params(self) -> int:
-        return sum(p.size for p in self.named_parameters().values())
 
     # -- inference ----------------------------------------------------------
 
@@ -163,19 +158,9 @@ class Autoencoder:
     def reconstruct(self, x):
         return self.decode(self.encode(x))
 
-    def reconstruction_error(self, x) -> float:
-        """Per-sample BCE between x and its reconstruction (L1 excluded)."""
-        xb, single = self._to_nhwc_batch(x)
-        if not single:
-            raise ShapeError("reconstruction_error input", IMAGE_SHAPE, x.shape)
-        return float(self.reconstruction_errors(x[None])[0])
-
-    def reconstruction_errors(self, x) -> np.ndarray:
-        """Vectorized reconstruction error: [N,1,28,28] -> [N]."""
-        return self.encode_and_reconstruction_errors(x)[1]
-
     def encode_and_reconstruction_errors(self, x):
-        """Single forward pass yielding (embeddings [N,k], errors [N])."""
+        """Single forward pass yielding (embeddings [N,k], per-sample BCE
+        reconstruction errors [N]); the L1 activity penalty is excluded."""
 
         def encode_and_errors(chunk):
             z = self._run(self.encoder_layers, chunk)
@@ -212,7 +197,6 @@ class Autoencoder:
             "kind": "autoencoder-checkpoint",
             "format_version": CHECKPOINT_VERSION,
             "bottleneck_size": self.bottleneck_size,
-            "l1_lambda": self.l1_lambda,
             "seed": self.seed,
         }
         serialization.write_arrays(path, header, self.named_parameters())
@@ -222,7 +206,8 @@ class Autoencoder:
         header, arrays = serialization.read_arrays(path)
         if header.get("kind") != "autoencoder-checkpoint":
             raise ValueError(f"{path}: not an autoencoder checkpoint")
-        model = cls(header["bottleneck_size"], header["seed"], header["l1_lambda"])
+        # older checkpoints also carry an "l1_lambda" key, which is ignored
+        model = cls(header["bottleneck_size"], header["seed"])
         params = model.named_parameters()
         if set(params) != set(arrays):
             raise ValueError(f"{path}: checkpoint parameter names do not match")

@@ -14,7 +14,9 @@ Layout:
 
 Only the manifest carries a timestamp; every other file is a deterministic
 function of (config, seed, data), so re-running a configuration reproduces
-identical digests.  Bundles are written atomically (temp dir + rename).
+identical digests.  Bundles are created atomically (temp dir + rename); eval
+files and the manifest are then replaced whole (temp file + rename), and the
+loaders check a file's digest before parsing it.
 """
 
 from __future__ import annotations
@@ -46,6 +48,22 @@ def _sha256(path: Path) -> str:
         for chunk in iter(lambda: f.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _manifest_text(manifest: dict) -> str:
+    return json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+
+
+def _replace_file(path: Path, data: bytes) -> None:
+    """Writes a temp file beside ``path`` and renames it over ``path``, so
+    readers see the old content or the new, never a torn mix."""
+    tmp = path.with_name(f".tmp-{path.name}-{os.getpid()}")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class ExperimentBundle:
@@ -86,7 +104,7 @@ class ExperimentBundle:
                 },
                 "created_at": datetime.now(timezone.utc).isoformat(),
             }
-            (tmp / MANIFEST_FILE).write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+            (tmp / MANIFEST_FILE).write_text(_manifest_text(manifest))
             os.replace(tmp, path)
         except BaseException:
             for p in tmp.glob("*"):
@@ -103,28 +121,36 @@ class ExperimentBundle:
     def config(self) -> dict:
         return self.manifest()["config"]
 
+    def _verified(self, name: str, manifest=None) -> Path:
+        """Path of ``name`` once its content matches the manifest digest."""
+        digest = (manifest or self.manifest())["files"].get(name)
+        if digest is None:
+            raise ValueError(f"{name} has no digest in the bundle manifest")
+        actual = _sha256(self.path / name)
+        if actual != digest:
+            raise ValueError(
+                f"digest mismatch for {name}: manifest {digest[:12]}..., "
+                f"file {actual[:12]}..."
+            )
+        return self.path / name
+
     def load_model(self) -> Autoencoder:
-        return Autoencoder.load(self.path / CHECKPOINT_FILE)
+        return Autoencoder.load(self._verified(CHECKPOINT_FILE))
 
     def load_stats(self) -> GaussianStats:
-        return GaussianStats.load(self.path / STATS_FILE)
+        return GaussianStats.load(self._verified(STATS_FILE))
 
     def load_calibration(self) -> NoveltyCalibration:
         cal_path = self.path / CALIBRATION_FILE
         if not cal_path.exists():
             raise FileNotFoundError(f"bundle has no calibration: {cal_path}")
-        return NoveltyCalibration.from_json(cal_path.read_text())
+        return NoveltyCalibration.from_json(self._verified(CALIBRATION_FILE).read_text())
 
     def verify(self) -> None:
         """Checks every manifest digest against the file contents."""
         manifest = self.manifest()
-        for name, digest in manifest["files"].items():
-            actual = _sha256(self.path / name)
-            if actual != digest:
-                raise ValueError(
-                    f"digest mismatch for {name}: manifest {digest[:12]}..., "
-                    f"file {actual[:12]}..."
-                )
+        for name in manifest["files"]:
+            self._verified(name, manifest)
 
     # -- evaluation artifacts ---------------------------------------------------
 
@@ -134,10 +160,11 @@ class ExperimentBundle:
     def scores_csv_path(self, mode: str) -> Path:
         return self.path / f"scores_{mode}.csv"
 
-    def record_file(self, name: str) -> None:
-        """Adds/updates one file's digest in the manifest."""
+    def record_file(self, files: dict) -> None:
+        """Writes ``{name: bytes}`` into the bundle and records their digests,
+        replacing each file and then the manifest whole."""
         manifest = self.manifest()
-        manifest["files"][name] = _sha256(self.path / name)
-        (self.path / MANIFEST_FILE).write_text(
-            json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-        )
+        for name, data in files.items():
+            _replace_file(self.path / name, data)
+            manifest["files"][name] = hashlib.sha256(data).hexdigest()
+        _replace_file(self.path / MANIFEST_FILE, _manifest_text(manifest).encode())

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -21,13 +22,12 @@ import numpy as np
 
 from latent_guard import novelty
 from latent_guard.bundle import ExperimentBundle, TRAIN_LOG_FILE
-from latent_guard.data import filter_class, load_mnist_split
-from latent_guard.errors import IdxFormatError
+from latent_guard.data import load_mnist_split
 from latent_guard.latent_stats import fit_gaussian
 from latent_guard.metrics import EvalReport, ScoredSet, evaluate
 from latent_guard.novelty import MODES
 from latent_guard.plot import write_scatter_svg
-from latent_guard.trainer import TrainConfig, split_dataset, train
+from latent_guard.trainer import TrainConfig, inlier_split, train
 
 DATA_DIR_ENV = "LATENT_GUARD_DATA_DIR"
 
@@ -83,7 +83,7 @@ def _resolve_data_dir(args) -> Path:
 def _load_split(data_dir, split):
     try:
         return load_mnist_split(data_dir, split)
-    except (FileNotFoundError, IdxFormatError, OSError) as exc:
+    except (OSError, ValueError) as exc:  # missing file, IdxFormatError, empty split
         raise CliError("data", str(exc)) from exc
 
 
@@ -122,9 +122,7 @@ def _train_bundle(config: TrainConfig, data_dir: Path, out: Path) -> ExperimentB
     train_full = _load_split(data_dir, "train")
     try:
         model, record = train(config, train_full)
-        train_set, val_set = split_dataset(train_full, config.val_size, config.seed)
-        train_inliers = filter_class(train_set, config.inlier_class)
-        val_inliers = filter_class(val_set, config.inlier_class)
+        train_inliers, val_inliers = inlier_split(config, train_full)
         stats = fit_gaussian(model.encode(train_inliers.images))
         calibration = novelty.calibrate(model, stats, val_inliers.images)
     except (ValueError, FloatingPointError) as exc:
@@ -138,15 +136,18 @@ def _train_bundle(config: TrainConfig, data_dir: Path, out: Path) -> ExperimentB
 def _evaluate_bundle(bundle: ExperimentBundle, test_set, modes) -> dict:
     """Scores the MNIST test protocol once and writes each mode's eval
     artifacts into the bundle; returns ``{mode: EvalReport}``."""
-    config = bundle.config()
-    model = bundle.load_model()
-    stats = bundle.load_stats()
     try:
-        calibration = bundle.load_calibration()
-    except FileNotFoundError as exc:
-        if novelty.MODE_HYBRID in modes:
-            raise CliError("eval", str(exc)) from exc
-        calibration = None
+        config = bundle.config()
+        model = bundle.load_model()
+        stats = bundle.load_stats()
+        try:
+            calibration = bundle.load_calibration()
+        except FileNotFoundError as exc:
+            if novelty.MODE_HYBRID in modes:
+                raise CliError("eval", str(exc)) from exc
+            calibration = None
+    except (OSError, ValueError) as exc:  # missing file, digest mismatch, bad container
+        raise CliError("bundle", str(exc)) from exc
 
     re, ld = novelty.features(model, stats, test_set.images)
     is_inlier = test_set.labels == config["inlier_class"]
@@ -155,7 +156,9 @@ def _evaluate_bundle(bundle: ExperimentBundle, test_set, modes) -> dict:
         if calibration is not None
         else np.full_like(re, np.nan)
     )
-    reports = {}
+    scores_csv = io.StringIO()
+    novelty.write_scores_csv(scores_csv, np.arange(len(re)), is_inlier, re, ld, hybrid)
+    reports, files = {}, {}
     for mode in modes:
         reports[mode] = evaluate(
             ScoredSet(scores=novelty._combine(re, ld, mode, calibration), is_inlier=is_inlier),
@@ -164,12 +167,9 @@ def _evaluate_bundle(bundle: ExperimentBundle, test_set, modes) -> dict:
             mode=mode,
             seed=config["seed"],
         )
-        novelty.write_scores_csv(
-            bundle.scores_csv_path(mode), np.arange(len(re)), is_inlier, re, ld, hybrid
-        )
-        bundle.eval_report_path(mode).write_text(reports[mode].to_json() + "\n")
-        bundle.record_file(bundle.scores_csv_path(mode).name)
-        bundle.record_file(bundle.eval_report_path(mode).name)
+        files[bundle.eval_report_path(mode).name] = (reports[mode].to_json() + "\n").encode()
+        files[bundle.scores_csv_path(mode).name] = scores_csv.getvalue().encode()
+    bundle.record_file(files)
     return reports
 
 
@@ -206,7 +206,7 @@ def cmd_eval(args) -> int:
 def _sweep_one(task: dict):
     """Worker for one (class, bottleneck, seed) sweep cell; returns CSV rows."""
     bundle_path = Path(task["bundle_path"])
-    config = TrainConfig(**task["config"])
+    config = task["config"]
     data_dir = Path(task["data_dir"])
     if not bundle_path.exists():
         _train_bundle(config, data_dir, bundle_path)
@@ -234,8 +234,6 @@ def cmd_sweep(args) -> int:
 
     tasks = []
     for k in args.bottlenecks:
-        if k < 1:
-            raise CliError("usage", f"bottleneck sizes must be >= 1, got {k}")
         for seed in args.seeds:
             config = _train_config(args, k, seed)
             name = f"class{config.inlier_class}_k{k}_seed{seed}"
@@ -244,16 +242,7 @@ def cmd_sweep(args) -> int:
                     "bundle", f"bundle already exists (use --resume): {bundles_dir / name}"
                 )
             tasks.append({
-                "config": {
-                    "inlier_class": config.inlier_class,
-                    "bottleneck_size": k,
-                    "seed": seed,
-                    "max_epochs": config.max_epochs,
-                    "patience": config.patience,
-                    "batch_size": config.batch_size,
-                    "val_size": config.val_size,
-                    "l1_lambda": config.l1_lambda,
-                },
+                "config": config,
                 "bundle_path": str(bundles_dir / name),
                 "data_dir": str(data_dir),
                 "resume": args.resume,
@@ -282,12 +271,12 @@ def cmd_sweep(args) -> int:
         if isinstance(outcome, Exception):
             failures += 1
             print(
-                f"error[sweep]: class={cfg['inlier_class']} k={cfg['bottleneck_size']} "
-                f"seed={cfg['seed']}: {outcome}",
+                f"error[sweep]: class={cfg.inlier_class} k={cfg.bottleneck_size} "
+                f"seed={cfg.seed}: {outcome}",
                 file=sys.stderr,
             )
             rows.extend(
-                [cfg["inlier_class"], cfg["bottleneck_size"], cfg["seed"], mode,
+                [cfg.inlier_class, cfg.bottleneck_size, cfg.seed, mode,
                  "nan", "nan", "nan", "nan"]
                 for mode in MODES
             )

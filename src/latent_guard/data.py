@@ -15,7 +15,9 @@ error), and one sits off the manifold at a fixed orthogonal offset.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,36 +60,38 @@ class ImageDataset:
         return ImageDataset(self.images[indices], self.labels[indices])
 
 
-def _open_maybe_gzip(path):
-    with open(path, "rb") as f:
-        head = f.read(2)
-    if head == b"\x1f\x8b":
-        return gzip.open(path, "rb")
-    return open(path, "rb")
+def _read_maybe_gzip(path) -> bytes:
+    raw = Path(path).read_bytes()
+    if raw[:2] != b"\x1f\x8b":
+        return raw
+    try:
+        return gzip.decompress(raw)
+    except (OSError, EOFError, zlib.error) as exc:
+        raise IdxFormatError(f"{path}: corrupt gzip data: {exc}") from exc
 
 
 def _read_idx(path, expected_magic, what):
-    with _open_maybe_gzip(path) as f:
-        header = f.read(4)
-        if len(header) < 4:
-            raise IdxFormatError(f"{path}: truncated {what} file (no magic)")
-        (magic,) = struct.unpack(">I", header)
-        if magic != expected_magic:
-            raise IdxFormatError(
-                f"{path}: bad {what} magic 0x{magic:08x}, expected 0x{expected_magic:08x}"
-            )
-        ndim = magic & 0xFF
-        dim_bytes = f.read(4 * ndim)
-        if len(dim_bytes) < 4 * ndim:
-            raise IdxFormatError(f"{path}: truncated {what} dimension header")
-        dims = struct.unpack(f">{ndim}I", dim_bytes)
-        count = int(np.prod(dims))
-        data = f.read(count)
-        if len(data) < count:
-            raise IdxFormatError(
-                f"{path}: truncated {what} data, expected {count} bytes got {len(data)}"
-            )
-    return np.frombuffer(data, dtype=np.uint8).reshape(dims)
+    # the whole file is in memory, so a declared size is checked against the
+    # bytes present before anything is allocated for it
+    raw = _read_maybe_gzip(path)
+    if len(raw) < 4:
+        raise IdxFormatError(f"{path}: truncated {what} file (no magic)")
+    (magic,) = struct.unpack_from(">I", raw)
+    if magic != expected_magic:
+        raise IdxFormatError(
+            f"{path}: bad {what} magic 0x{magic:08x}, expected 0x{expected_magic:08x}"
+        )
+    ndim = magic & 0xFF
+    offset = 4 + 4 * ndim
+    if len(raw) < offset:
+        raise IdxFormatError(f"{path}: truncated {what} dimension header")
+    dims = struct.unpack_from(f">{ndim}I", raw, 4)
+    count = math.prod(dims)  # exact; np.prod would wrap in int64
+    if len(raw) - offset < count:
+        raise IdxFormatError(
+            f"{path}: truncated {what} data, expected {count} bytes got {len(raw) - offset}"
+        )
+    return np.frombuffer(raw, dtype=np.uint8, count=count, offset=offset).reshape(dims)
 
 
 def load_idx(images_path, labels_path) -> ImageDataset:
@@ -289,10 +293,10 @@ def make_manifold_set(
 class LinearProjectionCodec:
     """Ideal "autoencoder" for a linear manifold: orthogonal projection.
 
-    encode maps a point to its subspace coefficients, decode maps back to
-    the ambient space, and the reconstruction error is the L2 norm of the
-    orthogonal residual (zero exactly on the manifold).  Mirrors the
-    Autoencoder scoring interface so the novelty machinery can run on it.
+    encode maps a point to its subspace coefficients, and the
+    reconstruction error is the L2 norm of the orthogonal residual (zero
+    exactly on the manifold).  Mirrors the Autoencoder scoring interface so
+    the novelty machinery can run on it.
     """
 
     def __init__(self, manifold: LinearManifold):
@@ -301,19 +305,11 @@ class LinearProjectionCodec:
     def encode(self, x):
         return np.asarray(x, dtype=np.float64) @ self.basis.T
 
-    def decode(self, z):
-        return np.asarray(z, dtype=np.float64) @ self.basis
-
-    def reconstruct(self, x):
-        return self.decode(self.encode(x))
-
-    def reconstruction_errors(self, x):
+    def encode_and_reconstruction_errors(self, x):
+        """(coefficients [N,m], residual norms [N]); a 1-D point is one row."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        residual = x - self.reconstruct(x)
-        return np.linalg.norm(residual, axis=1)
-
-    def reconstruction_error(self, x) -> float:
-        return float(self.reconstruction_errors(x)[0])
+        z = self.encode(x)
+        return z, np.linalg.norm(x - z @ self.basis, axis=1)
 
 
 class CircularProjectionCodec:
@@ -335,16 +331,8 @@ class CircularProjectionCodec:
         norms = np.linalg.norm(offset, axis=-1, keepdims=True)
         return self.radius * offset / norms
 
-    def decode(self, z):
-        return self.center + np.asarray(z, dtype=np.float64)
-
-    def reconstruct(self, x):
-        return self.decode(self.encode(x))
-
-    def reconstruction_errors(self, x):
+    def encode_and_reconstruction_errors(self, x):
+        """(circle points [N,2], radial offsets [N]); a 1-D point is one row."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         radial = np.linalg.norm(x - self.center, axis=1)
-        return np.abs(radial - self.radius)
-
-    def reconstruction_error(self, x) -> float:
-        return float(self.reconstruction_errors(x)[0])
+        return self.encode(x), np.abs(radial - self.radius)

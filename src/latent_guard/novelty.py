@@ -10,8 +10,9 @@ mixing weights are the reciprocal standard deviations of each feature over
 a validation set of inliers, so neither super-feature dominates.  Higher
 score = more novel.
 
-Any model exposing ``encode`` and ``reconstruction_errors`` works here;
-both the trained autoencoder and the analytic projection codec do.
+Any model exposing ``encode_and_reconstruction_errors(x) -> (z [N,k],
+err [N])`` works here; the trained autoencoder and both analytic projection
+codecs do.
 """
 
 from __future__ import annotations
@@ -59,14 +60,9 @@ class NoveltyCalibration:
 
 
 def features(model, stats: GaussianStats, images) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample (reconstruction_error, latent_distance) over a batch."""
-    if hasattr(model, "encode_and_reconstruction_errors"):
-        z, re = model.encode_and_reconstruction_errors(images)
-    else:
-        re = np.asarray(model.reconstruction_errors(images), dtype=np.float64)
-        z = np.atleast_2d(model.encode(images))
-    ld = mahalanobis_many(stats, z)
-    return re, ld
+    """Per-sample (reconstruction error, latent distance) over a batch."""
+    z, re = model.encode_and_reconstruction_errors(images)
+    return re, mahalanobis_many(stats, z)
 
 
 def calibrate(model, stats: GaussianStats, val_inliers) -> NoveltyCalibration:
@@ -109,12 +105,6 @@ def novelty_scores(model, stats, images, mode, calibration=None) -> np.ndarray:
     return _combine(re, ld, mode, calibration)
 
 
-def novelty_score(model, stats, x, mode, calibration=None) -> float:
-    """Score for a single sample."""
-    x = np.asarray(x, dtype=np.float64)
-    return float(novelty_scores(model, stats, x[None], mode, calibration)[0])
-
-
 def classify(scores, threshold) -> np.ndarray:
     """novel iff score > threshold (ties at the threshold count as inlier).
 
@@ -129,16 +119,16 @@ def classify(scores, threshold) -> np.ndarray:
 SCORES_CSV_HEADER = ["sample_id", "true_is_inlier", "re", "ld", "hybrid"]
 
 
-def write_scores_csv(path, sample_ids, is_inlier, re, ld, hybrid) -> None:
-    """Per-sample feature/score export used by eval and the scatter plot."""
+def write_scores_csv(f, sample_ids, is_inlier, re, ld, hybrid) -> None:
+    """Per-sample feature/score export used by eval and the scatter plot,
+    written to a text stream ``f`` (a file opened with ``newline=""``)."""
     columns = [np.asarray(c) for c in (sample_ids, is_inlier, re, ld, hybrid)]
     if len({len(c) for c in columns}) != 1:
         raise ValueError("score CSV columns must have equal lengths")
-    with open(path, "w", newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(SCORES_CSV_HEADER)
-        for sid, inl, r, d, h in zip(*columns):
-            writer.writerow([int(sid), int(inl), repr(float(r)), repr(float(d)), repr(float(h))])
+    writer = csv.writer(f)
+    writer.writerow(SCORES_CSV_HEADER)
+    for sid, inl, r, d, h in zip(*columns):
+        writer.writerow([int(sid), int(inl), repr(float(r)), repr(float(d)), repr(float(h))])
 
 
 def read_scores_csv(path):

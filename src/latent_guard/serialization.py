@@ -19,6 +19,8 @@ trips are bit-exact.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -48,10 +50,11 @@ def write_arrays(path, header: dict, arrays: dict) -> None:
 
 
 def _read_exact(f, n, what):
-    data = f.read(n)
-    if len(data) != n:
+    # checked before reading: f.read(n) allocates n bytes up front, so a
+    # corrupt size field could otherwise ask for terabytes
+    if n > os.fstat(f.fileno()).st_size - f.tell():
         raise ValueError(f"truncated container while reading {what}")
-    return data
+    return f.read(n)
 
 
 def read_arrays(path):
@@ -62,7 +65,12 @@ def read_arrays(path):
         version, header_len = struct.unpack("<II", _read_exact(f, 8, "version"))
         if version != FORMAT_VERSION:
             raise ValueError(f"{path}: unsupported container version {version}")
-        header = json.loads(_read_exact(f, header_len, "header").decode("utf-8"))
+        try:
+            header = json.loads(_read_exact(f, header_len, "header").decode("utf-8"))
+        except RecursionError as exc:  # json raises it for deeply nested input
+            raise ValueError(f"{path}: container header is nested too deeply") from exc
+        if not isinstance(header, dict):
+            raise ValueError(f"{path}: container header is not a JSON object")
         (n_arrays,) = struct.unpack("<I", _read_exact(f, 4, "array count"))
         arrays = {}
         for _ in range(n_arrays):
@@ -70,7 +78,7 @@ def read_arrays(path):
             name = _read_exact(f, name_len, "name").decode("utf-8")
             (ndim,) = struct.unpack("<B", _read_exact(f, 1, "ndim"))
             shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "shape"))
-            count = int(np.prod(shape)) if ndim else 1
+            count = math.prod(shape)  # exact; np.prod would wrap in int64
             raw = _read_exact(f, 8 * count, f"data for {name!r}")
             arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     return header, arrays

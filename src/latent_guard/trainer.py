@@ -109,6 +109,13 @@ def split_dataset(dataset: ImageDataset, val_size: int, seed: int):
     return dataset.subset(perm[val_size:]), dataset.subset(perm[:val_size])
 
 
+def inlier_split(config: TrainConfig, dataset: ImageDataset):
+    """Steps 1-2 of the procedure: (train inliers, validation inliers)."""
+    train_set, val_set = split_dataset(dataset, config.val_size, config.seed)
+    return (filter_class(train_set, config.inlier_class),
+            filter_class(val_set, config.inlier_class))
+
+
 class EarlyStopping:
     """Stop once more than ``patience`` epochs elapse without improvement.
 
@@ -141,11 +148,9 @@ def _objective_forward(model, val_images, l1_lambda):
 def train(config: TrainConfig, dataset: ImageDataset):
     """Runs the full procedure; returns (best-epoch model, TrainRecord)."""
     tune_allocator()
-    train_set, val_set = split_dataset(dataset, config.val_size, config.seed)
-    train_inliers = filter_class(train_set, config.inlier_class)
-    val_inliers = filter_class(val_set, config.inlier_class)
+    train_inliers, val_inliers = inlier_split(config, dataset)
 
-    model = Autoencoder(config.bottleneck_size, config.seed, config.l1_lambda)
+    model = Autoencoder(config.bottleneck_size, config.seed)
     optimizer = Adadelta(model.named_parameters())
 
     x_train = np.ascontiguousarray(train_inliers.images.transpose(0, 2, 3, 1))

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from latent_guard import Autoencoder
+from latent_guard import Autoencoder, serialization
 from latent_guard.errors import ShapeError
 from latent_guard.nn import bce_loss
 from latent_guard.nn.losses import bce_loss_per_sample
@@ -63,7 +63,8 @@ class TestBuild:
 
     @pytest.mark.parametrize("k", [2, 16, 128])
     def test_param_count_matches_analytic_formula(self, k):
-        assert Autoencoder(k, seed=0).num_params() == analytic_param_count(k)
+        params = Autoencoder(k, seed=0).named_parameters().values()
+        assert sum(p.size for p in params) == analytic_param_count(k)
 
     def test_first_conv_param_count(self):
         model = Autoencoder(8, seed=0)
@@ -109,29 +110,30 @@ class TestEncode:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             model.encode(with_nan)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
-            model.reconstruction_errors(with_nan)
+            model.encode_and_reconstruction_errors(with_nan)
 
 
 class TestReconstructionError:
     def test_equals_bce_of_reconstruction(self):
         model = Autoencoder(16, seed=9)
-        err = model.reconstruction_error(X_SINGLE)
+        err = model.encode_and_reconstruction_errors(X_SINGLE)[1][0]
         assert err == bce_loss(model.reconstruct(X_SINGLE), X_SINGLE)
         assert err >= 0.0
 
     def test_batch_matches_singles(self):
         model = Autoencoder(8, seed=10)
-        errs = model.reconstruction_errors(X_BATCH)
+        errs = model.encode_and_reconstruction_errors(X_BATCH)[1]
         for i in range(5):
             np.testing.assert_allclose(
-                errs[i], model.reconstruction_error(X_BATCH[i]), rtol=1e-12
+                errs[i], model.encode_and_reconstruction_errors(X_BATCH[i])[1][0], rtol=1e-12
             )
 
     def test_golden_value_for_seeded_untrained_model(self):
         # frozen once from this implementation's own seeded run
         model = Autoencoder(16, seed=123)
         x = np.random.default_rng(99).uniform(0.0, 1.0, (1, 28, 28))
-        assert model.reconstruction_error(x) == float.fromhex("0x1.62d67617d99a3p-1")
+        err = model.encode_and_reconstruction_errors(x)[1][0]
+        assert err == float.fromhex("0x1.62d67617d99a3p-1")
 
 
 class TestChunkedForward:
@@ -171,13 +173,12 @@ class TestTrainingHooks:
 
 class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, tmp_path):
-        model = Autoencoder(16, seed=21, l1_lambda=1e-5)
+        model = Autoencoder(16, seed=21)
         path = tmp_path / "model.lgar"
         model.save(path)
         loaded = Autoencoder.load(path)
         assert loaded.bottleneck_size == 16
         assert loaded.seed == 21
-        assert loaded.l1_lambda == 1e-5
         for name, arr in model.named_parameters().items():
             assert np.array_equal(arr, loaded.named_parameters()[name]), name
         # byte-identical on re-save
@@ -185,9 +186,21 @@ class TestCheckpoint:
         loaded.save(path2)
         assert path.read_bytes() == path2.read_bytes()
 
-    def test_wrong_kind_rejected(self, tmp_path):
-        from latent_guard import serialization
+    def test_header_with_l1_lambda_loads_bit_identical(self, tmp_path):
+        # checkpoint headers once carried the unused L1 weight; such files
+        # must keep loading, with the parameters taken from the file
+        model = Autoencoder(16, seed=21)
+        for arr in model.named_parameters().values():
+            arr += np.random.default_rng(3).standard_normal(arr.shape)
+        header = {"kind": "autoencoder-checkpoint", "format_version": 1,
+                  "bottleneck_size": 16, "l1_lambda": 1e-5, "seed": 21}
+        path = tmp_path / "old.lgar"
+        serialization.write_arrays(path, header, model.named_parameters())
+        loaded = Autoencoder.load(path)
+        for name, arr in model.named_parameters().items():
+            assert np.array_equal(arr, loaded.named_parameters()[name]), name
 
+    def test_wrong_kind_rejected(self, tmp_path):
         path = tmp_path / "bogus.lgar"
         serialization.write_arrays(path, {"kind": "other"}, {"a": np.zeros(2)})
         with pytest.raises(ValueError, match="checkpoint"):

@@ -1,5 +1,8 @@
 """Bundle creation, digest verification, atomicity basics."""
 
+import builtins
+import errno
+import io
 import json
 
 import numpy as np
@@ -70,10 +73,69 @@ def test_train_log_is_jsonl(tmp_path, parts):
 
 def test_record_file_updates_manifest(tmp_path, parts):
     bundle = ExperimentBundle.create(tmp_path / "b", *parts)
-    (bundle.path / "extra.json").write_text("{}\n")
-    bundle.record_file("extra.json")
+    bundle.record_file({"extra.json": b"{}\n"})
+    assert (bundle.path / "extra.json").read_bytes() == b"{}\n"
     assert "extra.json" in bundle.manifest()["files"]
     bundle.verify()
+
+
+def test_fault_during_manifest_rewrite_keeps_previous_manifest(tmp_path, parts,
+                                                               monkeypatch):
+    bundle = ExperimentBundle.create(tmp_path / "b", *parts)
+    before = (bundle.path / MANIFEST_FILE).read_bytes()
+    real_open = io.open
+
+    class DiskFull:
+        """A writable file that stores half of each write, then fails."""
+
+        def __init__(self, f):
+            self._f = f
+
+        def write(self, data):
+            self._f.write(data[: len(data) // 2])
+            raise OSError(errno.ENOSPC, "injected: no space left on device")
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._f.close()
+
+        def __getattr__(self, name):
+            return getattr(self._f, name)
+
+    def faulty_open(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and MANIFEST_FILE in str(file):
+            return DiskFull(f)
+        return f
+
+    monkeypatch.setattr(io, "open", faulty_open)
+    monkeypatch.setattr(builtins, "open", faulty_open)
+    with pytest.raises(OSError, match="injected"):
+        bundle.record_file({"eval_RE.json": b"{}\n"})
+    monkeypatch.undo()
+
+    assert (bundle.path / MANIFEST_FILE).read_bytes() == before
+    json.loads(before)
+    bundle.verify()
+    assert [p.name for p in bundle.path.iterdir() if p.name.startswith(".tmp")] == []
+
+
+def test_loaders_check_digests(tmp_path, parts):
+    bundle = ExperimentBundle.create(tmp_path / "b", *parts)
+    for name, load in (("checkpoint.lgar", bundle.load_model),
+                       ("latent_stats.lgar", bundle.load_stats),
+                       ("calibration.json", bundle.load_calibration)):
+        path = bundle.path / name
+        original = path.read_bytes()
+        tampered = bytearray(original)
+        tampered[-2] ^= 0x01
+        path.write_bytes(bytes(tampered))
+        with pytest.raises(ValueError, match=f"digest mismatch for {name}"):
+            load()
+        path.write_bytes(original)
+        load()
 
 
 def test_identical_runs_have_identical_digests(tmp_path, parts):

@@ -2,6 +2,8 @@
 
 import json
 import os
+import shutil
+import struct
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -12,7 +14,7 @@ import pytest
 
 from latent_guard import cli
 from latent_guard.bundle import ExperimentBundle
-from latent_guard.data import write_idx_images, write_idx_labels
+from latent_guard.data import IDX_IMAGE_MAGIC, write_idx_images, write_idx_labels
 from latent_guard.metrics import EvalReport, ScoredSet, auroc, fpr_at_tpr
 from latent_guard.novelty import read_scores_csv
 
@@ -89,6 +91,19 @@ class TestTrain:
         assert code == 0
         assert out.exists()
 
+    def test_huge_declared_image_dims_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "idx"
+        bad.mkdir()
+        u32_max = 2**32 - 1
+        (bad / "train-images-idx3-ubyte").write_bytes(
+            struct.pack(">IIII", IDX_IMAGE_MAGIC, u32_max, u32_max, u32_max) + bytes(100)
+        )
+        write_idx_labels(bad / "train-labels-idx1-ubyte", [0, 1])
+        code = cli.main(["train", "--class", "0", "--bottleneck", "4",
+                         "--data-dir", str(bad), "--out", str(tmp_path / "x"), *TRAIN_ARGS])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error[data]: ")
+
     def test_existing_bundle_is_bundle_error(self, data_dir, trained_bundle, capsys):
         code = cli.main(["train", "--class", "0", "--bottleneck", "4",
                          "--data-dir", str(data_dir), "--out", str(trained_bundle),
@@ -126,8 +141,6 @@ class TestEval:
 
     def test_hybrid_without_calibration_fails(self, data_dir, trained_bundle,
                                               tmp_path, capsys):
-        import shutil
-
         broken = tmp_path / "no-cal"
         shutil.copytree(trained_bundle, broken)
         (broken / "calibration.json").unlink()
@@ -135,6 +148,20 @@ class TestEval:
                          "--data-dir", str(data_dir), "--mode", "H"])
         assert code == 1
         assert capsys.readouterr().err.startswith("error[eval]:")
+
+    def test_tampered_checkpoint_is_bundle_error(self, data_dir, trained_bundle,
+                                                 tmp_path, capsys):
+        tampered = tmp_path / "tampered"
+        shutil.copytree(trained_bundle, tampered)
+        checkpoint = tampered / "checkpoint.lgar"
+        raw = bytearray(checkpoint.read_bytes())
+        raw[-1] ^= 0x01  # top byte of the last parameter: still a valid float
+        checkpoint.write_bytes(bytes(raw))
+        code = cli.main(["eval", "--bundle", str(tampered),
+                         "--data-dir", str(data_dir), "--mode", "RE"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[bundle]: ") and "checkpoint.lgar" in err
 
     def test_incomplete_bundle_rejected(self, data_dir, tmp_path, capsys):
         code = cli.main(["eval", "--bundle", str(tmp_path / "nothing"),
@@ -288,8 +315,8 @@ class TestPlot:
         from latent_guard.novelty import write_scores_csv
 
         csv_path = tmp_path / "only-inliers.csv"
-        write_scores_csv(csv_path, [0, 1], [True, True], [0.1, 0.2], [1.0, 2.0],
-                         [1.1, 2.2])
+        with open(csv_path, "w", newline="") as f:
+            write_scores_csv(f, [0, 1], [True, True], [0.1, 0.2], [1.0, 2.0], [1.1, 2.2])
         code = cli.main(["plot", "--scores-csv", str(csv_path),
                          "--out-svg", str(tmp_path / "one.svg")])
         assert code == 0

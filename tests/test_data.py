@@ -24,6 +24,11 @@ from latent_guard.data import (
 from latent_guard.errors import IdxFormatError
 
 
+def recon_error(codec, x):
+    """Reconstruction error of one point through the scoring protocol."""
+    return codec.encode_and_reconstruction_errors(x)[1][0]
+
+
 @pytest.fixture
 def idx_pair(tmp_path):
     rng = np.random.default_rng(0)
@@ -150,7 +155,7 @@ class TestLinearManifold:
         ms = make_manifold_set(manifold, n_train=500, seed=0)
         codec = LinearProjectionCodec(manifold)
         far = ms.ood_on_manifold[0]
-        assert codec.reconstruction_error(far) < 1e-12  # exactly on manifold
+        assert recon_error(codec, far) < 1e-12  # exactly on manifold
         centroid = ms.inlier_train.mean(axis=0)
         spread = np.linalg.norm(ms.inlier_train - centroid, axis=1).max()
         assert np.linalg.norm(far - centroid) >= 10.0 * spread
@@ -160,22 +165,22 @@ class TestLinearManifold:
         ms = make_manifold_set(manifold, n_train=200, seed=1, off_offset=5.0)
         off = ms.ood_off_manifold[0]
         codec = LinearProjectionCodec(manifold)
-        np.testing.assert_allclose(codec.reconstruction_error(off), 5.0, rtol=1e-12)
+        np.testing.assert_allclose(recon_error(codec, off), 5.0, rtol=1e-12)
 
     def test_handmade_off_point_residual(self):
         codec = LinearProjectionCodec(LinearManifold(basis=np.array([[1.0, 0.0]])))
         np.testing.assert_allclose(
-            codec.reconstruction_error(np.array([0.0, 5.0])), 5.0, rtol=1e-15
+            recon_error(codec, np.array([0.0, 5.0])), 5.0, rtol=1e-15
         )
         np.testing.assert_allclose(
-            codec.reconstruction_error(np.array([100.0, 0.0])), 0.0, atol=1e-15
+            recon_error(codec, np.array([100.0, 0.0])), 0.0, atol=1e-15
         )
 
     def test_noise_free_inliers_sit_on_manifold(self):
         manifold = LinearManifold(basis=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
         ms = make_manifold_set(manifold, n_train=100, seed=2, noise_sigma=0.0)
         codec = LinearProjectionCodec(manifold)
-        assert codec.reconstruction_errors(ms.inlier_train).max() < 1e-12
+        assert codec.encode_and_reconstruction_errors(ms.inlier_train)[1].max() < 1e-12
 
     def test_invalid_basis_rejected(self):
         with pytest.raises(ValueError, match="orthonormal"):
@@ -221,11 +226,12 @@ class TestCircularManifold:
         codec = CircularProjectionCodec(manifold)
         # a point 0.5 outside the circle reconstructs onto it
         x = np.array([1.0 + 2.5, 0.0])
-        np.testing.assert_allclose(codec.reconstruction_error(x), 0.5, rtol=1e-12)
-        np.testing.assert_allclose(codec.reconstruct(x), [3.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(recon_error(codec, x), 0.5, rtol=1e-12)
+        # its embedding is the radial projection, relative to the center
+        np.testing.assert_allclose(manifold.center + codec.encode(x), [3.0, 0.0], atol=1e-12)
         # on-circle points have zero residual wherever they sit
         on = manifold.center + 2.0 * np.array([np.cos(2.2), np.sin(2.2)])
-        assert codec.reconstruction_error(on) < 1e-12
+        assert recon_error(codec, on) < 1e-12
 
     def test_far_on_circle_point_caught_by_hybrid_only(self):
         # the non-linear analog of the linear-manifold failure mode

@@ -1,9 +1,13 @@
 """Calibration, the three scoring modes, classification, CSV round trips."""
 
+import io
+
 import numpy as np
 import pytest
 
 from latent_guard import (
+    CircularManifold,
+    CircularProjectionCodec,
     LinearManifold,
     LinearProjectionCodec,
     NoveltyCalibration,
@@ -11,7 +15,6 @@ from latent_guard import (
     classify,
     fit_gaussian,
     make_manifold_set,
-    novelty_score,
     novelty_scores,
 )
 from latent_guard.novelty import (
@@ -87,7 +90,7 @@ class TestScoring:
         codec, stats, ms = manifold_setup
         x = ms.inlier_test[:7]
         scores = novelty_scores(codec, stats, x, MODE_RECONSTRUCTION)
-        np.testing.assert_array_equal(scores, codec.reconstruction_errors(x))
+        np.testing.assert_array_equal(scores, codec.encode_and_reconstruction_errors(x)[1])
 
     def test_ld_mode_equals_mahalanobis(self, manifold_setup):
         from latent_guard import mahalanobis_many
@@ -157,19 +160,43 @@ class TestScoring:
         assert _combine(np.array([1.1]), np.array([1.0]), MODE_HYBRID, cal)[0] > base
         assert _combine(np.array([1.0]), np.array([1.1]), MODE_HYBRID, cal)[0] > base
 
-    def test_single_sample_score(self, manifold_setup):
-        codec, stats, ms = manifold_setup
-        x = ms.inlier_test[0]
-        assert novelty_score(codec, stats, x, MODE_RECONSTRUCTION) == pytest.approx(
-            codec.reconstruction_error(x)
-        )
-
     def test_scores_finite(self, manifold_setup):
         codec, stats, ms = manifold_setup
         cal = calibrate(codec, stats, ms.inlier_test)
         for mode in (MODE_RECONSTRUCTION, MODE_LATENT_DISTANCE, MODE_HYBRID):
             s = novelty_scores(codec, stats, ms.points, mode, cal)
             assert np.all(np.isfinite(s))
+
+
+CODECS = {
+    "linear": (LinearProjectionCodec(LinearManifold(basis=np.array([[0.6, 0.8, 0.0]]))), 3),
+    "circular": (CircularProjectionCodec(CircularManifold(np.array([1.0, -2.0]), 1.5)), 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CODECS))
+class TestCodecProtocol:
+    def test_single_point_equals_batch_row(self, name):
+        codec, d = CODECS[name]
+        batch = np.random.default_rng(1).normal(size=(6, d))
+        z, re = codec.encode_and_reconstruction_errors(batch)
+        z0, re0 = codec.encode_and_reconstruction_errors(batch[0])
+        assert z0.shape == (1, z.shape[1]) and re0.shape == (1,)
+        np.testing.assert_array_equal(z0[0], z[0])
+        assert re0[0] == re[0]
+
+    def test_features_run_on_codec(self, name):
+        from latent_guard import mahalanobis_many
+        from latent_guard.novelty import features
+
+        codec, d = CODECS[name]
+        rng = np.random.default_rng(2)
+        stats = fit_gaussian(codec.encode(rng.normal(size=(50, d))))
+        points = rng.normal(size=(9, d))
+        re, ld = features(codec, stats, points)
+        z, expected_re = codec.encode_and_reconstruction_errors(points)
+        np.testing.assert_array_equal(re, expected_re)
+        np.testing.assert_array_equal(ld, mahalanobis_many(stats, z))
 
 
 class TestWideBottleneck:
@@ -215,7 +242,8 @@ class TestScoresCsv:
         re = np.array([0.1, 0.2, 0.3, 0.4])
         ld = np.array([1.0, 2.0, 3.0, 4.0])
         hybrid = re + ld
-        write_scores_csv(path, ids, is_inlier, re, ld, hybrid)
+        with open(path, "w", newline="") as f:
+            write_scores_csv(f, ids, is_inlier, re, ld, hybrid)
         r_ids, r_inl, r_re, r_ld, r_h = read_scores_csv(path)
         np.testing.assert_array_equal(r_ids, ids)
         np.testing.assert_array_equal(r_inl, is_inlier)
@@ -231,6 +259,4 @@ class TestScoresCsv:
 
     def test_mismatched_columns_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="equal length"):
-            write_scores_csv(
-                tmp_path / "x.csv", [0], [True, False], [0.1], [0.2], [0.3]
-            )
+            write_scores_csv(io.StringIO(), [0], [True, False], [0.1], [0.2], [0.3])

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from latent_guard import TrainConfig, split_dataset, train
+from latent_guard import TrainConfig, inlier_split, split_dataset, train
 from latent_guard.data import ImageDataset, filter_class
 from latent_guard.trainer import STOP_EARLY, STOP_MAX_EPOCHS, EarlyStopping
 
@@ -48,6 +48,18 @@ class TestSplit:
         ds = synthetic_digits(10, seed=5)
         with pytest.raises(ValueError, match="val_size"):
             split_dataset(ds, 10, seed=0)
+
+    def test_inlier_split_splits_before_filtering(self):
+        # the split draws from the full set, so the class filter cannot
+        # change which images land in validation
+        ds = synthetic_digits(80, seed=6, n_classes=3)
+        config = TrainConfig(inlier_class=2, bottleneck_size=4, seed=7, val_size=20)
+        train_inliers, val_inliers = inlier_split(config, ds)
+        train_set, val_set = split_dataset(ds, 20, seed=7)
+        for got, part in ((train_inliers, train_set), (val_inliers, val_set)):
+            expected = filter_class(part, 2)
+            np.testing.assert_array_equal(got.images, expected.images)
+            assert set(got.labels) == {2}
 
 
 class TestEarlyStoppingRule:
@@ -120,10 +132,8 @@ class TestTrainLoop:
 
     def test_returned_model_is_best_snapshot(self, run, tiny_train_set):
         (model, record), config = run
-        _, val_set = split_dataset(tiny_train_set, config.val_size, config.seed)
-        val_inliers = filter_class(val_set, 0)
-        errs = model.reconstruction_errors(val_inliers.images)
-        z = model.encode(val_inliers.images)
+        _, val_inliers = inlier_split(config, tiny_train_set)
+        z, errs = model.encode_and_reconstruction_errors(val_inliers.images)
         recomputed = errs.mean() + config.l1_lambda * np.abs(z).sum(axis=1).mean()
         np.testing.assert_allclose(recomputed, record.best_val_loss, rtol=1e-9)
 
