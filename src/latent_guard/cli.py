@@ -230,8 +230,6 @@ def _sweep_one(task: dict):
 def cmd_sweep(args) -> int:
     data_dir = _resolve_data_dir(args)
     bundles_dir = Path(args.bundles_dir)
-    bundles_dir.mkdir(parents=True, exist_ok=True)
-
     tasks = []
     for k in args.bottlenecks:
         for seed in args.seeds:
@@ -247,6 +245,7 @@ def cmd_sweep(args) -> int:
                 "data_dir": str(data_dir),
                 "resume": args.resume,
             })
+    bundles_dir.mkdir(parents=True, exist_ok=True)
 
     outcomes = []
     if args.jobs > 1:

@@ -76,8 +76,7 @@ class MaxPool2x2(Layer):
         self._idx = None
 
     def forward(self, x, train=False):
-        out, idx = ops.maxpool2x2_fwd_nhwc(x)
-        self._idx = idx if train else None
+        out, self._idx = ops.maxpool2x2_fwd_nhwc(x, indices=train)
         return out
 
     def backward(self, dout):

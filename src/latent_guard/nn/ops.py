@@ -3,8 +3,11 @@
 Activations are channels-last batches ``[N, H, W, C]``, so the im2col/shift
 buffers copy in long contiguous runs; on a single core the hot loop is
 memory traffic, not FLOPs.  Conv weights keep the canonical
-``[C_out, C_in, 3, 3]`` shape.  Dense and ReLU are one-liners and live in
-layers.py.
+``[C_out, C_in, 3, 3]`` shape.  Max pooling and the upsample gradient work
+on the four strided views ``x[:, i::2, j::2]`` of the 2x2 window corners,
+with no 5-D transpose copy; pooling computes its uint8 first-max-wins
+routing indices only when asked to (training).  Dense and ReLU are
+one-liners and live in layers.py.
 """
 
 from __future__ import annotations
@@ -85,38 +88,43 @@ def conv3x3_input_grad_nhwc(dout, weights):
     return dx
 
 
-def maxpool2x2_fwd_nhwc(x):
-    """Disjoint 2x2/stride-2 max pooling.  Returns (output, argmax_indices).
+def maxpool2x2_fwd_nhwc(x, indices=True):
+    """Disjoint 2x2/stride-2 max pooling.  Returns (output, indices or None).
 
-    Indices are flat positions 0..3 inside each window (row-major), shaped
-    like the output; ties resolve to the first maximum, deterministically.
+    Indices are uint8 flat positions 0..3 inside each window (row-major),
+    shaped like the output; ties resolve to the first maximum.  They are
+    computed only if ``indices`` is true.
     """
-    n, h, w, c = x.shape
+    h, w = x.shape[1:3]
     if h % 2 or w % 2:
         raise ValueError(
             f"maxpool2x2 requires even spatial dims, got {h}x{w}; "
             "no odd-dimension padding policy is configured"
         )
-    windows = (
-        x.reshape(n, h // 2, 2, w // 2, 2, c)
-        .transpose(0, 1, 3, 5, 2, 4)
-        .reshape(n, h // 2, w // 2, c, 4)
-    )
-    idx = windows.argmax(axis=4)
-    out = np.take_along_axis(windows, idx[..., None], axis=4)[..., 0]
+    a, b, c, d = x[:, 0::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2]
+    top, bot = np.maximum(a, b), np.maximum(c, d)
+    out = np.maximum(top, bot)
+    if not indices:
+        return out, None
+    # tournament: each half keeps its first max, the top half wins ties
+    idx = np.where(bot > top, (d > c).view(np.uint8) + np.uint8(2), (b > a).view(np.uint8))
     return out, idx
 
 
 def maxpool2x2_bwd_nhwc(dout, idx):
-    """Routes each upstream element to its window's argmax position."""
+    """Routes each upstream element to its window's argmax position.
+
+    Each window slot is ``dout`` bitwise-ANDed with an all-ones or all-zeros
+    mask, which (unlike a 0/1 multiply) leaves +0.0, never -0.0 or NaN, off
+    the argmax.
+    """
     n, ho, wo, c = dout.shape
-    dwin = np.zeros((n, ho, wo, c, 4))
-    np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=4)
-    return (
-        dwin.reshape(n, ho, wo, c, 2, 2)
-        .transpose(0, 1, 4, 2, 5, 3)
-        .reshape(n, 2 * ho, 2 * wo, c)
-    )
+    dx = np.empty((n, ho, 2, wo, 2, c))
+    bits = dout.view(np.int64)
+    for k in range(4):
+        mask = -(idx == k).astype(np.int64)  # 0 or all bits set
+        np.bitwise_and(bits, mask, out=dx[:, :, k // 2, :, k % 2, :].view(np.int64))
+    return dx.reshape(n, 2 * ho, 2 * wo, c)
 
 
 def upsample2x2_fwd_nhwc(x):
@@ -125,9 +133,9 @@ def upsample2x2_fwd_nhwc(x):
 
 
 def upsample2x2_bwd_nhwc(dout):
-    """Sums upstream gradients over each 2x2 replication block."""
-    n, h2, w2, c = dout.shape
-    return dout.reshape(n, h2 // 2, 2, w2 // 2, 2, c).sum(axis=(2, 4))
+    """Sums upstream gradients over each 2x2 replication block, corners added
+    in row-major order (numpy's order for a sum over the block axes, C > 1)."""
+    return dout[:, 0::2, 0::2] + dout[:, 0::2, 1::2] + dout[:, 1::2, 0::2] + dout[:, 1::2, 1::2]
 
 
 def sigmoid(x):

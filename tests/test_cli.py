@@ -257,6 +257,16 @@ class TestSweep:
         assert code == 1
         assert capsys.readouterr().err.startswith("error[usage]:")
 
+    def test_usage_error_creates_no_bundles_dir(self, data_dir, tmp_path, capsys):
+        bundles = tmp_path / "fresh" / "bundles"
+        code = cli.main(["sweep", "--class", "0", "--bottlenecks", "0",
+                         "--seeds", "5", "--data-dir", str(data_dir),
+                         "--bundles-dir", str(bundles),
+                         "--out-csv", str(tmp_path / "c.csv"), *TRAIN_ARGS[:4]])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error[usage]:")
+        assert not (tmp_path / "fresh").exists()
+
     def test_partial_failure_recorded_as_nan_rows(self, data_dir, tmp_path,
                                                   monkeypatch, capsys):
         real = cli._train_bundle

@@ -6,6 +6,8 @@ kernels in ``nn.ops`` that they call.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from latent_guard.nn import Conv3x3, Dense, MaxPool2x2, ReLU, Sigmoid, Upsample2x2
 from latent_guard.nn import ops
@@ -176,6 +178,28 @@ class TestMaxPool:
         expected[0, 3, 3, 0] = 40.0
         np.testing.assert_array_equal(dx, expected)
 
+    def test_constant_window_routes_to_first_position(self):
+        _, idx = ops.maxpool2x2_fwd_nhwc(np.full((1, 2, 2, 1), 0.5))
+        assert idx[0, 0, 0, 0] == 0
+
+    def test_tie_across_rows_routes_to_first_max(self):
+        # window [[1, 3], [3, 0]]: the 3 at position 1 precedes the one at 2
+        _, idx = ops.maxpool2x2_fwd_nhwc(np.array([1.0, 3.0, 3.0, 0.0]).reshape(1, 2, 2, 1))
+        assert idx[0, 0, 0, 0] == 1
+
+    def test_indices_are_uint8(self):
+        _, idx = ops.maxpool2x2_fwd_nhwc(np.zeros((2, 4, 4, 3)))
+        assert idx.dtype == np.uint8 and idx.shape == (2, 2, 2, 3)
+
+    def test_inference_caches_no_index(self):
+        x = np.random.default_rng(5).standard_normal((2, 4, 4, 3))
+        layer = MaxPool2x2()
+        layer.forward(x, train=True)
+        assert layer._idx is not None
+        layer.forward(x)
+        assert layer._idx is None
+        assert ops.maxpool2x2_fwd_nhwc(x, indices=False)[1] is None
+
     def test_backward_matches_finite_differences(self):
         # away from ties maxpool is locally linear, so fd applies
         rng = np.random.default_rng(6)
@@ -212,6 +236,98 @@ class TestUpsample:
         x = np.full((1, 4, 4, 2), 3.25)
         out = MaxPool2x2().forward(Upsample2x2().forward(x))
         np.testing.assert_array_equal(out, x)
+
+
+# Reference kernels: the 5-D transpose + argmax/take_along_axis/put_along_axis
+# pooling and the reshape-sum upsample gradient that the strided-view kernels
+# in nn.ops replaced.  The new kernels must agree with them exactly.
+
+def ref_maxpool_fwd(x):
+    n, h, w, c = x.shape
+    windows = (
+        x.reshape(n, h // 2, 2, w // 2, 2, c)
+        .transpose(0, 1, 3, 5, 2, 4)
+        .reshape(n, h // 2, w // 2, c, 4)
+    )
+    idx = windows.argmax(axis=4)
+    return np.take_along_axis(windows, idx[..., None], axis=4)[..., 0], idx
+
+
+def ref_maxpool_bwd(dout, idx):
+    n, ho, wo, c = dout.shape
+    dwin = np.zeros((n, ho, wo, c, 4))
+    np.put_along_axis(dwin, idx[..., None], dout[..., None], axis=4)
+    return dwin.reshape(n, ho, wo, c, 2, 2).transpose(0, 1, 4, 2, 5, 3).reshape(n, 2 * ho, 2 * wo, c)
+
+
+def ref_upsample_bwd(dout):
+    n, h2, w2, c = dout.shape
+    return dout.reshape(n, h2 // 2, 2, w2 // 2, 2, c).sum(axis=(2, 4))
+
+
+# small shapes; odd channel counts included
+SHAPES = st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4), st.integers(1, 40))
+# a four-value alphabet makes ties within a window common
+TIES = st.sampled_from([-1.0, 0.0, 1.0, 2.0])
+# upstream gradients, with signed zeros and infinities that a 0/1 multiply would mangle
+GRADS = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 3.0, np.inf, -np.inf])
+FLOATS = st.floats(-1e6, 1e6, width=64)
+EQUIV = settings(max_examples=100, deadline=None, database=None)
+
+
+def same_bytes(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+class TestStridedKernelsMatchReference:
+    """The one allowed difference in pooling is a window that mixes -0.0 and
+    +0.0, which may pool to either sign of zero (np.maximum's choice).  The
+    indices stay identical, and no nonzero value can change.  Pooled outputs
+    are compared with array_equal and routed gradients byte for byte; the
+    upsample gradient's exceptions are noted in place."""
+
+    @EQUIV
+    @given(data=st.data(), shape=SHAPES)
+    def test_maxpool_forward_and_backward(self, data, shape):
+        n, ho, wo, c = shape
+        x = data.draw(arrays(np.float64, (n, 2 * ho, 2 * wo, c), elements=TIES))
+        dout = data.draw(arrays(np.float64, shape, elements=GRADS))
+        out, idx = ops.maxpool2x2_fwd_nhwc(x)
+        ref_out, ref_idx = ref_maxpool_fwd(x)
+        np.testing.assert_array_equal(out, ref_out)
+        np.testing.assert_array_equal(idx, ref_idx)
+        assert same_bytes(ops.maxpool2x2_bwd_nhwc(dout, idx), ref_maxpool_bwd(dout, ref_idx))
+
+    @EQUIV
+    @given(data=st.data(), shape=SHAPES)
+    def test_upsample_backward(self, data, shape):
+        n, h, w, c = shape
+        dout = data.draw(arrays(np.float64, (n, 2 * h, 2 * w, c), elements=FLOATS))
+        dx, ref_dx = ops.upsample2x2_bwd_nhwc(dout), ref_upsample_bwd(dout)
+        if c > 1:
+            # numpy's sum starts from +0.0, so a block of four -0.0 sums to
+            # +0.0 there and to -0.0 here; every other value is bit-equal
+            np.testing.assert_array_equal(dx, ref_dx)
+        else:
+            # With one channel the block axes are innermost and numpy's sum
+            # pairs them as (a + b) + (c + d); the kernel keeps the
+            # ((a + b) + c) + d order of every C > 1.  No layer of the model
+            # upsamples a single channel.  The two orders round within 3u and
+            # 2u (u = eps/2) of the exact sum, relative to the sum of the
+            # magnitudes, so they differ by at most 3 eps times that sum.
+            bound = 3 * np.finfo(np.float64).eps * ref_upsample_bwd(np.abs(dout))
+            assert np.all(np.abs(dx - ref_dx) <= bound)
+
+    def test_activation_sized_batch(self):
+        rng = np.random.default_rng(11)
+        x = rng.standard_normal((4, 28, 28, 32))
+        out, idx = ops.maxpool2x2_fwd_nhwc(x)
+        ref_out, ref_idx = ref_maxpool_fwd(x)
+        assert same_bytes(out, ref_out)
+        np.testing.assert_array_equal(idx, ref_idx)
+        g = rng.standard_normal(out.shape)
+        assert same_bytes(ops.maxpool2x2_bwd_nhwc(g, idx), ref_maxpool_bwd(g, ref_idx))
+        assert same_bytes(ops.upsample2x2_bwd_nhwc(x), ref_upsample_bwd(x))
 
 
 class TestDense:
