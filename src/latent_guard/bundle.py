@@ -11,16 +11,18 @@ Layout:
         train_log.jsonl    one epoch per line
         eval_<MODE>.json   written by evaluate runs
         scores_<MODE>.csv  per-sample features behind each evaluation
+        .lock              empty; serializes manifest updates (flock)
 
 Only the manifest carries a timestamp; every other file is a deterministic
 function of (config, seed, data), so re-running a configuration reproduces
 identical digests.  Bundles are created atomically (temp dir + rename); eval
-files and the manifest are then replaced whole (temp file + rename), and the
-loaders check a file's digest before parsing it.
+files and the manifest are then replaced whole (temp file + rename) under
+an exclusive lock, and the loaders check a file's digest before parsing it.
 """
 
 from __future__ import annotations
 
+import fcntl
 import hashlib
 import json
 import os
@@ -40,6 +42,7 @@ STATS_FILE = "latent_stats.lgar"
 CALIBRATION_FILE = "calibration.json"
 TRAIN_LOG_FILE = "train_log.jsonl"
 MANIFEST_FILE = "manifest.json"
+LOCK_FILE = ".lock"
 
 
 def _sha256(path: Path) -> str:
@@ -141,9 +144,6 @@ class ExperimentBundle:
         return GaussianStats.load(self._verified(STATS_FILE))
 
     def load_calibration(self) -> NoveltyCalibration:
-        cal_path = self.path / CALIBRATION_FILE
-        if not cal_path.exists():
-            raise FileNotFoundError(f"bundle has no calibration: {cal_path}")
         return NoveltyCalibration.from_json(self._verified(CALIBRATION_FILE).read_text())
 
     def verify(self) -> None:
@@ -162,9 +162,13 @@ class ExperimentBundle:
 
     def record_file(self, files: dict) -> None:
         """Writes ``{name: bytes}`` into the bundle and records their digests,
-        replacing each file and then the manifest whole."""
-        manifest = self.manifest()
-        for name, data in files.items():
-            _replace_file(self.path / name, data)
-            manifest["files"][name] = hashlib.sha256(data).hexdigest()
-        _replace_file(self.path / MANIFEST_FILE, _manifest_text(manifest).encode())
+        replacing each file and then the manifest whole.  The read-modify-write
+        holds an exclusive lock on the bundle's lock file, so concurrent
+        writers cannot drop each other's digests."""
+        with open(self.path / LOCK_FILE, "a") as lock:
+            fcntl.flock(lock, fcntl.LOCK_EX)
+            manifest = self.manifest()
+            for name, data in files.items():
+                _replace_file(self.path / name, data)
+                manifest["files"][name] = hashlib.sha256(data).hexdigest()
+            _replace_file(self.path / MANIFEST_FILE, _manifest_text(manifest).encode())

@@ -140,28 +140,20 @@ def _evaluate_bundle(bundle: ExperimentBundle, test_set, modes) -> dict:
         config = bundle.config()
         model = bundle.load_model()
         stats = bundle.load_stats()
-        try:
-            calibration = bundle.load_calibration()
-        except FileNotFoundError as exc:
-            if novelty.MODE_HYBRID in modes:
-                raise CliError("eval", str(exc)) from exc
-            calibration = None
+        calibration = bundle.load_calibration()
     except (OSError, ValueError) as exc:  # missing file, digest mismatch, bad container
         raise CliError("bundle", str(exc)) from exc
 
     re, ld = novelty.features(model, stats, test_set.images)
     is_inlier = test_set.labels == config["inlier_class"]
-    hybrid = (
-        novelty._combine(re, ld, novelty.MODE_HYBRID, calibration)
-        if calibration is not None
-        else np.full_like(re, np.nan)
-    )
+    scores = dict(zip(MODES, (re, ld, calibration.alpha * ld + calibration.beta * re)))
     scores_csv = io.StringIO()
-    novelty.write_scores_csv(scores_csv, np.arange(len(re)), is_inlier, re, ld, hybrid)
+    novelty.write_scores_csv(scores_csv, np.arange(len(re)), is_inlier, re, ld,
+                             scores[novelty.MODE_HYBRID])
     reports, files = {}, {}
     for mode in modes:
         reports[mode] = evaluate(
-            ScoredSet(scores=novelty._combine(re, ld, mode, calibration), is_inlier=is_inlier),
+            ScoredSet(scores=scores[mode], is_inlier=is_inlier),
             inlier_class=config["inlier_class"],
             bottleneck_size=config["bottleneck_size"],
             mode=mode,

@@ -120,5 +120,7 @@ def mahalanobis_many(stats: GaussianStats, xs) -> np.ndarray:
         raise ValueError(
             f"expected rows of dim {stats.dim}, got shape {xs.shape}"
         )
-    y = solve_triangular(stats.chol, (xs - stats.mean).T, lower=True)
-    return np.sqrt(np.sum(y * y, axis=0))
+    # the subtraction makes a fresh array, so the solve may overwrite it
+    y = solve_triangular(stats.chol, (xs - stats.mean).T, lower=True, overwrite_b=True)
+    y *= y
+    return np.sqrt(np.sum(y, axis=0))

@@ -10,7 +10,7 @@ seed.
 """
 
 from latent_guard.nn.losses import bce_loss, bce_loss_and_grad, l1_penalty
-from latent_guard.nn.optim import Adadelta, AdadeltaState, adadelta_step
+from latent_guard.nn.optim import Adadelta
 from latent_guard.nn.layers import (
     Conv3x3,
     Dense,
@@ -28,8 +28,6 @@ __all__ = [
     "bce_loss_and_grad",
     "l1_penalty",
     "Adadelta",
-    "AdadeltaState",
-    "adadelta_step",
     "Conv3x3",
     "Dense",
     "Flatten",

@@ -1,72 +1,49 @@
-"""Adadelta optimizer.
+"""Adadelta optimizer (Zeiler 2012) at the original method's constants.
 
 Update recurrence, per parameter tensor:
 
-    E[g^2]  <- rho * E[g^2]  + (1 - rho) * g^2
-    dx      =  -sqrt(E[dx^2] + eps) / sqrt(E[g^2] + eps) * g
-    E[dx^2] <- rho * E[dx^2] + (1 - rho) * dx^2
-    param   <- param + lr * dx
+    E[g^2]  <- RHO * E[g^2]  + (1 - RHO) * g^2
+    dx      =  -sqrt(E[dx^2] + EPS) / sqrt(E[g^2] + EPS) * g
+    E[dx^2] <- RHO * E[dx^2] + (1 - RHO) * dx^2
+    param   <- param + dx
 
-Defaults rho=0.95, eps=1e-6, lr=1.0 are the original method's.
+with RHO = 0.95, EPS = 1e-6 and a learning rate of 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-
-@dataclass
-class AdadeltaState:
-    """Per-parameter accumulators; both start at zero and stay nonnegative."""
-
-    acc_grad_sq: np.ndarray
-    acc_delta_sq: np.ndarray
-    rho: float = 0.95
-    eps: float = 1e-6
-
-    @classmethod
-    def for_param(cls, param, rho=0.95, eps=1e-6):
-        return cls(np.zeros_like(param), np.zeros_like(param), rho, eps)
+RHO = 0.95
+EPS = 1e-6
 
 
-def adadelta_step(param, grad, state, lr=1.0, name="param"):
-    """One adadelta update; mutates ``param`` and ``state`` in place."""
-    grad = np.asarray(grad)
-    if grad.shape != param.shape:
-        raise ValueError(
-            f"adadelta_step: grad shape {grad.shape} != param shape "
-            f"{param.shape} for {name}"
-        )
-    if not np.all(np.isfinite(grad)):
-        raise FloatingPointError(f"non-finite gradient for {name}")
-    rho, eps = state.rho, state.eps
-    state.acc_grad_sq *= rho
-    state.acc_grad_sq += (1.0 - rho) * grad * grad
-    delta = -np.sqrt((state.acc_delta_sq + eps) / (state.acc_grad_sq + eps)) * grad
-    state.acc_delta_sq *= rho
-    state.acc_delta_sq += (1.0 - rho) * delta * delta
-    param += lr * delta
-    return param, state
-
-
-@dataclass
 class Adadelta:
-    """Adadelta over a named parameter dict (arrays updated in place)."""
+    """Adadelta over a named parameter dict (arrays updated in place).
 
-    params: dict
-    rho: float = 0.95
-    eps: float = 1e-6
-    lr: float = 1.0
-    states: dict = field(init=False)
+    ``acc_grad_sq`` and ``acc_delta_sq`` map each parameter name to its
+    accumulator; both start at zero and stay nonnegative.
+    """
 
-    def __post_init__(self):
-        self.states = {
-            name: AdadeltaState.for_param(p, self.rho, self.eps)
-            for name, p in self.params.items()
-        }
+    def __init__(self, params: dict):
+        self.params = params
+        self.acc_grad_sq = {name: np.zeros_like(p) for name, p in params.items()}
+        self.acc_delta_sq = {name: np.zeros_like(p) for name, p in params.items()}
 
     def step(self, grads):
         for name, param in self.params.items():
-            adadelta_step(param, grads[name], self.states[name], self.lr, name)
+            grad = np.asarray(grads[name])
+            if grad.shape != param.shape:
+                raise ValueError(
+                    f"adadelta: grad shape {grad.shape} != param shape "
+                    f"{param.shape} for {name}"
+                )
+            if not np.all(np.isfinite(grad)):
+                raise FloatingPointError(f"non-finite gradient for {name}")
+            eg, ed = self.acc_grad_sq[name], self.acc_delta_sq[name]
+            eg *= RHO
+            eg += (1.0 - RHO) * grad * grad
+            delta = -np.sqrt((ed + EPS) / (eg + EPS)) * grad
+            ed *= RHO
+            ed += (1.0 - RHO) * delta * delta
+            param += delta

@@ -6,8 +6,6 @@ library-injected metadata; the result is strict XML.
 
 from __future__ import annotations
 
-from xml.sax.saxutils import escape
-
 import numpy as np
 
 WIDTH, HEIGHT = 720, 540
@@ -16,6 +14,9 @@ MARGIN_TOP, MARGIN_BOTTOM = 20, 55
 
 INLIER_COLOR = "#7fc97f"   # light green inliers
 OOD_COLOR = "#386cb0"      # blue OOD samples
+
+X_LABEL = "reconstruction error"
+Y_LABEL = "latent distance"
 
 
 def _axis_range(values):
@@ -31,8 +32,7 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def scatter_svg(re, ld, is_inlier, x_label="reconstruction error",
-                y_label="latent distance") -> str:
+def scatter_svg(re, ld, is_inlier) -> str:
     """Returns the SVG document as a string."""
     re = np.asarray(re, dtype=np.float64)
     ld = np.asarray(ld, dtype=np.float64)
@@ -84,12 +84,12 @@ def scatter_svg(re, ld, is_inlier, x_label="reconstruction error",
     # axis titles
     lines.append(
         f'<text x="{MARGIN_LEFT + plot_w / 2}" y="{HEIGHT - 12}" font-size="14" '
-        f'text-anchor="middle">{escape(x_label)}</text>'
+        f'text-anchor="middle">{X_LABEL}</text>'
     )
     lines.append(
         f'<text x="18" y="{MARGIN_TOP + plot_h / 2}" font-size="14" '
         f'text-anchor="middle" transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2})">'
-        f'{escape(y_label)}</text>'
+        f'{Y_LABEL}</text>'
     )
     # legend
     lines.append(

@@ -158,7 +158,6 @@ def train(config: TrainConfig, dataset: ImageDataset):
 
     record = TrainRecord()
     stopper = EarlyStopping(config.patience)
-    best_params = None
     stop_reason = STOP_MAX_EPOCHS
 
     for epoch in range(1, config.max_epochs + 1):
@@ -190,18 +189,16 @@ def train(config: TrainConfig, dataset: ImageDataset):
             )
         record.epochs.append(EpochStats(epoch, total_loss / n, float(val_loss)))
 
-        improved = val_loss < stopper.best_loss
         should_stop = stopper.update(epoch, val_loss)
-        if improved:
+        if stopper.best_epoch == epoch:
             best_params = {k: v.copy() for k, v in model.named_parameters().items()}
         if should_stop:
             stop_reason = STOP_EARLY
             break
 
-    # restore the snapshot from the best validation epoch
-    if best_params is not None:
-        for name, param in model.named_parameters().items():
-            param[...] = best_params[name]
+    # restore the best epoch; epoch 1 always improves on inf, so best_params is set
+    for name, param in model.named_parameters().items():
+        param[...] = best_params[name]
     record.best_epoch = stopper.best_epoch
     record.stop_reason = stop_reason
     return model, record

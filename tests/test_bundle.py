@@ -4,6 +4,8 @@ import builtins
 import errno
 import io
 import json
+import multiprocessing
+import time
 
 import numpy as np
 import pytest
@@ -76,6 +78,44 @@ def test_record_file_updates_manifest(tmp_path, parts):
     bundle.record_file({"extra.json": b"{}\n"})
     assert (bundle.path / "extra.json").read_bytes() == b"{}\n"
     assert "extra.json" in bundle.manifest()["files"]
+    bundle.verify()
+
+
+def _record_slowly(path, manifest_read):
+    """Records a file, pausing between reading and rewriting the manifest."""
+    real_manifest = ExperimentBundle.manifest
+
+    def slow_manifest(self):
+        manifest = real_manifest(self)
+        manifest_read.set()
+        time.sleep(0.5)
+        return manifest
+
+    ExperimentBundle.manifest = slow_manifest
+    ExperimentBundle(path).record_file({"eval_A.json": b"a\n"})
+
+
+def _record_when_other_has_read(path, manifest_read):
+    if not manifest_read.wait(timeout=60):
+        raise TimeoutError("the other writer never read the manifest")
+    ExperimentBundle(path).record_file({"eval_B.json": b"b\n"})
+
+
+def test_concurrent_record_file_keeps_both_digests(tmp_path, parts):
+    # B records its file while A sits between reading and rewriting the
+    # manifest; without a lock A's rewrite would drop B's digest
+    bundle = ExperimentBundle.create(tmp_path / "b", *parts)
+    ctx = multiprocessing.get_context("spawn")
+    manifest_read = ctx.Event()
+    writers = [ctx.Process(target=fn, args=(str(bundle.path), manifest_read))
+               for fn in (_record_slowly, _record_when_other_has_read)]
+    for w in writers:
+        w.start()
+    for w in writers:
+        w.join(timeout=120)
+    assert [w.exitcode for w in writers] == [0, 0]
+    files = bundle.manifest()["files"]
+    assert "eval_A.json" in files and "eval_B.json" in files
     bundle.verify()
 
 

@@ -147,7 +147,21 @@ class TestEval:
         code = cli.main(["eval", "--bundle", str(broken),
                          "--data-dir", str(data_dir), "--mode", "H"])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error[eval]:")
+        assert capsys.readouterr().err.startswith("error[bundle]:")
+
+    def test_missing_calibration_is_bundle_error_in_every_mode(self, data_dir,
+                                                               trained_bundle,
+                                                               tmp_path, capsys):
+        # create() always writes calibration.json, so a bundle without it is
+        # damaged even for modes that do not mix RE and LD
+        broken = tmp_path / "no-cal-re"
+        shutil.copytree(trained_bundle, broken)
+        (broken / "calibration.json").unlink()
+        code = cli.main(["eval", "--bundle", str(broken),
+                         "--data-dir", str(data_dir), "--mode", "RE"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[bundle]: ") and "calibration.json" in err
 
     def test_tampered_checkpoint_is_bundle_error(self, data_dir, trained_bundle,
                                                  tmp_path, capsys):

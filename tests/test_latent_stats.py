@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from latent_guard import GaussianStats, fit_gaussian, mahalanobis, mahalanobis_many
 
@@ -95,6 +96,23 @@ class TestMahalanobis:
         d = mahalanobis_many(stats, xs)
         for i in range(20):
             np.testing.assert_allclose(d[i], mahalanobis(stats, xs[i]), rtol=1e-12)
+
+    def test_many_leaves_input_unchanged(self):
+        # the solve overwrites its right-hand side, which must be a copy
+        rng = np.random.default_rng(10)
+        stats = fit_gaussian(rng.standard_normal((50, 6)))
+        xs_c = rng.standard_normal((40, 6))
+        for xs in (xs_c, np.asfortranarray(xs_c)):
+            before = xs.copy()
+            mahalanobis_many(stats, xs)
+            np.testing.assert_array_equal(xs, before)
+
+    def test_many_matches_reference_formula_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        stats = fit_gaussian(rng.standard_normal((300, 32)))
+        xs = rng.standard_normal((500, 32)) * 3.0
+        y = solve_triangular(stats.chol, (xs - stats.mean).T, lower=True)
+        np.testing.assert_array_equal(mahalanobis_many(stats, xs), np.sqrt(np.sum(y * y, axis=0)))
 
 
 class TestProperties:

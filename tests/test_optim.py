@@ -1,9 +1,9 @@
-"""Adadelta: scalar recurrence oracle, no-op and decay behavior."""
+"""Adadelta: reference recurrence, scalar oracle, no-op and decay behavior."""
 
 import numpy as np
 import pytest
 
-from latent_guard.nn import Adadelta, AdadeltaState, adadelta_step
+from latent_guard.nn import Adadelta
 
 
 def scalar_adadelta_oracle(grads, rho=0.95, eps=1e-6):
@@ -20,19 +20,50 @@ def scalar_adadelta_oracle(grads, rho=0.95, eps=1e-6):
     return xs, deltas
 
 
+def reference_adadelta_step(param, grad, acc_grad_sq, acc_delta_sq, rho=0.95, eps=1e-6):
+    """The recurrence as a free function, statement for statement; every
+    array is updated in place."""
+    acc_grad_sq *= rho
+    acc_grad_sq += (1.0 - rho) * grad * grad
+    delta = -np.sqrt((acc_delta_sq + eps) / (acc_grad_sq + eps)) * grad
+    acc_delta_sq *= rho
+    acc_delta_sq += (1.0 - rho) * delta * delta
+    param += 1.0 * delta
+
+
 class TestAdadeltaStep:
+    def test_bit_identical_to_reference_recurrence(self):
+        rng = np.random.default_rng(42)
+        shapes = [tuple(rng.integers(1, 6, size=rng.integers(1, 4))) for _ in range(4)]
+        params = {f"p{i}": rng.standard_normal(shape) for i, shape in enumerate(shapes)}
+        ref = {name: (p.copy(), np.zeros_like(p), np.zeros_like(p))
+               for name, p in params.items()}
+        opt = Adadelta(params)
+        for _ in range(20):
+            grads = {}
+            for name, p in params.items():
+                g = rng.standard_normal(p.shape) * 10.0 ** rng.integers(-4, 3)
+                g[rng.random(p.shape) < 0.2] = 0.0  # zeros among both signs
+                grads[name] = g
+            opt.step(grads)
+            for name, (ref_p, ref_eg, ref_ed) in ref.items():
+                reference_adadelta_step(ref_p, grads[name], ref_eg, ref_ed)
+        for name, (ref_p, ref_eg, ref_ed) in ref.items():
+            np.testing.assert_array_equal(params[name], ref_p)
+            np.testing.assert_array_equal(opt.acc_grad_sq[name], ref_eg)
+            np.testing.assert_array_equal(opt.acc_delta_sq[name], ref_ed)
+
     def test_zero_gradient_is_noop(self):
         param = np.array([1.0, -2.0, 3.0])
-        state = AdadeltaState.for_param(param)
-        adadelta_step(param, np.zeros(3), state)
+        opt = Adadelta({"p": param})
+        opt.step({"p": np.zeros(3)})
         np.testing.assert_array_equal(param, [1.0, -2.0, 3.0])
-        assert not state.acc_grad_sq.any() and not state.acc_delta_sq.any()
+        assert not opt.acc_grad_sq["p"].any() and not opt.acc_delta_sq["p"].any()
 
     def test_first_step_closed_form(self):
         g = 0.7
         param = np.array([0.0])
-        state = AdadeltaState.for_param(param, rho=0.95, eps=1e-6)
-        adadelta_step(param, np.array([g]), state)
+        Adadelta({"p": param}).step({"p": np.array([g])})
         expected = -np.sqrt(1e-6 / (0.05 * g * g + 1e-6)) * g
         np.testing.assert_allclose(param[0], expected, rtol=1e-12)
 
@@ -41,9 +72,9 @@ class TestAdadeltaStep:
         grads = rng.standard_normal(10)
         xs, _ = scalar_adadelta_oracle(grads)
         param = np.array([0.0])
-        state = AdadeltaState.for_param(param)
+        opt = Adadelta({"p": param})
         for g, expected in zip(grads, xs):
-            adadelta_step(param, np.array([g]), state)
+            opt.step({"p": np.array([g])})
             np.testing.assert_allclose(param[0], expected, rtol=1e-12)
 
     def test_constant_gradient_follows_oracle_and_never_flips_sign(self):
@@ -53,33 +84,30 @@ class TestAdadeltaStep:
         assert all(d < 0 for d in deltas)
         assert np.all(np.diff(np.abs(deltas)) > 0)
         param = np.array([0.0])
-        state = AdadeltaState.for_param(param)
+        opt = Adadelta({"p": param})
         for expected_delta in deltas:
             before = param[0]
-            adadelta_step(param, np.array([0.5]), state)
+            opt.step({"p": np.array([0.5])})
             np.testing.assert_allclose(param[0] - before, expected_delta, rtol=1e-12)
 
     def test_accumulators_stay_nonnegative_and_decay(self):
-        param = np.array([0.0])
-        state = AdadeltaState.for_param(param)
-        adadelta_step(param, np.array([1.0]), state)
-        high = state.acc_grad_sq.copy()
+        opt = Adadelta({"p": np.array([0.0])})
+        opt.step({"p": np.array([1.0])})
+        high = opt.acc_grad_sq["p"].copy()
         for _ in range(50):
-            adadelta_step(param, np.array([0.0]), state)
-        assert state.acc_grad_sq[0] < high[0] * 0.1
-        assert state.acc_grad_sq[0] >= 0 and state.acc_delta_sq[0] >= 0
+            opt.step({"p": np.array([0.0])})
+        assert opt.acc_grad_sq["p"][0] < high[0] * 0.1
+        assert opt.acc_grad_sq["p"][0] >= 0 and opt.acc_delta_sq["p"][0] >= 0
 
     def test_non_finite_gradient_aborts(self):
-        param = np.array([0.0])
-        state = AdadeltaState.for_param(param)
-        with pytest.raises(FloatingPointError, match="non-finite"):
-            adadelta_step(param, np.array([np.nan]), state, name="encoder.0.weight")
+        opt = Adadelta({"encoder.0.weight": np.array([0.0])})
+        with pytest.raises(FloatingPointError, match="non-finite.*encoder.0.weight"):
+            opt.step({"encoder.0.weight": np.array([np.nan])})
 
     def test_shape_mismatch(self):
-        param = np.zeros(3)
-        state = AdadeltaState.for_param(param)
+        opt = Adadelta({"p": np.zeros(3)})
         with pytest.raises(ValueError, match="shape"):
-            adadelta_step(param, np.zeros(4), state)
+            opt.step({"p": np.zeros(4)})
 
 
 class TestAdadeltaOptimizer:
