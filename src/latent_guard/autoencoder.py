@@ -10,6 +10,14 @@ Architecture (bottleneck size k is configurable):
              conv3x3(2->32) + relu -> upsample2x2     14x14 -> 28x28
              conv3x3(32->1) + sigmoid
 
+The layer stacks fuse the two ends that work on 28x28x32 tensors:
+``Conv3x3ReLUPool`` stands for the first conv + relu + maxpool and
+``UpsampleConv3x3`` for the last upsample + conv, so neither tensor is ever
+built.  Both give bit-identical inference results, and checkpoints keep
+the unfused stack's parameter names (``PARAM_LAYER_NAMES``).  Training
+gradients of the tail, and of every layer before it, are summed in a
+different order and agree with the unfused stack to rounding.
+
 Training puts an L1 activity penalty on the bottleneck dense layer (weight
 ``TrainConfig.l1_lambda``); the penalty never enters the reconstruction-error
 novelty score.  All convolutions are same-padding, so spatial shape is
@@ -29,6 +37,7 @@ from latent_guard import serialization
 from latent_guard.errors import ShapeError
 from latent_guard.nn.layers import (
     Conv3x3,
+    Conv3x3ReLUPool,
     Dense,
     Flatten,
     MaxPool2x2,
@@ -36,6 +45,7 @@ from latent_guard.nn.layers import (
     Reshape,
     Sigmoid,
     Upsample2x2,
+    UpsampleConv3x3,
 )
 from latent_guard.nn.losses import bce_loss_per_sample
 
@@ -47,6 +57,13 @@ _FLAT_DIM = 7 * 7 * 2  # encoder spatial trace: 28 -> 14 -> 7 with 2 channels
 _CHUNK = 128
 
 CHECKPOINT_VERSION = 1
+
+# Checkpoint names of the parameterised layers, in stack order: their
+# positions in the unfused stack, so fusing layers changes no checkpoint.
+PARAM_LAYER_NAMES = (
+    "encoder.0", "encoder.3", "encoder.7",
+    "decoder.0", "decoder.2", "decoder.5", "decoder.8",
+)
 
 
 class Autoencoder:
@@ -64,9 +81,7 @@ class Autoencoder:
         self.seed = int(seed)
         rng = np.random.default_rng(seed)
         self.encoder_layers = [
-            Conv3x3(1, 32, rng, needs_input_grad=False),
-            ReLU(),
-            MaxPool2x2(),
+            Conv3x3ReLUPool(1, 32, rng),
             Conv3x3(32, 2, rng),
             ReLU(),
             MaxPool2x2(),
@@ -81,18 +96,17 @@ class Autoencoder:
             Upsample2x2(),
             Conv3x3(2, 32, rng),
             ReLU(),
-            Upsample2x2(),
-            Conv3x3(32, 1, rng),
+            UpsampleConv3x3(32, 1, rng),
             Sigmoid(),
         ]
 
     # -- parameter access ---------------------------------------------------
 
     def _named(self, attr):
+        layers = [layer for layer in self.encoder_layers + self.decoder_layers if layer.params]
         return {
-            f"{prefix}.{i}.{key}": arr
-            for prefix, stack in (("encoder", self.encoder_layers), ("decoder", self.decoder_layers))
-            for i, layer in enumerate(stack)
+            f"{name}.{key}": arr
+            for name, layer in zip(PARAM_LAYER_NAMES, layers, strict=True)
             for key, arr in getattr(layer, attr).items()
         }
 
@@ -149,7 +163,7 @@ class Autoencoder:
         single = z.ndim == 1
         if single:
             z = z[None]
-        if z.shape[1] != self.bottleneck_size:
+        if z.ndim != 2 or z.shape[1] != self.bottleneck_size:
             raise ShapeError("bottleneck input", (self.bottleneck_size,), z.shape[1:])
         out = self._chunked(lambda c: (self._run(self.decoder_layers, c),), z)[0]
         out = out.transpose(0, 3, 1, 2)

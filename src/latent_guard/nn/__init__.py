@@ -13,6 +13,7 @@ from latent_guard.nn.losses import bce_loss, bce_loss_and_grad, l1_penalty
 from latent_guard.nn.optim import Adadelta
 from latent_guard.nn.layers import (
     Conv3x3,
+    Conv3x3ReLUPool,
     Dense,
     Flatten,
     MaxPool2x2,
@@ -20,6 +21,7 @@ from latent_guard.nn.layers import (
     Reshape,
     Sigmoid,
     Upsample2x2,
+    UpsampleConv3x3,
     glorot_uniform,
 )
 
@@ -29,6 +31,7 @@ __all__ = [
     "l1_penalty",
     "Adadelta",
     "Conv3x3",
+    "Conv3x3ReLUPool",
     "Dense",
     "Flatten",
     "MaxPool2x2",
@@ -36,5 +39,6 @@ __all__ = [
     "Reshape",
     "Sigmoid",
     "Upsample2x2",
+    "UpsampleConv3x3",
     "glorot_uniform",
 ]

@@ -6,6 +6,16 @@ canonical [C_out, C_in, 3, 3] shape and dense weights [out_dim, in_dim].
 ``forward(x, train=True)`` caches whatever backward needs; caches belong to
 the most recent batch only.  Inference (train=False) caches nothing, so
 concurrent forward passes over an immutable layer stack are safe.
+
+``Conv3x3ReLUPool`` and ``UpsampleConv3x3`` are fused layers for the two
+ends of the autoencoder, where the unfused chains would build 28x28x32
+tensors; each has the single forward/backward pair of every layer, and
+its forward output is bit-identical to the chain it replaces (see
+``ops``).  The encoder's 32->2 conv + relu + maxpool and the decoder's
+2->32 upsample + conv stay unfused: the first would need a 58 MB
+corner-grouped im2col of 32 input channels per 128-row chunk, and the
+phase form of the second is slower than the unfused pair and not
+bit-identical to its im2col GEMM.
 """
 
 from __future__ import annotations
@@ -37,23 +47,21 @@ class Layer:
         raise NotImplementedError
 
 
+def conv3x3_params(rng, in_channels, out_channels):
+    """Glorot-initialized [C_out, C_in, 3, 3] weight and zero bias."""
+    fan = 9 * in_channels, 9 * out_channels
+    return {
+        "weight": glorot_uniform(rng, (out_channels, in_channels, 3, 3), *fan),
+        "bias": np.zeros(out_channels),
+    }
+
+
 class Conv3x3(Layer):
-    """Same-padding 3x3 convolution.
+    """Same-padding 3x3 convolution."""
 
-    ``needs_input_grad=False`` skips the input-gradient convolution; use it
-    for the first layer of a network, where dx is discarded anyway.
-    """
-
-    def __init__(self, in_channels, out_channels, rng, needs_input_grad=True):
+    def __init__(self, in_channels, out_channels, rng):
         super().__init__()
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.needs_input_grad = needs_input_grad
-        fan = 9 * in_channels, 9 * out_channels
-        self.params = {
-            "weight": glorot_uniform(rng, (out_channels, in_channels, 3, 3), *fan),
-            "bias": np.zeros(out_channels),
-        }
+        self.params = conv3x3_params(rng, in_channels, out_channels)
         self._cache = None
 
     def forward(self, x, train=False):
@@ -65,9 +73,53 @@ class Conv3x3(Layer):
         dw, db = ops.conv3x3_param_grads_nhwc(dout, self._cache, self.params["weight"].shape)
         self.grads = {"weight": dw, "bias": db}
         self._cache = None
-        if not self.needs_input_grad:
-            return None
         return ops.conv3x3_input_grad_nhwc(dout, self.params["weight"])
+
+
+class Conv3x3ReLUPool(Layer):
+    """Conv3x3 -> ReLU -> MaxPool2x2 as one layer, for a network's first
+    layer: the convolution is never materialized at full resolution, and
+    backward returns no input gradient."""
+
+    def __init__(self, in_channels, out_channels, rng):
+        super().__init__()
+        self.params = conv3x3_params(rng, in_channels, out_channels)
+        self._cache = None
+
+    def forward(self, x, train=False):
+        out, self._cache = ops.conv3x3_relu_pool_fwd_nhwc(
+            x, self.params["weight"], self.params["bias"], train=train
+        )
+        return out
+
+    def backward(self, dout):
+        dw, db = ops.conv3x3_relu_pool_param_grads_nhwc(
+            dout, self._cache, self.params["weight"].shape
+        )
+        self.grads = {"weight": dw, "bias": db}
+        self._cache = None
+        return None
+
+
+class UpsampleConv3x3(Layer):
+    """Upsample2x2 -> Conv3x3 as one layer, run as four phase convolutions
+    on the half-resolution input."""
+
+    def __init__(self, in_channels, out_channels, rng):
+        super().__init__()
+        self.params = conv3x3_params(rng, in_channels, out_channels)
+        self._padded = None
+
+    def forward(self, x, train=False):
+        out, padded = ops.upsample2x2_conv3x3_fwd_nhwc(x, self.params["weight"], self.params["bias"])
+        self._padded = padded if train else None
+        return out
+
+    def backward(self, dout):
+        dx, dw, db = ops.upsample2x2_conv3x3_bwd_nhwc(dout, self._padded, self.params["weight"])
+        self.grads = {"weight": dw, "bias": db}
+        self._padded = None
+        return dx
 
 
 class MaxPool2x2(Layer):
@@ -152,7 +204,7 @@ class Flatten(Layer):
         self._shape = None
 
     def forward(self, x, train=False):
-        self._shape = x.shape
+        self._shape = x.shape if train else None
         return x.reshape(len(x), math.prod(x.shape[1:]))
 
     def backward(self, dout):

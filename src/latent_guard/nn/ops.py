@@ -8,6 +8,17 @@ on the four strided views ``x[:, i::2, j::2]`` of the 2x2 window corners,
 with no 5-D transpose copy; pooling computes its uint8 first-max-wins
 routing indices only when asked to (training).  Dense and ReLU are
 one-liners and live in layers.py.
+
+Two fused kernels keep the autoencoder's 28x28x32 tensors out of memory.
+The stem, Conv3x3 -> ReLU -> MaxPool2x2, runs the convolution's GEMM on
+im2col rows grouped by pool-window corner and pools the four results
+before the bias and ReLU.  The tail, Upsample2x2 -> Conv3x3, runs as four
+phase convolutions on the half-resolution input (the sub-pixel identity of
+Shi et al. 2016, arXiv 1609.05158, in reverse).  Both forwards give the
+unfused chains' bits: the tail keeps the unfused per-row-offset GEMM shape
+and adds its nine tap terms in the unfused order, because pre-summing the
+taps that share a source pixel, or merging the three GEMMs into one,
+changes the rounding (by up to 4e-15 absolute on a 128-image chunk).
 """
 
 from __future__ import annotations
@@ -88,20 +99,9 @@ def conv3x3_input_grad_nhwc(dout, weights):
     return dx
 
 
-def maxpool2x2_fwd_nhwc(x, indices=True):
-    """Disjoint 2x2/stride-2 max pooling.  Returns (output, indices or None).
-
-    Indices are uint8 flat positions 0..3 inside each window (row-major),
-    shaped like the output; ties resolve to the first maximum.  They are
-    computed only if ``indices`` is true.
-    """
-    h, w = x.shape[1:3]
-    if h % 2 or w % 2:
-        raise ValueError(
-            f"maxpool2x2 requires even spatial dims, got {h}x{w}; "
-            "no odd-dimension padding policy is configured"
-        )
-    a, b, c, d = x[:, 0::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2]
+def _max4(a, b, c, d, indices):
+    """Elementwise max of the four corners of 2x2 windows (row-major order)
+    and, if ``indices`` is true, the uint8 position 0..3 of the first max."""
     top, bot = np.maximum(a, b), np.maximum(c, d)
     out = np.maximum(top, bot)
     if not indices:
@@ -109,6 +109,25 @@ def maxpool2x2_fwd_nhwc(x, indices=True):
     # tournament: each half keeps its first max, the top half wins ties
     idx = np.where(bot > top, (d > c).view(np.uint8) + np.uint8(2), (b > a).view(np.uint8))
     return out, idx
+
+
+def _check_even(h, w):
+    if h % 2 or w % 2:
+        raise ValueError(
+            f"maxpool2x2 requires even spatial dims, got {h}x{w}; "
+            "no odd-dimension padding policy is configured"
+        )
+
+
+def maxpool2x2_fwd_nhwc(x, indices=True):
+    """Disjoint 2x2/stride-2 max pooling.  Returns (output, indices or None).
+
+    Indices are uint8 flat positions 0..3 inside each window (row-major),
+    shaped like the output; ties resolve to the first maximum.  They are
+    computed only if ``indices`` is true.
+    """
+    _check_even(*x.shape[1:3])
+    return _max4(x[:, 0::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2], indices)
 
 
 def maxpool2x2_bwd_nhwc(dout, idx):
@@ -136,6 +155,113 @@ def upsample2x2_bwd_nhwc(dout):
     """Sums upstream gradients over each 2x2 replication block, corners added
     in row-major order (numpy's order for a sum over the block axes, C > 1)."""
     return dout[:, 0::2, 0::2] + dout[:, 0::2, 1::2] + dout[:, 1::2, 0::2] + dout[:, 1::2, 1::2]
+
+
+def conv3x3_relu_pool_fwd_nhwc(x, weights, bias, train=False):
+    """Conv3x3 -> ReLU -> MaxPool2x2 on [N, H, W, C_in], with few C_in.
+
+    The im2col rows are laid out corner-major, one block per pool-window
+    corner in routing order, so a single GEMM of the unfused shape yields
+    the four pre-activations of every window.  Their max gets the bias and
+    then ReLU, which is exact: rounding is monotone, so max(y) + b rounds
+    to max(y + b), and ReLU commutes with max.  Returns ``(out, cache)``;
+    the cache (None unless ``train``) holds the columns, the routing indices
+    of the tournament over the four GEMM outputs, and the ReLU mask of the
+    pooled pre-activation.
+    """
+    n, h, w, c_in = x.shape
+    _check_even(h, w)
+    c_out = weights.shape[0]
+    ho, wo = h // 2, w // 2
+    xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    win = sliding_window_view(xp, (3, 3), axis=(1, 2))  # [N,H,W,Ci,3,3]
+    cols = (
+        win.reshape(n, ho, 2, wo, 2, c_in, 3, 3)
+        .transpose(2, 4, 0, 1, 3, 6, 7, 5)
+        .reshape(4 * n * ho * wo, 9 * c_in)
+    )
+    wmat = weights.transpose(2, 3, 1, 0).reshape(9 * c_in, c_out)
+    y = (cols @ wmat).reshape(4, n, ho, wo, c_out)
+    out, idx = _max4(y[0], y[1], y[2], y[3], train)
+    out += bias
+    cache = (cols, idx, out > 0) if train else None
+    np.maximum(out, 0.0, out=out)
+    return out, cache
+
+
+def conv3x3_relu_pool_param_grads_nhwc(dout, cache, weight_shape):
+    """Weight/bias gradients of the fused stem from the pooled upstream grad.
+
+    The gradient is routed back to full resolution and the columns are put
+    back in (n, h, w) row order, so the weight-gradient GEMM is the unfused
+    one, summed in the same order.
+    """
+    cols, idx, mask = cache
+    dfull = maxpool2x2_bwd_nhwc(dout * mask, idx)
+    n, ho, wo = idx.shape[:3]
+    cols = cols.reshape(2, 2, n, ho, wo, -1).transpose(2, 3, 0, 4, 1, 5).reshape(len(cols), -1)
+    return conv3x3_param_grads_nhwc(dfull, ("cols", cols), weight_shape)
+
+
+def _phase_taps():
+    """(u, v, a, b, r, s) for every 3x3 tap (u, v) in the unfused summation
+    order and every output phase (a, b): the tap reads the zero-padded
+    half-resolution input at offset (r, s) from the phase pixel's origin."""
+    for u in range(3):
+        for v in range(3):
+            for a in range(2):
+                for b in range(2):
+                    yield u, v, a, b, (a + u - 1) // 2 + 1, (b + v - 1) // 2 + 1
+
+
+def upsample2x2_conv3x3_fwd_nhwc(x, weights, bias):
+    """Upsample2x2 -> same-padding Conv3x3, computed on the [N, H, W, C_in]
+    input without materializing the 2x-upsampled tensor.
+
+    Output pixel (2p + a, 2q + b) is the phase (a, b) pixel (p, q); its tap
+    (u, v) reads padded input pixel (p + r, q + s) (see ``_phase_taps``).
+    Per row offset u this runs the batched GEMM the unfused padded path
+    runs, of shape [N, (H+2)(W+2), C_in] @ [C_in, 3 C_out], and adds the
+    nine tap terms into each phase in the unfused (u, v) order, so every
+    output is bit-identical to the unfused chain with C_in > 4.  Pre-summing
+    the taps that share a source pixel, or one [C_in, 9 C_out] GEMM, would
+    change the rounding.  Returns ``(out, padded input)``.
+    """
+    n, h, w, c_in = x.shape
+    c_out = weights.shape[0]
+    xq = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    rows = xq.reshape(n, (h + 2) * (w + 2), c_in)
+    zs = [
+        (rows @ weights[:, :, u, :].transpose(1, 2, 0).reshape(c_in, 3 * c_out))
+        .reshape(n, h + 2, w + 2, 3, c_out)
+        for u in range(3)
+    ]
+    out = np.zeros((2, 2, n, h, w, c_out))  # phase-major: contiguous adds
+    for u, v, a, b, r, s in _phase_taps():
+        out[a, b] += zs[u][:, r:r + h, s:s + w, v, :]
+    out += bias
+    return out.transpose(2, 3, 0, 4, 1, 5).reshape(n, 2 * h, 2 * w, c_out), xq
+
+
+def upsample2x2_conv3x3_bwd_nhwc(dout, xq, weights):
+    """(dx, dw, db) of the fused tail from the upstream grad and the padded
+    input: the adjoints of the phase convolutions.  ``g[u, v]`` sums, at
+    each padded input pixel, the upstream gradient of every output whose
+    tap (u, v) reads that pixel; one GEMM against it gives the weight
+    gradient and one the input gradient.  Both sum in a different order
+    from the unfused chain, so they agree with it to rounding only."""
+    n, hp, wp, c_in = xq.shape
+    h, w = hp - 2, wp - 2
+    c_out = weights.shape[0]
+    d_phase = np.ascontiguousarray(dout.reshape(n, h, 2, w, 2, c_out).transpose(2, 4, 0, 1, 3, 5))
+    g = np.zeros((3, 3, n, hp, wp, c_out))
+    for u, v, a, b, r, s in _phase_taps():
+        g[u, v, :, r:r + h, s:s + w] += d_phase[a, b]
+    g = g.reshape(9, -1, c_out).transpose(1, 0, 2).reshape(-1, 9 * c_out)  # [N*Hp*Wp, 9*Co]
+    dw = (xq.reshape(-1, c_in).T @ g).reshape(c_in, 3, 3, c_out).transpose(3, 0, 1, 2).copy()
+    dxp = (g @ weights.transpose(2, 3, 0, 1).reshape(9 * c_out, c_in)).reshape(n, hp, wp, c_in)
+    db = dout.reshape(-1, c_out).sum(axis=0)
+    return dxp[:, 1:-1, 1:-1], dw, db
 
 
 def sigmoid(x):

@@ -5,12 +5,64 @@ import pytest
 
 from latent_guard import Autoencoder, serialization
 from latent_guard.errors import ShapeError
-from latent_guard.nn import bce_loss
+from latent_guard.nn import (
+    Conv3x3,
+    Dense,
+    Flatten,
+    MaxPool2x2,
+    ReLU,
+    Reshape,
+    Sigmoid,
+    Upsample2x2,
+    bce_loss,
+)
 from latent_guard.nn.losses import bce_loss_per_sample
 
 RNG = np.random.default_rng(42)
 X_SINGLE = RNG.uniform(0.0, 1.0, (1, 28, 28))
 X_BATCH = RNG.uniform(0.0, 1.0, (5, 1, 28, 28))
+
+
+# the checkpoint keys of the unfused layer stack, in order
+PARENT_KEYS = [
+    f"{layer}.{key}"
+    for layer in ("encoder.0", "encoder.3", "encoder.7", "decoder.0", "decoder.2", "decoder.5", "decoder.8")
+    for key in ("weight", "bias")
+]
+
+
+def unfused_stacks(k, seed):
+    """The layer-by-layer reference architecture, with no fused layer,
+    drawing its parameters from the same seeded generator in the same order."""
+    rng = np.random.default_rng(seed)
+    encoder = [
+        Conv3x3(1, 32, rng), ReLU(), MaxPool2x2(),
+        Conv3x3(32, 2, rng), ReLU(), MaxPool2x2(),
+        Flatten(), Dense(98, k, rng),
+    ]
+    decoder = [
+        Dense(k, 98, rng), Reshape((7, 7, 2)),
+        Conv3x3(2, 2, rng), ReLU(), Upsample2x2(),
+        Conv3x3(2, 32, rng), ReLU(), Upsample2x2(),
+        Conv3x3(32, 1, rng), Sigmoid(),
+    ]
+    return encoder, decoder
+
+
+def unfused_named(attr, encoder, decoder):
+    """Position-keyed arrays of the reference stacks, like the old checkpoints."""
+    return {
+        f"{prefix}.{i}.{key}": arr
+        for prefix, stack in (("encoder", encoder), ("decoder", decoder))
+        for i, layer in enumerate(stack)
+        for key, arr in getattr(layer, attr).items()
+    }
+
+
+def run(stack, x, train=False):
+    for layer in stack:
+        x = layer.forward(x, train=train)
+    return x
 
 
 def analytic_param_count(k):
@@ -100,6 +152,15 @@ class TestEncode:
         with pytest.raises(ShapeError):
             model.decode(np.zeros(5))
 
+    def test_decode_rejects_scalar(self):
+        with pytest.raises(ShapeError, match=r"expected shape \(4,\), got \(\)"):
+            Autoencoder(4, seed=0).decode(np.float64(0.5))
+
+    def test_decode_rejects_extra_axis(self):
+        # a trailing axis keeps shape[1] == k, so only the rank check catches it
+        with pytest.raises(ShapeError, match=r"expected shape \(4,\), got \(4, 1\)"):
+            Autoencoder(4, seed=0).decode(np.zeros((2, 4, 1)))
+
     def test_out_of_range_values_rejected(self):
         model = Autoencoder(4, seed=0)
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
@@ -154,6 +215,52 @@ class TestChunkedForward:
         z, errs = model.encode_and_reconstruction_errors(empty)
         assert z.shape == (0, 8) and errs.shape == (0,)
         assert model.encode(empty).shape == (0, 8)
+
+
+class TestMatchesUnfusedStack:
+    """The fused stem and tail change no inference result and no checkpoint."""
+
+    def test_encode_and_errors_are_bit_identical(self):
+        model = Autoencoder(784, seed=4)
+        encoder, decoder = unfused_stacks(784, 4)
+        x = np.random.default_rng(8).uniform(0.0, 1.0, (20, 1, 28, 28))
+        x[:, :, :5] = 0.0  # blank rows, like the margins of MNIST digits
+        z_ref = run(encoder, x.transpose(0, 2, 3, 1))
+        z, errs = model.encode_and_reconstruction_errors(x)
+        assert np.array_equal(z, z_ref)
+        assert np.array_equal(model.encode(x), z_ref)
+        recon_ref = run(decoder, z_ref)
+        assert np.array_equal(errs, bce_loss_per_sample(recon_ref, x.transpose(0, 2, 3, 1)))
+        assert np.array_equal(model.decode(z), recon_ref.transpose(0, 3, 1, 2))
+
+    def test_training_grads_match_to_rounding(self):
+        # the tail's backward sums by phase, so gradients agree to rounding
+        model = Autoencoder(8, seed=31)
+        encoder, decoder = unfused_stacks(8, 31)
+        x = np.random.default_rng(9).uniform(0.0, 1.0, (3, 28, 28, 1))
+        recon, _ = model.forward_training(x)
+        ref = run(decoder, run(encoder, x, train=True), train=True)
+        assert np.array_equal(recon, ref)
+        d = (recon - x) / recon.size
+        model.backward_training(d)
+        for layer in reversed(encoder + decoder):
+            d = layer.backward(d)
+        ref_grads = unfused_named("grads", encoder, decoder)
+        for name, grad in model.named_grads().items():
+            np.testing.assert_allclose(grad, ref_grads[name], rtol=1e-12, atol=1e-15, err_msg=name)
+
+    def test_parameter_names_keep_unfused_positions(self):
+        assert list(Autoencoder(16, seed=0).named_parameters()) == PARENT_KEYS
+
+    def test_new_checkpoint_bytes_equal_unfused_checkpoint(self, tmp_path):
+        model = Autoencoder(784, seed=22)
+        model.save(tmp_path / "fused.lgar")
+        header = {"kind": "autoencoder-checkpoint", "format_version": 1,
+                  "bottleneck_size": 784, "seed": 22}
+        params = unfused_named("params", *unfused_stacks(784, 22))
+        assert list(params) == PARENT_KEYS
+        serialization.write_arrays(tmp_path / "unfused.lgar", header, params)
+        assert (tmp_path / "fused.lgar").read_bytes() == (tmp_path / "unfused.lgar").read_bytes()
 
 
 class TestTrainingHooks:

@@ -9,7 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from latent_guard.nn import Conv3x3, Dense, MaxPool2x2, ReLU, Sigmoid, Upsample2x2
+from latent_guard.nn import (
+    Conv3x3,
+    Conv3x3ReLUPool,
+    Dense,
+    Flatten,
+    MaxPool2x2,
+    ReLU,
+    Sigmoid,
+    Upsample2x2,
+    UpsampleConv3x3,
+)
 from latent_guard.nn import ops
 
 from helpers import numeric_grad, assert_grad_close
@@ -328,6 +338,152 @@ class TestStridedKernelsMatchReference:
         g = rng.standard_normal(out.shape)
         assert same_bytes(ops.maxpool2x2_bwd_nhwc(g, idx), ref_maxpool_bwd(g, ref_idx))
         assert same_bytes(ops.upsample2x2_bwd_nhwc(x), ref_upsample_bwd(x))
+
+
+# The fused stem and tail must give the unfused chains' outputs exactly.
+
+WEIGHTS = st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0, 2.0])  # few values: many pooling ties
+FINITE_GRADS = st.sampled_from([-1.5, -0.0, 0.0, 0.25, 3.0])
+
+
+def fused_and_chain(fused_cls, chain_kinds, data, c_in, c_out, weights=WEIGHTS):
+    """A fused layer and the equivalent chain of unfused layers, both holding
+    the same drawn parameters."""
+    w = data.draw(arrays(np.float64, (c_out, c_in, 3, 3), elements=weights))
+    b = data.draw(arrays(np.float64, c_out, elements=weights))
+    fused = with_params(fused_cls(c_in, c_out, np.random.default_rng(0)), w, b)
+    chain = [conv_layer(w, b) if kind is Conv3x3 else kind() for kind in chain_kinds]
+    return fused, chain
+
+
+def run_chain(chain, x, train=False):
+    for layer in chain:
+        x = layer.forward(x, train=train)
+    return x
+
+
+def backprop_chain(chain, dout):
+    for layer in reversed(chain):
+        dout = layer.backward(dout)
+    return dout
+
+
+class TestFusedLayersMatchChains:
+    """``Conv3x3ReLUPool`` against Conv3x3 -> ReLU -> MaxPool2x2 and
+    ``UpsampleConv3x3`` against Upsample2x2 -> Conv3x3.  Outputs compare with
+    array_equal, so a window that mixes -0.0 and +0.0 may pool to either
+    sign of zero, as in the pooling kernels above."""
+
+    @EQUIV
+    @given(data=st.data(), shape=SHAPES, c_in=st.integers(1, ops._IM2COL_MAX_CIN))
+    def test_stem_forward_routing_and_param_grads(self, data, shape, c_in):
+        n, ho, wo, c_out = shape
+        stem, chain = fused_and_chain(Conv3x3ReLUPool, (Conv3x3, ReLU, MaxPool2x2), data, c_in, c_out)
+        x = data.draw(arrays(np.float64, (n, 2 * ho, 2 * wo, c_in), elements=TIES))
+        ref = run_chain(chain, x)
+        np.testing.assert_array_equal(stem.forward(x), ref)
+        assert stem._cache is None
+
+        np.testing.assert_array_equal(stem.forward(x, train=True), ref)
+        np.testing.assert_array_equal(run_chain(chain, x, train=True), ref)
+        # the ReLU zeroes every gradient routed from a window whose pooled
+        # pre-activation is <= 0, so routing only has to agree elsewhere
+        idx, positive = stem._cache[1], ref > 0
+        np.testing.assert_array_equal(idx[positive], chain[2]._idx[positive])
+
+        dout = data.draw(arrays(np.float64, ref.shape, elements=FINITE_GRADS))
+        assert stem.backward(dout) is None
+        backprop_chain(chain, dout)
+        for key in ("weight", "bias"):
+            np.testing.assert_array_equal(stem.grads[key], chain[0].grads[key])
+
+    @EQUIV
+    @given(data=st.data(), shape=SHAPES, c_in=st.integers(1, 40))
+    def test_tail_forward(self, data, shape, c_in):
+        n, h, w, c_out = shape
+        tail, chain = fused_and_chain(
+            UpsampleConv3x3, (Upsample2x2, Conv3x3), data, c_in, c_out, weights=FLOATS
+        )
+        x = data.draw(arrays(np.float64, (n, h, w, c_in), elements=FLOATS))
+        ref = run_chain(chain, x)
+        for train in (False, True):
+            out = tail.forward(x, train=train)
+            if c_in > ops._IM2COL_MAX_CIN:
+                # the unfused conv runs the same per-offset GEMMs
+                np.testing.assert_array_equal(out, ref)
+            else:
+                # the unfused conv sums all nine taps in one im2col GEMM
+                np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+        assert tail._padded is not None
+        tail.forward(x)
+        assert tail._padded is None
+
+    def test_model_sized_chunk_is_bit_identical(self):
+        rng = np.random.default_rng(15)
+        x = rng.uniform(0.0, 1.0, (5, 28, 28, 1))
+        w1, b1 = rng.uniform(-0.3, 0.3, (32, 1, 3, 3)), rng.uniform(-0.1, 0.1, 32)
+        stem = with_params(Conv3x3ReLUPool(1, 32, rng), w1, b1)
+        h = stem.forward(x)
+        assert same_bytes(h, run_chain([conv_layer(w1, b1), ReLU(), MaxPool2x2()], x))
+        w2, b2 = rng.uniform(-0.3, 0.3, (1, 32, 3, 3)), rng.uniform(-0.1, 0.1, 1)
+        tail = with_params(UpsampleConv3x3(32, 1, rng), w2, b2)
+        assert same_bytes(tail.forward(h), run_chain([Upsample2x2(), conv_layer(w2, b2)], h))
+
+
+def fused_fd_check(layer, x, proj, input_grad):
+    """The layer's backward against central differences of sum(out * proj)."""
+    layer.forward(x, train=True)
+    dx = layer.backward(proj)
+
+    def loss(which, value):
+        if which == "x":
+            return float((layer.forward(value) * proj).sum())
+        saved = layer.params[which].copy()
+        layer.params[which][...] = value
+        out = float((layer.forward(x) * proj).sum())
+        layer.params[which][...] = saved
+        return out
+
+    if input_grad:
+        assert_grad_close(dx, numeric_grad(lambda v: loss("x", v), x.copy()), rtol=1e-5)
+    else:
+        assert dx is None
+    for key in ("weight", "bias"):
+        num = numeric_grad(lambda v: loss(key, v), layer.params[key].copy())
+        assert_grad_close(layer.grads[key], num, rtol=1e-5)
+
+
+class TestFusedLayersFiniteDifferences:
+    def test_stem_param_grads(self):
+        # continuous random data keeps the pooled pre-activations away from
+        # ties and from ReLU's kink, where the loss is differentiable
+        rng = np.random.default_rng(16)
+        stem = Conv3x3ReLUPool(2, 3, rng)
+        stem.params["bias"][...] = rng.uniform(-0.2, 0.2, 3)
+        x = rng.standard_normal((2, 4, 6, 2))
+        fused_fd_check(stem, x, rng.standard_normal((2, 2, 3, 3)), input_grad=False)
+
+    @pytest.mark.parametrize("c_in", [2, ops._IM2COL_MAX_CIN + 3])
+    def test_tail_input_and_param_grads(self, c_in):
+        rng = np.random.default_rng(17)
+        tail = UpsampleConv3x3(c_in, 3, rng)
+        tail.params["bias"][...] = rng.uniform(-0.2, 0.2, 3)
+        x = rng.standard_normal((2, 3, 2, c_in))
+        fused_fd_check(tail, x, rng.standard_normal((2, 6, 4, 3)), input_grad=True)
+
+    def test_stem_rejects_odd_dims(self):
+        with pytest.raises(ValueError, match="even spatial"):
+            Conv3x3ReLUPool(1, 2, np.random.default_rng(0)).forward(np.zeros((1, 5, 4, 1)))
+
+
+class TestFlatten:
+    def test_inference_caches_no_shape(self):
+        x = np.zeros((2, 3, 3, 2))
+        layer = Flatten()
+        layer.forward(x, train=True)
+        assert layer._shape == x.shape
+        assert layer.forward(x).shape == (2, 18)
+        assert layer._shape is None
 
 
 class TestDense:
