@@ -14,12 +14,13 @@ The layer stacks fuse the two ends that work on 28x28x32 tensors:
 ``Conv3x3ReLUPool`` stands for the first conv + relu + maxpool and
 ``UpsampleConv3x3`` for the last upsample + conv, so neither tensor is ever
 built.  Both give bit-identical inference results, and checkpoints keep
-the unfused stack's parameter names (``PARAM_LAYER_NAMES``).  Training
-gradients of the tail, and of every layer before it, are summed in a
-different order and agree with the unfused stack to rounding.
+the unfused stack's parameter names (``PARAM_LAYER_NAMES``).  Both fused
+layers sum their training gradients in their own order (the stem per
+pool-window corner), so every training gradient agrees with the unfused
+stack to rounding.
 
 Training puts an L1 activity penalty on the bottleneck dense layer (weight
-``TrainConfig.l1_lambda``); the penalty never enters the reconstruction-error
+``trainer.L1_LAMBDA``); the penalty never enters the reconstruction-error
 novelty score.  All convolutions are same-padding, so spatial shape is
 preserved except at the pool/upsample steps.  Weights are Glorot-uniform
 from a seeded generator: the same (bottleneck_size, seed) pair always

@@ -95,7 +95,6 @@ def _add_common_train_flags(sub):
     sub.add_argument("--patience", type=_positive_int, default=20)
     sub.add_argument("--batch-size", type=_positive_int, default=128)
     sub.add_argument("--val-size", type=_positive_int, default=10000)
-    sub.add_argument("--l1-lambda", type=float, default=1e-5)
 
 
 def _train_config(args, bottleneck, seed) -> TrainConfig:
@@ -108,7 +107,6 @@ def _train_config(args, bottleneck, seed) -> TrainConfig:
             patience=args.patience,
             batch_size=args.batch_size,
             val_size=args.val_size,
-            l1_lambda=args.l1_lambda,
         )
     except ValueError as exc:
         raise CliError("usage", f"invalid configuration: {exc}") from exc
@@ -222,6 +220,11 @@ def _sweep_one(task: dict):
 def cmd_sweep(args) -> int:
     data_dir = _resolve_data_dir(args)
     bundles_dir = Path(args.bundles_dir)
+    for flag, values in (("--bottlenecks", args.bottlenecks), ("--seeds", args.seeds)):
+        if not values:
+            raise CliError("usage", f"{flag} needs at least one value")
+        if len(set(values)) < len(values):
+            raise CliError("usage", f"{flag} repeats a value: {values}")
     tasks = []
     for k in args.bottlenecks:
         for seed in args.seeds:

@@ -15,10 +15,10 @@ im2col rows grouped by pool-window corner and pools the four results
 before the bias and ReLU.  The tail, Upsample2x2 -> Conv3x3, runs as four
 phase convolutions on the half-resolution input (the sub-pixel identity of
 Shi et al. 2016, arXiv 1609.05158, in reverse).  Both forwards give the
-unfused chains' bits: the tail keeps the unfused per-row-offset GEMM shape
-and adds its nine tap terms in the unfused order, because pre-summing the
-taps that share a source pixel, or merging the three GEMMs into one,
-changes the rounding (by up to 4e-15 absolute on a 128-image chunk).
+unfused chains' bits; the tail keeps the unfused GEMM shape and tap order,
+since pre-summed taps or one merged GEMM change the rounding (4e-15 on a
+128-image chunk).  Both backwards sum in their own order (the stem's per
+window corner), so their dW and db match the unfused chains' to rounding.
 """
 
 from __future__ import annotations
@@ -130,19 +130,22 @@ def maxpool2x2_fwd_nhwc(x, indices=True):
     return _max4(x[:, 0::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2], indices)
 
 
-def maxpool2x2_bwd_nhwc(dout, idx):
-    """Routes each upstream element to its window's argmax position.
+def _route(dout, idx, k, out=None):
+    """Corner ``k``'s share of ``dout`` under first-max-wins routing: ``dout``
+    bitwise-ANDed with an all-ones or all-zeros mask, which (unlike a 0/1
+    multiply) leaves +0.0, never -0.0 or NaN, wherever ``idx != k``."""
+    out = np.empty(dout.shape) if out is None else out
+    mask = -(idx == k).astype(np.int64)  # 0 or all bits set
+    np.bitwise_and(dout.view(np.int64), mask, out=out.view(np.int64))
+    return out
 
-    Each window slot is ``dout`` bitwise-ANDed with an all-ones or all-zeros
-    mask, which (unlike a 0/1 multiply) leaves +0.0, never -0.0 or NaN, off
-    the argmax.
-    """
+
+def maxpool2x2_bwd_nhwc(dout, idx):
+    """Routes each upstream element to its window's argmax position."""
     n, ho, wo, c = dout.shape
     dx = np.empty((n, ho, 2, wo, 2, c))
-    bits = dout.view(np.int64)
     for k in range(4):
-        mask = -(idx == k).astype(np.int64)  # 0 or all bits set
-        np.bitwise_and(bits, mask, out=dx[:, :, k // 2, :, k % 2, :].view(np.int64))
+        _route(dout, idx, k, out=dx[:, :, k // 2, :, k % 2, :])
     return dx.reshape(n, 2 * ho, 2 * wo, c)
 
 
@@ -190,17 +193,14 @@ def conv3x3_relu_pool_fwd_nhwc(x, weights, bias, train=False):
 
 
 def conv3x3_relu_pool_param_grads_nhwc(dout, cache, weight_shape):
-    """Weight/bias gradients of the fused stem from the pooled upstream grad.
-
-    The gradient is routed back to full resolution and the columns are put
-    back in (n, h, w) row order, so the weight-gradient GEMM is the unfused
-    one, summed in the same order.
-    """
+    """Weight/bias gradients of the fused stem, the adjoint of its forward:
+    each corner's block of the corner-major columns against the ReLU-masked
+    gradient routed to it, summed over corners (unfused result to rounding)."""
     cols, idx, mask = cache
-    dfull = maxpool2x2_bwd_nhwc(dout * mask, idx)
-    n, ho, wo = idx.shape[:3]
-    cols = cols.reshape(2, 2, n, ho, wo, -1).transpose(2, 3, 0, 4, 1, 5).reshape(len(cols), -1)
-    return conv3x3_param_grads_nhwc(dfull, ("cols", cols), weight_shape)
+    dout = dout * mask
+    per_corner = [conv3x3_param_grads_nhwc(_route(dout, idx, k), ("cols", block), weight_shape)
+                  for k, block in enumerate(cols.reshape(4, -1, cols.shape[1]))]
+    return tuple(g0 + g1 + g2 + g3 for g0, g1, g2, g3 in zip(*per_corner))
 
 
 def _phase_taps():

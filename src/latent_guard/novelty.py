@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -131,19 +132,30 @@ def write_scores_csv(f, sample_ids, is_inlier, re, ld, hybrid) -> None:
         writer.writerow([int(sid), int(inl), repr(float(r)), repr(float(d)), repr(float(h))])
 
 
+def _score_row(row, path, line):
+    """(sample_id, is_inlier, re, ld, hybrid) of one scores-CSV row."""
+    try:
+        if len(row) != len(SCORES_CSV_HEADER):
+            raise ValueError(f"expected {len(SCORES_CSV_HEADER)} fields, got {len(row)}")
+        scores = [float(v) for v in row[2:]]
+        bad = [name for name, v in zip(SCORES_CSV_HEADER[2:], scores) if not math.isfinite(v)]
+        if bad:
+            raise ValueError(f"non-finite {', '.join(bad)}: {row[2:]}")
+        return int(row[0]), bool(int(row[1])), *scores
+    except ValueError as exc:
+        raise ValueError(f"{path}, line {line}: {exc}") from None
+
+
 def read_scores_csv(path):
-    """Returns (sample_ids, is_inlier, re, ld, hybrid) arrays."""
+    """Returns (sample_ids, is_inlier, re, ld, hybrid) arrays.  A row without
+    five fields, or with a non-integer id or label or a non-finite score,
+    raises ValueError naming its line."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)
         if header != SCORES_CSV_HEADER:
             raise ValueError(f"{path}: expected header {SCORES_CSV_HEADER}, got {header}")
-        rows = list(reader)
+        rows = [_score_row(row, path, reader.line_num) for row in reader]
     if not rows:
         raise ValueError(f"{path}: no score rows")
-    sample_ids = np.array([int(r[0]) for r in rows])
-    is_inlier = np.array([bool(int(r[1])) for r in rows])
-    re = np.array([float(r[2]) for r in rows])
-    ld = np.array([float(r[3]) for r in rows])
-    hybrid = np.array([float(r[4]) for r in rows])
-    return sample_ids, is_inlier, re, ld, hybrid
+    return tuple(np.array(column) for column in zip(*rows))

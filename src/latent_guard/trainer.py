@@ -5,7 +5,7 @@ Procedure for one (inlier class, bottleneck size) configuration:
 1. Randomly split the full training set (before any class filtering) into
    train/validation parts of exact sizes.
 2. Filter both parts to the inlier class.
-3. Minimize BCE(x, reconstruction) + l1_lambda * mean_per_sample |bottleneck|
+3. Minimize BCE(x, reconstruction) + L1_LAMBDA * mean_per_sample |bottleneck|
    with adadelta over shuffled mini-batches; the shuffle order is derived
    from (seed, epoch), so a fixed config is bit-reproducible.
 4. After each epoch compute the validation loss (same objective, including
@@ -29,6 +29,9 @@ from latent_guard.nn.optim import Adadelta
 
 STOP_EARLY = "early"
 STOP_MAX_EPOCHS = "max_epochs"
+
+# weight of the L1 activity penalty on the bottleneck, the method's constant
+L1_LAMBDA = 1e-5
 
 
 def tune_allocator() -> None:
@@ -58,9 +61,10 @@ class TrainConfig:
     patience: int = 20
     batch_size: int = 128
     val_size: int = 10000
-    l1_lambda: float = 1e-5
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.inlier_class <= 9:
             raise ValueError(f"inlier_class must be 0-9, got {self.inlier_class}")
         if self.bottleneck_size < 1:
@@ -139,10 +143,10 @@ class EarlyStopping:
         return epoch - self.best_epoch > self.patience
 
 
-def _objective_forward(model, val_images, l1_lambda):
+def _objective_forward(model, val_images):
     """Validation objective on [N,1,28,28] images: mean BCE plus the L1 term."""
     z, re = model.encode_and_reconstruction_errors(val_images)
-    return re.mean() + l1_lambda * np.abs(z).sum(axis=1).mean()
+    return re.mean() + L1_LAMBDA * np.abs(z).sum(axis=1).mean()
 
 
 def train(config: TrainConfig, dataset: ImageDataset):
@@ -171,7 +175,7 @@ def train(config: TrainConfig, dataset: ImageDataset):
                 bce, d_recon = bce_loss_and_grad(recon, batch)
             except ValueError:  # NaN reconstruction; reported below with its place
                 bce, d_recon = np.nan, None
-            penalty, d_bottleneck = l1_penalty(bottleneck, config.l1_lambda)
+            penalty, d_bottleneck = l1_penalty(bottleneck, L1_LAMBDA)
             loss = bce + penalty / b
             if not np.isfinite(loss):
                 raise FloatingPointError(
@@ -182,7 +186,7 @@ def train(config: TrainConfig, dataset: ImageDataset):
             optimizer.step(model.named_grads())
             total_loss += loss * b
 
-        val_loss = _objective_forward(model, val_inliers.images, config.l1_lambda)
+        val_loss = _objective_forward(model, val_inliers.images)
         if not np.isfinite(val_loss):
             raise FloatingPointError(
                 f"non-finite validation loss {val_loss} at epoch {epoch}"

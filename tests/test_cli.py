@@ -104,6 +104,20 @@ class TestTrain:
         assert code == 1
         assert capsys.readouterr().err.startswith("error[data]: ")
 
+    def test_negative_seed_is_usage_error(self, data_dir, tmp_path, capsys):
+        code = cli.main(["train", "--class", "0", "--bottleneck", "4",
+                         "--data-dir", str(data_dir), "--out", str(tmp_path / "x"),
+                         *TRAIN_ARGS[:-2], "--seed", "-1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[usage]:") and "seed" in err
+        assert not (tmp_path / "x").exists()
+
+    def test_l1_lambda_is_not_a_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            cli.main(["train", "--help"])
+        assert "--l1-lambda" not in capsys.readouterr().out
+
     def test_existing_bundle_is_bundle_error(self, data_dir, trained_bundle, capsys):
         code = cli.main(["train", "--class", "0", "--bottleneck", "4",
                          "--data-dir", str(data_dir), "--out", str(trained_bundle),
@@ -281,6 +295,25 @@ class TestSweep:
         assert capsys.readouterr().err.startswith("error[usage]:")
         assert not (tmp_path / "fresh").exists()
 
+    @pytest.mark.parametrize("grid", [
+        ["--bottlenecks", "4", "--seeds", "-3"],    # negative seed
+        ["--bottlenecks", ",", "--seeds", "5"],     # empty list
+        ["--bottlenecks", "4", "--seeds", ","],
+        ["--bottlenecks", "4,4", "--seeds", "5"],   # repeated value
+        ["--bottlenecks", "4", "--seeds", "5,6,5"],
+    ], ids=["negative-seed", "no-bottlenecks", "no-seeds", "repeated-bottleneck",
+            "repeated-seed"])
+    def test_bad_grid_is_usage_error_before_bundles_dir(self, data_dir, tmp_path,
+                                                        capsys, grid):
+        bundles = tmp_path / "fresh" / "bundles"
+        code = cli.main(["sweep", "--class", "0", *grid, "--data-dir", str(data_dir),
+                         "--bundles-dir", str(bundles), "--out-csv", str(tmp_path / "c.csv"),
+                         *TRAIN_ARGS[:-2]])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error[usage]:")
+        assert not (tmp_path / "fresh").exists()
+        assert not (tmp_path / "c.csv").exists()
+
     def test_partial_failure_recorded_as_nan_rows(self, data_dir, tmp_path,
                                                   monkeypatch, capsys):
         real = cli._train_bundle
@@ -353,6 +386,28 @@ class TestPlot:
                          "--out-svg", str(tmp_path / "x.svg")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error[plot]:")
+
+
+    def test_short_row_is_plot_error(self, tmp_path, capsys):
+        bad = tmp_path / "short.csv"
+        bad.write_text("sample_id,true_is_inlier,re,ld,hybrid\n0,1,0.5,1.0,1.5\n1,0,0.7\n")
+        code = cli.main(["plot", "--scores-csv", str(bad),
+                         "--out-svg", str(tmp_path / "x.svg")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[plot]:") and "line 3" in err
+        assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("row", ["0,1,nan,1.0,1.5", "0,1,0.5,inf,1.5", "0,1,0.5,1.0,-inf"])
+    def test_non_finite_score_is_plot_error(self, tmp_path, capsys, row):
+        bad = tmp_path / "nan.csv"
+        bad.write_text(f"sample_id,true_is_inlier,re,ld,hybrid\n1,0,0.7,2.0,2.7\n{row}\n")
+        code = cli.main(["plot", "--scores-csv", str(bad),
+                         "--out-svg", str(tmp_path / "x.svg")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[plot]:") and "line 3" in err and "non-finite" in err
+        assert not (tmp_path / "x.svg").exists()
 
 
 class TestConsoleScript:

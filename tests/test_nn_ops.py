@@ -429,6 +429,22 @@ class TestFusedLayersMatchChains:
         tail = with_params(UpsampleConv3x3(32, 1, rng), w2, b2)
         assert same_bytes(tail.forward(h), run_chain([Upsample2x2(), conv_layer(w2, b2)], h))
 
+        # a training backward on the values of TIES, WEIGHTS and FINITE_GRADS:
+        # every sum is exact, so the stem's per-corner dW and db must equal the
+        # unfused chain's, through tied windows and the zero-padded borders
+        x = rng.choice([-1.0, 0.0, 1.0, 2.0], (5, 28, 28, 1))
+        weights = [-1.0, -0.5, 0.0, 0.5, 1.0, 2.0]
+        w1, b1 = rng.choice(weights, (32, 1, 3, 3)), rng.choice(weights, 32)
+        stem = with_params(Conv3x3ReLUPool(1, 32, rng), w1, b1)
+        chain = [conv_layer(w1, b1), ReLU(), MaxPool2x2()]
+        out = stem.forward(x, train=True)
+        np.testing.assert_array_equal(out, run_chain(chain, x, train=True))
+        dout = rng.choice([-1.5, -0.0, 0.0, 0.25, 3.0], out.shape)
+        assert stem.backward(dout) is None
+        backprop_chain(chain, dout)
+        for key in ("weight", "bias"):
+            np.testing.assert_array_equal(stem.grads[key], chain[0].grads[key])
+
 
 def fused_fd_check(layer, x, proj, input_grad):
     """The layer's backward against central differences of sum(out * proj)."""

@@ -7,7 +7,7 @@ import pytest
 
 from latent_guard import TrainConfig, inlier_split, split_dataset, train
 from latent_guard.data import ImageDataset, filter_class
-from latent_guard.trainer import STOP_EARLY, STOP_MAX_EPOCHS, EarlyStopping
+from latent_guard.trainer import L1_LAMBDA, STOP_EARLY, STOP_MAX_EPOCHS, EarlyStopping
 
 from conftest import synthetic_digits
 
@@ -134,7 +134,7 @@ class TestTrainLoop:
         (model, record), config = run
         _, val_inliers = inlier_split(config, tiny_train_set)
         z, errs = model.encode_and_reconstruction_errors(val_inliers.images)
-        recomputed = errs.mean() + config.l1_lambda * np.abs(z).sum(axis=1).mean()
+        recomputed = errs.mean() + L1_LAMBDA * np.abs(z).sum(axis=1).mean()
         np.testing.assert_allclose(recomputed, record.best_val_loss, rtol=1e-9)
 
     def test_epoch_indices_monotone(self, run):
@@ -169,7 +169,7 @@ class TestTrainLoop:
         def scripted(values):
             it = iter(values)
 
-            def fake(model, x, lam):
+            def fake(model, x):
                 return next(it)
 
             return fake
