@@ -206,29 +206,28 @@ class Autoencoder:
 
     # -- persistence ----------------------------------------------------------
 
-    def save(self, path) -> None:
-        """Writes a bit-exact checkpoint (format version, config, parameters)."""
+    def to_bytes(self) -> bytes:
+        """Bit-exact checkpoint bytes (format version, config, parameters)."""
         header = {
             "kind": "autoencoder-checkpoint",
             "format_version": CHECKPOINT_VERSION,
             "bottleneck_size": self.bottleneck_size,
             "seed": self.seed,
         }
-        serialization.write_arrays(path, header, self.named_parameters())
+        return serialization.encode_arrays(header, self.named_parameters())
 
     @classmethod
-    def load(cls, path) -> "Autoencoder":
-        header, arrays = serialization.read_arrays(path)
+    def from_bytes(cls, raw: bytes) -> "Autoencoder":
+        header, arrays = serialization.decode_arrays(raw)
         if header.get("kind") != "autoencoder-checkpoint":
-            raise ValueError(f"{path}: not an autoencoder checkpoint")
+            raise ValueError("not an autoencoder checkpoint")
         # older checkpoints also carry an "l1_lambda" key, which is ignored
         model = cls(header["bottleneck_size"], header["seed"])
         params = model.named_parameters()
         if set(params) != set(arrays):
-            raise ValueError(f"{path}: checkpoint parameter names do not match")
+            raise ValueError("checkpoint parameter names do not match")
         for name, arr in arrays.items():
             if params[name].shape != arr.shape:
                 raise ShapeError(f"checkpoint param {name}", params[name].shape, arr.shape)
             params[name][...] = arr
         return model
-

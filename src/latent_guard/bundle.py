@@ -17,7 +17,8 @@ Only the manifest carries a timestamp; every other file is a deterministic
 function of (config, seed, data), so re-running a configuration reproduces
 identical digests.  Bundles are created atomically (temp dir + rename); eval
 files and the manifest are then replaced whole (temp file + rename) under
-an exclusive lock, and the loaders check a file's digest before parsing it.
+an exclusive lock.  Only this module opens bundle files: digests are taken
+of the bytes written, and a loader parses the bytes whose digest it checked.
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ from pathlib import Path
 
 from latent_guard.autoencoder import Autoencoder
 from latent_guard.latent_stats import GaussianStats
-from latent_guard.novelty import NoveltyCalibration
+from latent_guard.metrics import EvalReport
+from latent_guard.novelty import MODES, NoveltyCalibration
 
 MANIFEST_VERSION = 1
 
@@ -45,12 +47,8 @@ MANIFEST_FILE = "manifest.json"
 LOCK_FILE = ".lock"
 
 
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
 
 
 def _manifest_text(manifest: dict) -> str:
@@ -87,10 +85,11 @@ class ExperimentBundle:
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = Path(tempfile.mkdtemp(prefix=f".tmp-{path.name}-", dir=path.parent))
         try:
-            model.save(tmp / CHECKPOINT_FILE)
-            stats.save(tmp / STATS_FILE)
-            (tmp / CALIBRATION_FILE).write_text(calibration.to_json() + "\n")
-            (tmp / TRAIN_LOG_FILE).write_text(record.to_jsonl())
+            files = {CHECKPOINT_FILE: model.to_bytes(), STATS_FILE: stats.to_bytes(),
+                     CALIBRATION_FILE: (calibration.to_json() + "\n").encode(),
+                     TRAIN_LOG_FILE: record.to_jsonl().encode()}
+            for name, data in files.items():
+                (tmp / name).write_bytes(data)
             manifest = {
                 "kind": "latent-guard-bundle",
                 "format_version": MANIFEST_VERSION,
@@ -101,10 +100,7 @@ class ExperimentBundle:
                     "epochs_run": len(record.epochs),
                     "best_val_loss": record.best_val_loss,
                 },
-                "files": {
-                    name: _sha256(tmp / name)
-                    for name in (CHECKPOINT_FILE, STATS_FILE, CALIBRATION_FILE, TRAIN_LOG_FILE)
-                },
+                "files": {name: _sha256(data) for name, data in files.items()},
                 "created_at": datetime.now(timezone.utc).isoformat(),
             }
             (tmp / MANIFEST_FILE).write_text(_manifest_text(manifest))
@@ -124,27 +120,28 @@ class ExperimentBundle:
     def config(self) -> dict:
         return self.manifest()["config"]
 
-    def _verified(self, name: str, manifest=None) -> Path:
-        """Path of ``name`` once its content matches the manifest digest."""
+    def _verified(self, name: str, manifest=None) -> bytes:
+        """The bytes of ``name``, read once and checked against the manifest digest."""
         digest = (manifest or self.manifest())["files"].get(name)
         if digest is None:
             raise ValueError(f"{name} has no digest in the bundle manifest")
-        actual = _sha256(self.path / name)
+        data = (self.path / name).read_bytes()
+        actual = _sha256(data)
         if actual != digest:
             raise ValueError(
                 f"digest mismatch for {name}: manifest {digest[:12]}..., "
                 f"file {actual[:12]}..."
             )
-        return self.path / name
+        return data
 
     def load_model(self) -> Autoencoder:
-        return Autoencoder.load(self._verified(CHECKPOINT_FILE))
+        return Autoencoder.from_bytes(self._verified(CHECKPOINT_FILE))
 
     def load_stats(self) -> GaussianStats:
-        return GaussianStats.load(self._verified(STATS_FILE))
+        return GaussianStats.from_bytes(self._verified(STATS_FILE))
 
     def load_calibration(self) -> NoveltyCalibration:
-        return NoveltyCalibration.from_json(self._verified(CALIBRATION_FILE).read_text())
+        return NoveltyCalibration.from_json(self._verified(CALIBRATION_FILE).decode())
 
     def verify(self) -> None:
         """Checks every manifest digest against the file contents."""
@@ -154,11 +151,18 @@ class ExperimentBundle:
 
     # -- evaluation artifacts ---------------------------------------------------
 
-    def eval_report_path(self, mode: str) -> Path:
-        return self.path / f"eval_{mode}.json"
+    def eval_reports(self) -> dict:
+        """``{mode: EvalReport}`` of every recorded report, each digest-checked."""
+        return {mode: EvalReport.from_json(self._verified(f"eval_{mode}.json").decode())
+                for mode in MODES if (self.path / f"eval_{mode}.json").exists()}
 
-    def scores_csv_path(self, mode: str) -> Path:
-        return self.path / f"scores_{mode}.csv"
+    def record_eval(self, reports: dict, scores_csv: bytes) -> None:
+        """Records each mode's ``EvalReport`` and the scores CSV behind it."""
+        files = {}
+        for mode, report in reports.items():
+            files[f"eval_{mode}.json"] = (report.to_json() + "\n").encode()
+            files[f"scores_{mode}.csv"] = scores_csv
+        self.record_file(files)
 
     def record_file(self, files: dict) -> None:
         """Writes ``{name: bytes}`` into the bundle and records their digests,
@@ -170,5 +174,5 @@ class ExperimentBundle:
             manifest = self.manifest()
             for name, data in files.items():
                 _replace_file(self.path / name, data)
-                manifest["files"][name] = hashlib.sha256(data).hexdigest()
+                manifest["files"][name] = _sha256(data)
             _replace_file(self.path / MANIFEST_FILE, _manifest_text(manifest).encode())

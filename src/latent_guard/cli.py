@@ -16,15 +16,16 @@ import io
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from latent_guard import novelty
-from latent_guard.bundle import ExperimentBundle, TRAIN_LOG_FILE
+from latent_guard.bundle import ExperimentBundle
 from latent_guard.data import load_mnist_split
 from latent_guard.latent_stats import fit_gaussian
-from latent_guard.metrics import EvalReport, ScoredSet, evaluate
+from latent_guard.metrics import ScoredSet, evaluate
 from latent_guard.novelty import MODES
 from latent_guard.plot import write_scatter_svg
 from latent_guard.trainer import TrainConfig, inlier_split, train
@@ -62,13 +63,15 @@ def _digit(text):
     return value
 
 
-def _int_list(text):
+def _int_list(flag, text):
+    """Values of a comma-separated grid flag; an empty item (``4,,8``) is an error."""
     try:
-        return [int(part) for part in text.split(",") if part]
+        values = [int(part) for part in text.split(",")]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from exc
+        raise CliError("usage", f"{flag} expects comma-separated integers, got {text!r}") from exc
+    if len(set(values)) < len(values):
+        raise CliError("usage", f"{flag} repeats a value: {text!r}")
+    return values
 
 
 def _resolve_data_dir(args) -> Path:
@@ -148,7 +151,7 @@ def _evaluate_bundle(bundle: ExperimentBundle, test_set, modes) -> dict:
     scores_csv = io.StringIO()
     novelty.write_scores_csv(scores_csv, np.arange(len(re)), is_inlier, re, ld,
                              scores[novelty.MODE_HYBRID])
-    reports, files = {}, {}
+    reports = {}
     for mode in modes:
         reports[mode] = evaluate(
             ScoredSet(scores=scores[mode], is_inlier=is_inlier),
@@ -157,9 +160,7 @@ def _evaluate_bundle(bundle: ExperimentBundle, test_set, modes) -> dict:
             mode=mode,
             seed=config["seed"],
         )
-        files[bundle.eval_report_path(mode).name] = (reports[mode].to_json() + "\n").encode()
-        files[bundle.scores_csv_path(mode).name] = scores_csv.getvalue().encode()
-    bundle.record_file(files)
+    bundle.record_eval(reports, scores_csv.getvalue().encode())
     return reports
 
 
@@ -182,8 +183,6 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     data_dir = _resolve_data_dir(args)
     bundle = ExperimentBundle(Path(args.bundle))
-    if not (bundle.path / TRAIN_LOG_FILE).exists():
-        raise CliError("bundle", f"not a complete bundle: {bundle.path}")
     test_set = _load_split(data_dir, "t10k")
     try:
         report = _evaluate_bundle(bundle, test_set, [args.mode])[args.mode]
@@ -191,6 +190,18 @@ def cmd_eval(args) -> int:
         raise CliError("eval", str(exc)) from exc
     print(report.to_json())
     return 0
+
+
+def _check_resumable(bundle: ExperimentBundle, config: TrainConfig) -> None:
+    """Fails unless ``bundle`` was trained with ``config`` (its ``TrainConfig`` fields)."""
+    try:
+        recorded = bundle.config()
+    except (OSError, ValueError) as exc:
+        raise CliError("bundle", f"cannot resume {bundle.path}: {exc}") from exc
+    differing = ", ".join(f"{key} (bundle {recorded.get(key)!r}, requested {value!r})"
+                          for key, value in asdict(config).items() if recorded.get(key) != value)
+    if differing:
+        raise CliError("bundle", f"cannot resume {bundle.path}: config differs in {differing}")
 
 
 def _sweep_one(task: dict):
@@ -201,11 +212,7 @@ def _sweep_one(task: dict):
     if not bundle_path.exists():
         _train_bundle(config, data_dir, bundle_path)
     bundle = ExperimentBundle(bundle_path)
-    reports = {
-        mode: EvalReport.from_json(bundle.eval_report_path(mode).read_text())
-        for mode in MODES
-        if task["resume"] and bundle.eval_report_path(mode).exists()
-    }
+    reports = bundle.eval_reports()  # a bundle exists before this run only under --resume
     missing = [mode for mode in MODES if mode not in reports]
     if missing:
         reports.update(_evaluate_bundle(bundle, _load_split(data_dir, "t10k"), missing))
@@ -220,25 +227,21 @@ def _sweep_one(task: dict):
 def cmd_sweep(args) -> int:
     data_dir = _resolve_data_dir(args)
     bundles_dir = Path(args.bundles_dir)
-    for flag, values in (("--bottlenecks", args.bottlenecks), ("--seeds", args.seeds)):
-        if not values:
-            raise CliError("usage", f"{flag} needs at least one value")
-        if len(set(values)) < len(values):
-            raise CliError("usage", f"{flag} repeats a value: {values}")
+    ks, seeds = _int_list("--bottlenecks", args.bottlenecks), _int_list("--seeds", args.seeds)
     tasks = []
-    for k in args.bottlenecks:
-        for seed in args.seeds:
+    for k in ks:
+        for seed in seeds:
             config = _train_config(args, k, seed)
             name = f"class{config.inlier_class}_k{k}_seed{seed}"
-            if (bundles_dir / name).exists() and not args.resume:
-                raise CliError(
-                    "bundle", f"bundle already exists (use --resume): {bundles_dir / name}"
-                )
+            if (bundles_dir / name).exists():
+                if not args.resume:
+                    raise CliError("bundle",
+                                   f"bundle already exists (use --resume): {bundles_dir / name}")
+                _check_resumable(ExperimentBundle(bundles_dir / name), config)
             tasks.append({
                 "config": config,
                 "bundle_path": str(bundles_dir / name),
                 "data_dir": str(data_dir),
-                "resume": args.resume,
             })
     bundles_dir.mkdir(parents=True, exist_ok=True)
 
@@ -326,10 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="train/evaluate a grid of configurations")
     _add_common_train_flags(p_sweep)
-    p_sweep.add_argument("--bottlenecks", type=_int_list, required=True,
+    p_sweep.add_argument("--bottlenecks", required=True,
                          help="comma-separated bottleneck sizes")
-    p_sweep.add_argument("--seeds", type=_int_list, required=True,
-                         help="comma-separated seeds")
+    p_sweep.add_argument("--seeds", required=True, help="comma-separated seeds")
     p_sweep.add_argument("--bundles-dir", required=True)
     p_sweep.add_argument("--out-csv", required=True)
     p_sweep.add_argument("--jobs", type=_positive_int, default=1)

@@ -33,6 +33,9 @@ ROLE_TEST = "inlier_test"
 ROLE_OOD_ON = "ood_on_manifold"
 ROLE_OOD_OFF = "ood_off_manifold"
 
+FAR_FACTOR = 100.0  # see make_manifold_set
+OFF_OFFSET = 5.0
+
 
 # ---------------------------------------------------------------------------
 # image datasets
@@ -235,20 +238,16 @@ def make_manifold_set(
     seed: int,
     n_test: int = 200,
     noise_sigma: float = 0.02,
-    far_factor: float = 100.0,
-    off_offset: float = 5.0,
 ) -> SyntheticManifoldSet:
     """Samples the Figure-2 geometry for a linear or circular manifold.
 
     Training/test inliers live in a bounded region of the manifold with
     isotropic Gaussian noise of ``noise_sigma`` about it (pass 0 to place
     them exactly on the manifold).  The on-manifold OOD point sits exactly
-    on the manifold at ``far_factor`` times the training region's radius
+    on the manifold at ``FAR_FACTOR`` times the training region's radius
     from its centroid; the off-manifold OOD point sits at the training
-    centroid's manifold projection plus ``off_offset`` along the normal.
+    centroid's manifold projection plus ``OFF_OFFSET`` along the normal.
     """
-    if far_factor < 10.0:
-        raise ValueError(f"far_factor must be >= 10, got {far_factor}")
     rng = np.random.default_rng(seed)
     if isinstance(manifold, LinearManifold):
         basis = manifold.basis
@@ -258,13 +257,13 @@ def make_manifold_set(
         centroid = train_coeff.mean(axis=0)
         radius = np.linalg.norm(train_coeff - centroid, axis=1).max()
         far_coeff = centroid.copy()
-        far_coeff[0] += far_factor * radius
+        far_coeff[0] += FAR_FACTOR * radius
         # any unit vector orthogonal to the basis rows
         null = np.linalg.svd(basis)[2][m:]
         normal = null[0]
         on_points = np.vstack([train_coeff @ basis, test_coeff @ basis])
         far_point = far_coeff @ basis
-        off_point = centroid @ basis + off_offset * normal
+        off_point = centroid @ basis + OFF_OFFSET * normal
     elif isinstance(manifold, CircularManifold):
         center, radius_c = manifold.center, manifold.radius
         arc_half_width = 0.1  # radians; keeps the training region tightly bounded
@@ -276,7 +275,7 @@ def make_manifold_set(
         far_point = center + radius_c * np.array([np.cos(np.pi), np.sin(np.pi)])
         mean_theta = train_theta.mean()
         direction = np.array([np.cos(mean_theta), np.sin(mean_theta)])
-        off_point = center + (radius_c + off_offset) * direction
+        off_point = center + (radius_c + OFF_OFFSET) * direction
     else:
         raise TypeError(f"unsupported manifold spec: {type(manifold).__name__}")
 

@@ -46,10 +46,9 @@ class GaussianStats:
     def dim(self) -> int:
         return self.mean.shape[0]
 
-    def save(self, path) -> None:
+    def to_bytes(self) -> bytes:
         header = {"kind": "latent-stats", "format_version": STATS_VERSION}
-        serialization.write_arrays(
-            path,
+        return serialization.encode_arrays(
             header,
             {
                 "mean": self.mean,
@@ -60,10 +59,10 @@ class GaussianStats:
         )
 
     @classmethod
-    def load(cls, path) -> "GaussianStats":
-        header, arrays = serialization.read_arrays(path)
+    def from_bytes(cls, raw: bytes) -> "GaussianStats":
+        header, arrays = serialization.decode_arrays(raw)
         if header.get("kind") != "latent-stats":
-            raise ValueError(f"{path}: not a latent-stats container")
+            raise ValueError("not a latent-stats container")
         return cls(
             mean=arrays["mean"],
             covariance=arrays["covariance"],

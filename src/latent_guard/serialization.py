@@ -1,4 +1,4 @@
-"""Self-describing binary container for float64 arrays.
+"""Self-describing binary container for float64 arrays, as a bytes codec.
 
 Layout (all integers little-endian):
 
@@ -12,15 +12,14 @@ Layout (all integers little-endian):
         u8    ndim, then u32 * ndim dims
         f64   row-major little-endian data
 
-Used for model checkpoints and fitted latent statistics; write/read round
-trips are bit-exact.
+Used for model checkpoints and fitted latent statistics.  Round trips are
+bit-exact; a declared size is checked against the buffer before any allocation.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 import struct
 
 import numpy as np
@@ -29,56 +28,53 @@ MAGIC = b"LGAR"
 FORMAT_VERSION = 1
 
 
-def write_arrays(path, header: dict, arrays: dict) -> None:
-    """Writes ``arrays`` (name -> float64 ndarray) with a JSON header."""
+def encode_arrays(header: dict, arrays: dict) -> bytes:
+    """Container bytes of ``arrays`` (name -> float64 ndarray) with a JSON header."""
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(MAGIC)
-        f.write(struct.pack("<II", FORMAT_VERSION, len(header_bytes)))
-        f.write(header_bytes)
-        f.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays.items():
-            arr = np.asarray(arr)
-            if arr.dtype != np.float64:
-                raise TypeError(f"array {name!r} must be float64, got {arr.dtype}")
-            name_bytes = name.encode("utf-8")
-            f.write(struct.pack("<H", len(name_bytes)))
-            f.write(name_bytes)
-            f.write(struct.pack("<B", arr.ndim))
-            f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    parts = [MAGIC, struct.pack("<II", FORMAT_VERSION, len(header_bytes)), header_bytes,
+             struct.pack("<I", len(arrays))]
+    for name, arr in arrays.items():
+        arr = np.asarray(arr)
+        if arr.dtype != np.float64:
+            raise TypeError(f"array {name!r} must be float64, got {arr.dtype}")
+        name_bytes = name.encode("utf-8")
+        parts += [struct.pack("<H", len(name_bytes)), name_bytes,
+                  struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape),
+                  np.ascontiguousarray(arr, dtype="<f8").tobytes()]
+    return b"".join(parts)
 
 
-def _read_exact(f, n, what):
-    # checked before reading: f.read(n) allocates n bytes up front, so a
-    # corrupt size field could otherwise ask for terabytes
-    if n > os.fstat(f.fileno()).st_size - f.tell():
-        raise ValueError(f"truncated container while reading {what}")
-    return f.read(n)
+def decode_arrays(raw: bytes):
+    """Returns ``(header, arrays)`` from bytes made by :func:`encode_arrays`."""
+    view, pos = memoryview(raw), 0  # memoryview slices copy nothing
 
+    def take(n, what):
+        nonlocal pos
+        if n > len(view) - pos:
+            raise ValueError(f"truncated container while reading {what}")
+        pos += n
+        return view[pos - n:pos]
 
-def read_arrays(path):
-    """Returns ``(header, arrays)`` as written by :func:`write_arrays`."""
-    with open(path, "rb") as f:
-        if _read_exact(f, 4, "magic") != MAGIC:
-            raise ValueError(f"{path}: not a latent-guard array container")
-        version, header_len = struct.unpack("<II", _read_exact(f, 8, "version"))
-        if version != FORMAT_VERSION:
-            raise ValueError(f"{path}: unsupported container version {version}")
-        try:
-            header = json.loads(_read_exact(f, header_len, "header").decode("utf-8"))
-        except RecursionError as exc:  # json raises it for deeply nested input
-            raise ValueError(f"{path}: container header is nested too deeply") from exc
-        if not isinstance(header, dict):
-            raise ValueError(f"{path}: container header is not a JSON object")
-        (n_arrays,) = struct.unpack("<I", _read_exact(f, 4, "array count"))
-        arrays = {}
-        for _ in range(n_arrays):
-            (name_len,) = struct.unpack("<H", _read_exact(f, 2, "name length"))
-            name = _read_exact(f, name_len, "name").decode("utf-8")
-            (ndim,) = struct.unpack("<B", _read_exact(f, 1, "ndim"))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(f, 4 * ndim, "shape"))
-            count = math.prod(shape)  # exact; np.prod would wrap in int64
-            raw = _read_exact(f, 8 * count, f"data for {name!r}")
-            arrays[name] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+    if take(4, "magic") != MAGIC:
+        raise ValueError("not a latent-guard array container")
+    version, header_len = struct.unpack("<II", take(8, "version"))
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported container version {version}")
+    try:
+        header = json.loads(str(take(header_len, "header"), "utf-8"))
+    except RecursionError as exc:  # json raises it for deeply nested input
+        raise ValueError("container header is nested too deeply") from exc
+    if not isinstance(header, dict):
+        raise ValueError("container header is not a JSON object")
+    (n_arrays,) = struct.unpack("<I", take(4, "array count"))
+    arrays = {}
+    for _ in range(n_arrays):
+        (name_len,) = struct.unpack("<H", take(2, "name length"))
+        name = str(take(name_len, "name"), "utf-8")
+        (ndim,) = struct.unpack("<B", take(1, "ndim"))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim, "shape"))
+        count = math.prod(shape)  # exact; np.prod would wrap in int64
+        data = take(8 * count, f"data for {name!r}")
+        # copied so that every array is aligned and none pins the whole buffer
+        arrays[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
     return header, arrays

@@ -41,7 +41,7 @@ def tune_allocator() -> None:
     with default thresholds glibc hands those pages back to the kernel on
     every free and the training loop spends most of its time in page
     faults.  Raising the thresholds keeps the heap hot.  Called on entry
-    to train(); a no-op where glibc is unavailable.
+    to train() and by ``cli.main``; a no-op where glibc is unavailable.
     """
     try:
         libc = ctypes.CDLL("libc.so.6")

@@ -252,15 +252,13 @@ class TestMatchesUnfusedStack:
     def test_parameter_names_keep_unfused_positions(self):
         assert list(Autoencoder(16, seed=0).named_parameters()) == PARENT_KEYS
 
-    def test_new_checkpoint_bytes_equal_unfused_checkpoint(self, tmp_path):
+    def test_new_checkpoint_bytes_equal_unfused_checkpoint(self):
         model = Autoencoder(784, seed=22)
-        model.save(tmp_path / "fused.lgar")
         header = {"kind": "autoencoder-checkpoint", "format_version": 1,
                   "bottleneck_size": 784, "seed": 22}
         params = unfused_named("params", *unfused_stacks(784, 22))
         assert list(params) == PARENT_KEYS
-        serialization.write_arrays(tmp_path / "unfused.lgar", header, params)
-        assert (tmp_path / "fused.lgar").read_bytes() == (tmp_path / "unfused.lgar").read_bytes()
+        assert model.to_bytes() == serialization.encode_arrays(header, params)
 
 
 class TestTrainingHooks:
@@ -279,21 +277,18 @@ class TestTrainingHooks:
 
 
 class TestCheckpoint:
-    def test_round_trip_is_bit_exact(self, tmp_path):
+    def test_round_trip_is_bit_exact(self):
         model = Autoencoder(16, seed=21)
-        path = tmp_path / "model.lgar"
-        model.save(path)
-        loaded = Autoencoder.load(path)
+        raw = model.to_bytes()
+        loaded = Autoencoder.from_bytes(raw)
         assert loaded.bottleneck_size == 16
         assert loaded.seed == 21
         for name, arr in model.named_parameters().items():
             assert np.array_equal(arr, loaded.named_parameters()[name]), name
         # byte-identical on re-save
-        path2 = tmp_path / "model2.lgar"
-        loaded.save(path2)
-        assert path.read_bytes() == path2.read_bytes()
+        assert loaded.to_bytes() == raw
 
-    def test_header_with_l1_lambda_loads_bit_identical(self, tmp_path):
+    def test_header_with_l1_lambda_loads_bit_identical(self):
         # checkpoint headers once carried the unused L1 weight; such files
         # must keep loading, with the parameters taken from the file
         model = Autoencoder(16, seed=21)
@@ -301,22 +296,18 @@ class TestCheckpoint:
             arr += np.random.default_rng(3).standard_normal(arr.shape)
         header = {"kind": "autoencoder-checkpoint", "format_version": 1,
                   "bottleneck_size": 16, "l1_lambda": 1e-5, "seed": 21}
-        path = tmp_path / "old.lgar"
-        serialization.write_arrays(path, header, model.named_parameters())
-        loaded = Autoencoder.load(path)
+        loaded = Autoencoder.from_bytes(
+            serialization.encode_arrays(header, model.named_parameters()))
         for name, arr in model.named_parameters().items():
             assert np.array_equal(arr, loaded.named_parameters()[name]), name
 
-    def test_wrong_kind_rejected(self, tmp_path):
-        path = tmp_path / "bogus.lgar"
-        serialization.write_arrays(path, {"kind": "other"}, {"a": np.zeros(2)})
+    def test_wrong_kind_rejected(self):
+        raw = serialization.encode_arrays({"kind": "other"}, {"a": np.zeros(2)})
         with pytest.raises(ValueError, match="checkpoint"):
-            Autoencoder.load(path)
+            Autoencoder.from_bytes(raw)
 
-    def test_truncated_file_rejected(self, tmp_path):
+    def test_truncated_file_rejected(self):
         model = Autoencoder(4, seed=0)
-        path = tmp_path / "model.lgar"
-        model.save(path)
-        (tmp_path / "cut.lgar").write_bytes(path.read_bytes()[:-100])
+        cut = model.to_bytes()[:-100]
         with pytest.raises(ValueError, match="truncated"):
-            Autoencoder.load(tmp_path / "cut.lgar")
+            Autoencoder.from_bytes(cut)

@@ -2,14 +2,17 @@
 
 import builtins
 import errno
+import hashlib
 import io
 import json
 import multiprocessing
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import latent_guard.bundle as bundle_module
 from latent_guard import Autoencoder, NoveltyCalibration, fit_gaussian
 from latent_guard.bundle import ExperimentBundle, MANIFEST_FILE
 from latent_guard.trainer import EpochStats, TrainConfig, TrainRecord
@@ -176,6 +179,35 @@ def test_loaders_check_digests(tmp_path, parts):
             load()
         path.write_bytes(original)
         load()
+
+
+def test_loader_parses_the_bytes_it_verified(tmp_path, parts, monkeypatch):
+    # the checkpoint is rewritten on disk right after its digest is taken;
+    # the loader must return what it checked, not open the file again
+    bundle = ExperimentBundle.create(tmp_path / "b", *parts)
+    other = ExperimentBundle.create(tmp_path / "other", Autoencoder(4, seed=3), *parts[1:])
+    path = bundle.path / "checkpoint.lgar"
+    rewrite = (other.path / "checkpoint.lgar").read_bytes()
+    real_sha256 = hashlib.sha256
+
+    class RewriteAfterDigest:
+        def __init__(self, *args):
+            self._h = real_sha256(*args)
+
+        def update(self, data):
+            self._h.update(data)
+
+        def hexdigest(self):
+            digest = self._h.hexdigest()
+            path.write_bytes(rewrite)
+            return digest
+
+    monkeypatch.setattr(bundle_module, "hashlib", SimpleNamespace(sha256=RewriteAfterDigest))
+    model = bundle.load_model()
+    assert path.read_bytes() == rewrite  # the file did change under the loader
+    assert model.seed == 2
+    for name, arr in parts[0].named_parameters().items():
+        assert np.array_equal(model.named_parameters()[name], arr), name
 
 
 def test_identical_runs_have_identical_digests(tmp_path, parts):

@@ -245,6 +245,48 @@ class TestSweep:
             assert (bundle / name).read_bytes() == content, name
         ExperimentBundle(bundle).verify()
 
+    def test_resume_with_other_config_is_bundle_error(self, data_dir, tmp_path, capsys):
+        def args(*train_args):
+            return ["sweep", "--class", "0", "--bottlenecks", "3", "--seeds", "5",
+                    "--data-dir", str(data_dir), "--bundles-dir", str(tmp_path / "bundles"),
+                    "--out-csv", str(tmp_path / "sweep.csv"), *train_args, "--resume"]
+
+        assert cli.main(args(*TRAIN_ARGS[:-2])) == 0
+        # bundles that still record the retired l1_lambda keep resuming
+        manifest_path = tmp_path / "bundles" / "class0_k3_seed5" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["l1_lambda"] = 1e-5
+        manifest_path.write_text(json.dumps(manifest))
+        assert cli.main(args(*TRAIN_ARGS[:-2])) == 0
+        before = (tmp_path / "sweep.csv").read_bytes()
+        capsys.readouterr()
+
+        assert cli.main(args("--max-epochs", "5", *TRAIN_ARGS[2:-2])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[bundle]:")
+        assert "max_epochs (bundle 2, requested 5)" in err
+        assert (tmp_path / "sweep.csv").read_bytes() == before  # nothing ran
+
+    def test_resume_fails_cell_with_edited_report(self, data_dir, tmp_path, capsys):
+        def args(csv_name, *extra):
+            return ["sweep", "--class", "0", "--bottlenecks", "3", "--seeds", "5",
+                    "--data-dir", str(data_dir), "--bundles-dir", str(tmp_path / "bundles"),
+                    "--out-csv", str(tmp_path / csv_name), *TRAIN_ARGS[:-2], *extra]
+
+        assert cli.main(args("a.csv")) == 0
+        report = tmp_path / "bundles" / "class0_k3_seed5" / "eval_RE.json"
+        edited = json.loads(report.read_text())
+        edited["auroc"] = 0.123
+        report.write_text(json.dumps(edited))
+        capsys.readouterr()
+
+        assert cli.main(args("b.csv", "--resume")) == 0
+        err = capsys.readouterr().err
+        assert "error[sweep]:" in err and "digest mismatch for eval_RE.json" in err
+        rows = (tmp_path / "b.csv").read_text()
+        assert "0.123" not in rows
+        assert rows.count("nan,nan,nan,nan") == 3
+
     def test_one_feature_pass_per_cell_on_test_split(self, data_dir, tmp_path,
                                                      monkeypatch):
         # RE, LD and H all come from one (RE, LD) pass over the test split
@@ -301,8 +343,10 @@ class TestSweep:
         ["--bottlenecks", "4", "--seeds", ","],
         ["--bottlenecks", "4,4", "--seeds", "5"],   # repeated value
         ["--bottlenecks", "4", "--seeds", "5,6,5"],
+        ["--bottlenecks", "4,,8", "--seeds", "5"],  # empty item
+        ["--bottlenecks", "4", "--seeds", "7,"],
     ], ids=["negative-seed", "no-bottlenecks", "no-seeds", "repeated-bottleneck",
-            "repeated-seed"])
+            "repeated-seed", "empty-bottleneck-item", "empty-seed-item"])
     def test_bad_grid_is_usage_error_before_bundles_dir(self, data_dir, tmp_path,
                                                         capsys, grid):
         bundles = tmp_path / "fresh" / "bundles"

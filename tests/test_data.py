@@ -162,7 +162,7 @@ class TestLinearManifold:
 
     def test_off_manifold_orthogonal_offset(self):
         manifold = LinearManifold(basis=np.array([[1.0, 0.0]]))
-        ms = make_manifold_set(manifold, n_train=200, seed=1, off_offset=5.0)
+        ms = make_manifold_set(manifold, n_train=200, seed=1)
         off = ms.ood_off_manifold[0]
         codec = LinearProjectionCodec(manifold)
         np.testing.assert_allclose(recon_error(codec, off), 5.0, rtol=1e-12)
@@ -207,7 +207,7 @@ class TestCircularManifold:
 
     def test_off_point_radial_offset(self):
         manifold = CircularManifold(center=np.array([2.0, -1.0]), radius=1.5)
-        ms = make_manifold_set(manifold, n_train=100, seed=5, off_offset=5.0)
+        ms = make_manifold_set(manifold, n_train=100, seed=5)
         off = ms.ood_off_manifold[0]
         np.testing.assert_allclose(
             abs(np.linalg.norm(off - manifold.center) - manifold.radius), 5.0, rtol=1e-12
