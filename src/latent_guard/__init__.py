@@ -32,7 +32,14 @@ from latent_guard.novelty import (
     classify,
     novelty_scores,
 )
-from latent_guard.trainer import TrainConfig, TrainRecord, inlier_split, split_dataset, train
+from latent_guard.trainer import (
+    TrainConfig,
+    TrainRecord,
+    inlier_split,
+    split_dataset,
+    train,
+    train_on_split,
+)
 
 __version__ = "0.1.0"
 
@@ -71,5 +78,6 @@ __all__ = [
     "inlier_split",
     "split_dataset",
     "train",
+    "train_on_split",
     "__version__",
 ]

@@ -28,9 +28,17 @@ yields bit-identical parameters.
 
 Public array convention is channels-first ([1, 28, 28] single sample,
 [N, 1, 28, 28] batch); layers run channels-last internally.
+
+Inference splits a batch into fixed ``_CHUNK``-row chunks and runs them on
+one thread per CPU the process may use; each chunk's result lands at its
+own rows, so the output bytes do not depend on the core count or on the
+order the threads finish in.  Training steps run in the caller's thread.
 """
 
 from __future__ import annotations
+
+import os
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -53,9 +61,10 @@ from latent_guard.nn.losses import bce_loss_per_sample
 IMAGE_SHAPE = (1, 28, 28)
 _FLAT_DIM = 7 * 7 * 2  # encoder spatial trace: 28 -> 14 -> 7 with 2 channels
 
-# Batch rows processed per internal chunk during inference; bounds the
-# transient im2col buffers of the 32-channel convolutions.
-_CHUNK = 128
+# Batch rows per inference chunk.  It bounds the transient im2col buffers
+# of the 32-channel convolutions, one set per thread in flight, and fixes
+# the GEMM shapes, so it is a constant: never derived from the core count.
+_CHUNK = 64
 
 CHECKPOINT_VERSION = 1
 
@@ -65,6 +74,14 @@ PARAM_LAYER_NAMES = (
     "encoder.0", "encoder.3", "encoder.7",
     "decoder.0", "decoder.2", "decoder.5", "decoder.8",
 )
+
+
+def _workers() -> int:
+    """Inference threads: one per CPU in the process's affinity mask."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
 
 
 class Autoencoder:
@@ -140,16 +157,25 @@ class Autoencoder:
         return x
 
     def _chunked(self, fn, x):
-        """Applies ``fn`` (chunk -> tuple of per-row arrays) to 128-row chunks
-        of ``x``, filling preallocated outputs; an empty ``x`` still makes one
-        empty call, which fixes the output shapes."""
-        outs = None
-        for i in range(0, max(len(x), 1), _CHUNK):
-            parts = fn(x[i:i + _CHUNK])
-            if outs is None:
-                outs = tuple(np.empty((len(x), *p.shape[1:])) for p in parts)
+        """Applies ``fn`` (chunk -> tuple of per-row arrays) to ``_CHUNK``-row
+        chunks of ``x``, writing each result at its chunk's rows of
+        preallocated outputs.  The first chunk runs in the caller and fixes
+        the output shapes (an empty ``x`` still makes that one call); the
+        rest run on a thread pool that lives only for this call, so a
+        one-chunk call starts no thread.  The first exception raised by a
+        chunk propagates unchanged and cancels the chunks not yet started."""
+        first = fn(x[:_CHUNK])
+        outs = tuple(np.empty((len(x), *p.shape[1:])) for p in first)
+
+        def put(i, parts):
             for out, part in zip(outs, parts):
                 out[i:i + len(part)] = part
+
+        put(0, first)
+        starts = range(_CHUNK, len(x), _CHUNK)
+        if starts:
+            with ThreadPoolExecutor(min(_workers(), len(starts))) as pool:
+                list(pool.map(lambda i: put(i, fn(x[i:i + _CHUNK])), starts))
         return outs
 
     def encode(self, x):

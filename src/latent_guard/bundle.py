@@ -152,9 +152,17 @@ class ExperimentBundle:
     # -- evaluation artifacts ---------------------------------------------------
 
     def eval_reports(self) -> dict:
-        """``{mode: EvalReport}`` of every recorded report, each digest-checked."""
-        return {mode: EvalReport.from_json(self._verified(f"eval_{mode}.json").decode())
-                for mode in MODES if (self.path / f"eval_{mode}.json").exists()}
+        """``{mode: EvalReport}`` of every recorded report, each digest-checked.
+
+        A report counts as recorded when its file exists and the manifest
+        holds its digest.  ``record_file`` writes the file before the
+        manifest, so a crash between the two leaves a report with no
+        digest; it is left out here, to be evaluated again."""
+        manifest = self.manifest()
+        names = {mode: f"eval_{mode}.json" for mode in MODES}
+        return {mode: EvalReport.from_json(self._verified(name, manifest).decode())
+                for mode, name in names.items()
+                if name in manifest["files"] and (self.path / name).exists()}
 
     def record_eval(self, reports: dict, scores_csv: bytes) -> None:
         """Records each mode's ``EvalReport`` and the scores CSV behind it."""

@@ -28,7 +28,7 @@ from latent_guard.latent_stats import fit_gaussian
 from latent_guard.metrics import ScoredSet, evaluate
 from latent_guard.novelty import MODES
 from latent_guard.plot import write_scatter_svg
-from latent_guard.trainer import TrainConfig, inlier_split, train
+from latent_guard.trainer import TrainConfig, inlier_split, train_on_split
 
 DATA_DIR_ENV = "LATENT_GUARD_DATA_DIR"
 
@@ -122,8 +122,8 @@ def _train_config(args, bottleneck, seed) -> TrainConfig:
 def _train_bundle(config: TrainConfig, data_dir: Path, out: Path) -> ExperimentBundle:
     train_full = _load_split(data_dir, "train")
     try:
-        model, record = train(config, train_full)
         train_inliers, val_inliers = inlier_split(config, train_full)
+        model, record = train_on_split(config, train_inliers, val_inliers)
         stats = fit_gaussian(model.encode(train_inliers.images))
         calibration = novelty.calibrate(model, stats, val_inliers.images)
     except (ValueError, FloatingPointError) as exc:

@@ -40,11 +40,20 @@ def tune_allocator() -> None:
     The conv kernels allocate tens of MB of transient buffers per batch;
     with default thresholds glibc hands those pages back to the kernel on
     every free and the training loop spends most of its time in page
-    faults.  Raising the thresholds keeps the heap hot.  Called on entry
-    to train() and by ``cli.main``; a no-op where glibc is unavailable.
+    faults.  Raising the thresholds keeps the heap hot.
+
+    It also caps malloc at one arena.  Inference runs its chunks on
+    threads (``autoencoder``), and glibc would give each thread its own
+    arena, whose freed buffers the raised trim threshold never hands back,
+    so peak RSS would grow with the thread count.  One shared arena
+    reuses the same hot pages instead.
+
+    Called on entry to train_on_split() and by ``cli.main``; a no-op where
+    glibc is unavailable.
     """
     try:
         libc = ctypes.CDLL("libc.so.6")
+        libc.mallopt(-8, 1)  # M_ARENA_MAX
         libc.mallopt(-3, 1 << 30)  # M_MMAP_THRESHOLD
         libc.mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
         libc.mallopt(-2, 1 << 28)  # M_TOP_PAD
@@ -151,9 +160,14 @@ def _objective_forward(model, val_images):
 
 def train(config: TrainConfig, dataset: ImageDataset):
     """Runs the full procedure; returns (best-epoch model, TrainRecord)."""
-    tune_allocator()
-    train_inliers, val_inliers = inlier_split(config, dataset)
+    return train_on_split(config, *inlier_split(config, dataset))
 
+
+def train_on_split(config: TrainConfig, train_inliers: ImageDataset,
+                   val_inliers: ImageDataset):
+    """Steps 3-4 of the procedure on the parts ``inlier_split`` returns;
+    returns (best-epoch model, TrainRecord)."""
+    tune_allocator()
     model = Autoencoder(config.bottleneck_size, config.seed)
     optimizer = Adadelta(model.named_parameters())
 

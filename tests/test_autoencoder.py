@@ -1,9 +1,12 @@
 """Architecture assembly, shape contracts, determinism, checkpoints."""
 
+import sys
+
 import numpy as np
 import pytest
 
-from latent_guard import Autoencoder, serialization
+from latent_guard import Autoencoder, autoencoder, serialization
+from latent_guard.autoencoder import _CHUNK
 from latent_guard.errors import ShapeError
 from latent_guard.nn import (
     Conv3x3,
@@ -198,13 +201,14 @@ class TestReconstructionError:
 
 
 class TestChunkedForward:
-    # 2 * 128 + 1 rows: two full chunks, then a ragged one-row tail
-    X_MULTI = np.random.default_rng(7).uniform(0.0, 1.0, (2 * 128 + 1, 1, 28, 28))
+    # two full chunks, then a ragged one-row tail
+    X_MULTI = np.random.default_rng(7).uniform(0.0, 1.0, (2 * _CHUNK + 1, 1, 28, 28))
 
     def test_multi_chunk_pass_matches_encode_and_reconstruct(self):
         model = Autoencoder(8, seed=11)
         z, errs = model.encode_and_reconstruction_errors(self.X_MULTI)
-        assert z.shape == (257, 8) and errs.shape == (257,)
+        n = len(self.X_MULTI)
+        assert z.shape == (n, 8) and errs.shape == (n,)
         assert np.array_equal(z, model.encode(self.X_MULTI))
         expected = bce_loss_per_sample(model.reconstruct(self.X_MULTI), self.X_MULTI)
         np.testing.assert_allclose(errs, expected, rtol=1e-12)
@@ -215,6 +219,53 @@ class TestChunkedForward:
         z, errs = model.encode_and_reconstruction_errors(empty)
         assert z.shape == (0, 8) and errs.shape == (0,)
         assert model.encode(empty).shape == (0, 8)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 5 * _CHUNK + 3])
+    def test_threaded_pass_equals_serial_chunks(self, n, workers, monkeypatch):
+        monkeypatch.setattr(autoencoder, "_workers", lambda: workers)
+        model = Autoencoder(16, seed=12)
+        x = np.random.default_rng(n).uniform(0.0, 1.0, (n, 1, 28, 28))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the chunk threads finely
+        try:
+            z, errs = model.encode_and_reconstruction_errors(x)
+        finally:
+            sys.setswitchinterval(interval)
+        x_nhwc = x.transpose(0, 2, 3, 1)
+        z_ref, errs_ref = np.empty((n, 16)), np.empty(n)
+        for i in range(0, n, _CHUNK):
+            chunk = x_nhwc[i:i + _CHUNK]
+            z_ref[i:i + _CHUNK] = run(model.encoder_layers, chunk)
+            errs_ref[i:i + _CHUNK] = bce_loss_per_sample(
+                run(model.decoder_layers, z_ref[i:i + _CHUNK]), chunk)
+        assert np.array_equal(z, z_ref)
+        assert np.array_equal(errs, errs_ref)
+        assert np.array_equal(model.encode(x), z_ref)
+
+    def test_one_chunk_starts_no_thread(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a one-chunk call started a thread pool")
+
+        monkeypatch.setattr(autoencoder, "ThreadPoolExecutor", no_pool)
+        model = Autoencoder(8, seed=11)
+        model.encode_and_reconstruction_errors(self.X_MULTI[:_CHUNK])
+        model.encode(self.X_MULTI[0])
+
+    def test_chunk_error_propagates_unchanged(self, monkeypatch):
+        monkeypatch.setattr(autoencoder, "_workers", lambda: 4)
+        error = RuntimeError("chunk failed")
+
+        def fn(chunk):
+            if chunk[0, 0, 0, 0] < 0:  # the marked row starts the third chunk
+                raise error
+            return (chunk[:, 0, 0, :],)
+
+        x = np.zeros((5 * _CHUNK, 28, 28, 1))
+        x[2 * _CHUNK] = -1.0
+        with pytest.raises(RuntimeError) as info:
+            Autoencoder(8, seed=11)._chunked(fn, x)
+        assert info.value is error
 
 
 class TestMatchesUnfusedStack:

@@ -287,6 +287,26 @@ class TestSweep:
         assert "0.123" not in rows
         assert rows.count("nan,nan,nan,nan") == 3
 
+    def test_resume_evaluates_report_without_digest_again(self, data_dir, tmp_path, capsys):
+        # a crash between writing eval_RE.json and the manifest leaves this state
+        def args(csv_name, *extra):
+            return ["sweep", "--class", "0", "--bottlenecks", "3", "--seeds", "5",
+                    "--data-dir", str(data_dir), "--bundles-dir", str(tmp_path / "bundles"),
+                    "--out-csv", str(tmp_path / csv_name), *TRAIN_ARGS[:-2], *extra]
+
+        assert cli.main(args("a.csv")) == 0
+        bundle = tmp_path / "bundles" / "class0_k3_seed5"
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        del manifest["files"]["eval_RE.json"]
+        (bundle / "manifest.json").write_text(json.dumps(manifest))
+        capsys.readouterr()
+
+        assert cli.main(args("b.csv", "--resume")) == 0
+        assert "error[" not in capsys.readouterr().err
+        assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+        assert "eval_RE.json" in ExperimentBundle(bundle).manifest()["files"]
+        ExperimentBundle(bundle).verify()
+
     def test_one_feature_pass_per_cell_on_test_split(self, data_dir, tmp_path,
                                                      monkeypatch):
         # RE, LD and H all come from one (RE, LD) pass over the test split
