@@ -30,14 +30,16 @@ Public array convention is channels-first ([1, 28, 28] single sample,
 [N, 1, 28, 28] batch); layers run channels-last internally.
 
 Inference splits a batch into fixed ``_CHUNK``-row chunks and runs them on
-one thread per CPU the process may use; each chunk's result lands at its
-own rows, so the output bytes do not depend on the core count or on the
-order the threads finish in.  Training steps run in the caller's thread.
+one thread per CPU the process may use, the caller's thread among them;
+each chunk's result lands at its own rows, so the output bytes do not
+depend on the core count or on the order the threads finish in.  Training
+steps run in the caller's thread.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -160,10 +162,13 @@ class Autoencoder:
         """Applies ``fn`` (chunk -> tuple of per-row arrays) to ``_CHUNK``-row
         chunks of ``x``, writing each result at its chunk's rows of
         preallocated outputs.  The first chunk runs in the caller and fixes
-        the output shapes (an empty ``x`` still makes that one call); the
-        rest run on a thread pool that lives only for this call, so a
-        one-chunk call starts no thread.  The first exception raised by a
-        chunk propagates unchanged and cancels the chunks not yet started."""
+        the output shapes (an empty ``x`` still makes that one call).  The
+        caller then takes the remaining chunks from a shared queue together
+        with up to ``_workers() - 1`` helper threads that live only for this
+        call, so a one-chunk call or a one-CPU process starts no thread, and
+        a helper the OS is slow to schedule holds up at most its own chunk.
+        The first exception raised by a chunk propagates unchanged and drops
+        the chunks not yet started."""
         first = fn(x[:_CHUNK])
         outs = tuple(np.empty((len(x), *p.shape[1:])) for p in first)
 
@@ -172,10 +177,29 @@ class Autoencoder:
                 out[i:i + len(part)] = part
 
         put(0, first)
-        starts = range(_CHUNK, len(x), _CHUNK)
-        if starts:
-            with ThreadPoolExecutor(min(_workers(), len(starts))) as pool:
-                list(pool.map(lambda i: put(i, fn(x[i:i + _CHUNK])), starts))
+        todo = deque(range(_CHUNK, len(x), _CHUNK))
+
+        def drain():
+            while True:
+                try:
+                    i = todo.popleft()  # atomic: each chunk runs once
+                except IndexError:
+                    return
+                try:
+                    put(i, fn(x[i:i + _CHUNK]))
+                except BaseException:
+                    todo.clear()
+                    raise
+
+        helpers = min(_workers(), len(todo)) - 1
+        if helpers < 1:
+            drain()
+            return outs
+        with ThreadPoolExecutor(helpers) as pool:
+            futures = [pool.submit(drain) for _ in range(helpers)]
+            drain()
+        for future in futures:
+            future.result()
         return outs
 
     def encode(self, x):

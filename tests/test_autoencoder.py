@@ -1,6 +1,7 @@
 """Architecture assembly, shape contracts, determinism, checkpoints."""
 
 import sys
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -243,14 +244,43 @@ class TestChunkedForward:
         assert np.array_equal(errs, errs_ref)
         assert np.array_equal(model.encode(x), z_ref)
 
-    def test_one_chunk_starts_no_thread(self, monkeypatch):
+    @pytest.mark.parametrize("workers, rows", [(4, _CHUNK), (4, 1), (1, 2 * _CHUNK + 1)])
+    def test_one_chunk_or_one_cpu_starts_no_thread(self, workers, rows, monkeypatch):
         def no_pool(*args, **kwargs):
-            raise AssertionError("a one-chunk call started a thread pool")
+            raise AssertionError("a call with no chunk to share started a thread pool")
 
+        monkeypatch.setattr(autoencoder, "_workers", lambda: workers)
         monkeypatch.setattr(autoencoder, "ThreadPoolExecutor", no_pool)
         model = Autoencoder(8, seed=11)
-        model.encode_and_reconstruction_errors(self.X_MULTI[:_CHUNK])
+        z, _ = model.encode_and_reconstruction_errors(self.X_MULTI[:rows])
+        assert z.shape == (rows, 8)
         model.encode(self.X_MULTI[0])
+
+    def test_caller_runs_chunks_no_helper_takes(self, monkeypatch):
+        class IdleHelpers:
+            """A pool whose helpers never start, as if the OS never ran them."""
+
+            def __init__(self, workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn):
+                done = Future()
+                done.set_result(None)
+                return done
+
+        model = Autoencoder(8, seed=11)
+        monkeypatch.setattr(autoencoder, "_workers", lambda: 1)
+        expected = model.encode_and_reconstruction_errors(self.X_MULTI)
+        monkeypatch.setattr(autoencoder, "_workers", lambda: 4)
+        monkeypatch.setattr(autoencoder, "ThreadPoolExecutor", IdleHelpers)
+        for got, want in zip(model.encode_and_reconstruction_errors(self.X_MULTI), expected):
+            assert np.array_equal(got, want)
 
     def test_chunk_error_propagates_unchanged(self, monkeypatch):
         monkeypatch.setattr(autoencoder, "_workers", lambda: 4)
