@@ -29,11 +29,14 @@ yields bit-identical parameters.
 Public array convention is channels-first ([1, 28, 28] single sample,
 [N, 1, 28, 28] batch); layers run channels-last internally.
 
-Inference splits a batch into fixed ``_CHUNK``-row chunks and runs them on
-one thread per CPU the process may use, the caller's thread among them;
-each chunk's result lands at its own rows, so the output bytes do not
-depend on the core count or on the order the threads finish in.  Training
-steps run in the caller's thread.
+Inference and training both split a batch into fixed ``_CHUNK``-row
+chunks and run them on one thread per CPU the process may use, the
+caller's thread among them (``_run_tasks``).  Each inference chunk's result
+lands at its own rows.  Each training sub-batch runs forward and backward
+on its own "lane", a layer stack that shares this model's parameters but
+keeps its own caches and gradients, and the caller sums the sub-batch
+results in sub-batch order.  Neither the output bytes nor the gradients
+depend on the core count or on the order the threads finish in.
 """
 
 from __future__ import annotations
@@ -63,9 +66,10 @@ from latent_guard.nn.losses import bce_loss_per_sample
 IMAGE_SHAPE = (1, 28, 28)
 _FLAT_DIM = 7 * 7 * 2  # encoder spatial trace: 28 -> 14 -> 7 with 2 channels
 
-# Batch rows per inference chunk.  It bounds the transient im2col buffers
-# of the 32-channel convolutions, one set per thread in flight, and fixes
-# the GEMM shapes, so it is a constant: never derived from the core count.
+# Batch rows per inference chunk and per training sub-batch.  It bounds the
+# transient im2col buffers of the 32-channel convolutions, one set per
+# thread in flight, and fixes the GEMM shapes, so it is a constant: never
+# derived from the core count.
 _CHUNK = 64
 
 CHECKPOINT_VERSION = 1
@@ -79,19 +83,52 @@ PARAM_LAYER_NAMES = (
 
 
 def _workers() -> int:
-    """Inference threads: one per CPU in the process's affinity mask."""
+    """Chunk threads: one per CPU in the process's affinity mask."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
 
 
+def _run_tasks(task, items):
+    """Calls ``task(item)`` once for every item.  The caller takes items from
+    a shared queue together with up to ``_workers() - 1`` helper threads
+    that live only for this call, so a one-item call or a one-CPU process
+    starts no thread, and a helper the OS is slow to schedule holds up at
+    most its own item.  The first exception raised by a task propagates
+    unchanged and drops the items not yet started."""
+    todo = deque(items)
+
+    def drain():
+        while True:
+            try:
+                item = todo.popleft()  # atomic: each item runs once
+            except IndexError:
+                return
+            try:
+                task(item)
+            except BaseException:
+                todo.clear()
+                raise
+
+    helpers = min(_workers(), len(todo)) - 1
+    if helpers < 1:
+        drain()
+        return
+    with ThreadPoolExecutor(helpers) as pool:
+        futures = [pool.submit(drain) for _ in range(helpers)]
+        drain()
+    for future in futures:
+        future.result()
+
+
 class Autoencoder:
     """Appendix-architecture autoencoder; see the module docstring.
 
     The layer stack is immutable during inference (encode/score calls cache
-    nothing), so concurrent reads are safe; training mutates parameters
-    through a single writer.
+    nothing), so concurrent reads are safe.  Training sub-batches run on
+    lanes (``map_sub_batches``), and the parameters change only between
+    them, through a single writer.
     """
 
     def __init__(self, bottleneck_size: int, seed: int):
@@ -119,6 +156,7 @@ class Autoencoder:
             UpsampleConv3x3(32, 1, rng),
             Sigmoid(),
         ]
+        self._lanes = []
 
     # -- parameter access ---------------------------------------------------
 
@@ -162,13 +200,8 @@ class Autoencoder:
         """Applies ``fn`` (chunk -> tuple of per-row arrays) to ``_CHUNK``-row
         chunks of ``x``, writing each result at its chunk's rows of
         preallocated outputs.  The first chunk runs in the caller and fixes
-        the output shapes (an empty ``x`` still makes that one call).  The
-        caller then takes the remaining chunks from a shared queue together
-        with up to ``_workers() - 1`` helper threads that live only for this
-        call, so a one-chunk call or a one-CPU process starts no thread, and
-        a helper the OS is slow to schedule holds up at most its own chunk.
-        The first exception raised by a chunk propagates unchanged and drops
-        the chunks not yet started."""
+        the output shapes (an empty ``x`` still makes that one call); the
+        others go through ``_run_tasks``."""
         first = fn(x[:_CHUNK])
         outs = tuple(np.empty((len(x), *p.shape[1:])) for p in first)
 
@@ -177,29 +210,7 @@ class Autoencoder:
                 out[i:i + len(part)] = part
 
         put(0, first)
-        todo = deque(range(_CHUNK, len(x), _CHUNK))
-
-        def drain():
-            while True:
-                try:
-                    i = todo.popleft()  # atomic: each chunk runs once
-                except IndexError:
-                    return
-                try:
-                    put(i, fn(x[i:i + _CHUNK]))
-                except BaseException:
-                    todo.clear()
-                    raise
-
-        helpers = min(_workers(), len(todo)) - 1
-        if helpers < 1:
-            drain()
-            return outs
-        with ThreadPoolExecutor(helpers) as pool:
-            futures = [pool.submit(drain) for _ in range(helpers)]
-            drain()
-        for future in futures:
-            future.result()
+        _run_tasks(lambda i: put(i, fn(x[i:i + _CHUNK])), range(_CHUNK, len(x), _CHUNK))
         return outs
 
     def encode(self, x):
@@ -253,6 +264,30 @@ class Autoencoder:
             g = g + d_bottleneck
         for layer in reversed(self.encoder_layers):
             g = layer.backward(g)
+
+    def map_sub_batches(self, fn, x):
+        """Calls ``fn(lane, sub_batch)`` on each ``_CHUNK``-row sub-batch of
+        ``x`` through ``_run_tasks``, sub-batch i on lane i, and returns the
+        results in sub-batch order.  A lane is a layer stack built like this
+        model whose layers share this model's ``params`` dicts, so in-place
+        parameter updates reach every lane, while caches and ``grads`` stay
+        the lane's own.  ``fn`` may train its lane
+        (``forward_training``/``backward_training``) but must leave the
+        parameters alone."""
+        starts = range(0, len(x), _CHUNK)
+        while len(self._lanes) < len(starts):
+            lane = Autoencoder(self.bottleneck_size, self.seed)
+            for mine, theirs in zip(lane.encoder_layers + lane.decoder_layers,
+                                    self.encoder_layers + self.decoder_layers, strict=True):
+                mine.params = theirs.params
+            self._lanes.append(lane)
+        results = [None] * len(starts)
+
+        def task(i):
+            results[i] = fn(self._lanes[i], x[starts[i]:starts[i] + _CHUNK])
+
+        _run_tasks(task, range(len(starts)))
+        return results
 
     # -- persistence ----------------------------------------------------------
 

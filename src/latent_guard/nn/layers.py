@@ -4,7 +4,9 @@ Layers run channels-last internally ([N, H, W, C] batches) and hold their
 parameters/gradients in dicts keyed "weight"/"bias"; conv weights keep the
 canonical [C_out, C_in, 3, 3] shape and dense weights [out_dim, in_dim].
 ``forward(x, train=True)`` caches whatever backward needs; caches belong to
-the most recent batch only.  Inference (train=False) caches nothing, so
+the most recent batch of this layer object only, so concurrent training
+passes each need their own layer stack (the autoencoder's lanes, which
+share their ``params`` dicts).  Inference (train=False) caches nothing, so
 concurrent forward passes over an immutable layer stack are safe.
 
 ``Conv3x3ReLUPool`` and ``UpsampleConv3x3`` are fused layers for the two

@@ -7,7 +7,11 @@ Procedure for one (inlier class, bottleneck size) configuration:
 2. Filter both parts to the inlier class.
 3. Minimize BCE(x, reconstruction) + L1_LAMBDA * mean_per_sample |bottleneck|
    with adadelta over shuffled mini-batches; the shuffle order is derived
-   from (seed, epoch), so a fixed config is bit-reproducible.
+   from (seed, epoch), so a fixed config is bit-reproducible.  Each batch
+   runs as fixed 64-row sub-batches on every core
+   (``Autoencoder.map_sub_batches``); their loss parts and gradients are
+   summed in sub-batch order into one adadelta step per batch, so the
+   result does not depend on the core count.
 4. After each epoch compute the validation loss (same objective, including
    the L1 term); stop once more than ``patience`` epochs pass without a
    strictly lower validation loss, and restore the parameter snapshot from
@@ -42,11 +46,11 @@ def tune_allocator() -> None:
     every free and the training loop spends most of its time in page
     faults.  Raising the thresholds keeps the heap hot.
 
-    It also caps malloc at one arena.  Inference runs its chunks on
-    threads (``autoencoder``), and glibc would give each thread its own
-    arena, whose freed buffers the raised trim threshold never hands back,
-    so peak RSS would grow with the thread count.  One shared arena
-    reuses the same hot pages instead.
+    It also caps malloc at one arena.  Inference chunks and training
+    sub-batches run on threads (``autoencoder``), and glibc would give each
+    thread its own arena, whose freed buffers the raised trim threshold
+    never hands back, so peak RSS would grow with the thread count.  One
+    shared arena reuses the same hot pages instead.
 
     Called on entry to train_on_split() and by ``cli.main``; a no-op where
     glibc is unavailable.
@@ -158,6 +162,34 @@ def _objective_forward(model, val_images):
     return re.mean() + L1_LAMBDA * np.abs(z).sum(axis=1).mean()
 
 
+def _batch_loss_and_grads(model, batch, where):
+    """Objective and its parameter gradients over one batch, summed from
+    its sub-batches in order; ``where`` names the batch in errors."""
+    b = len(batch)
+
+    def sub_batch(lane, x):
+        recon, bottleneck = lane.forward_training(x)
+        try:
+            bce, d_recon = bce_loss_and_grad(recon, x)
+        except ValueError:  # NaN reconstruction; reported below with its place
+            bce, d_recon = np.nan, None
+        penalty, d_bottleneck = l1_penalty(bottleneck, L1_LAMBDA)
+        # bce is the sub-batch mean, so its share of the batch mean is len(x) / b
+        share = len(x) / b
+        loss = bce * share + penalty / b
+        if not np.isfinite(loss):
+            raise FloatingPointError(f"non-finite training loss {loss} at {where}")
+        lane.backward_training(d_recon * share, d_bottleneck / b)
+        return loss, lane.named_grads()
+
+    parts = model.map_sub_batches(sub_batch, batch)
+    loss, grads = parts[0]
+    for part_loss, part_grads in parts[1:]:
+        loss += part_loss
+        grads = {name: g + part_grads[name] for name, g in grads.items()}
+    return loss, grads
+
+
 def train(config: TrainConfig, dataset: ImageDataset):
     """Runs the full procedure; returns (best-epoch model, TrainRecord)."""
     return train_on_split(config, *inlier_split(config, dataset))
@@ -183,22 +215,10 @@ def train_on_split(config: TrainConfig, train_inliers: ImageDataset,
         total_loss = 0.0
         for start in range(0, n, config.batch_size):
             batch = x_train[order[start:start + config.batch_size]]
-            b = batch.shape[0]
-            recon, bottleneck = model.forward_training(batch)
-            try:
-                bce, d_recon = bce_loss_and_grad(recon, batch)
-            except ValueError:  # NaN reconstruction; reported below with its place
-                bce, d_recon = np.nan, None
-            penalty, d_bottleneck = l1_penalty(bottleneck, L1_LAMBDA)
-            loss = bce + penalty / b
-            if not np.isfinite(loss):
-                raise FloatingPointError(
-                    f"non-finite training loss {loss} at epoch {epoch}, "
-                    f"batch {start // config.batch_size}"
-                )
-            model.backward_training(d_recon, d_bottleneck / b)
-            optimizer.step(model.named_grads())
-            total_loss += loss * b
+            loss, grads = _batch_loss_and_grads(
+                model, batch, f"epoch {epoch}, batch {start // config.batch_size}")
+            optimizer.step(grads)
+            total_loss += loss * len(batch)
 
         val_loss = _objective_forward(model, val_inliers.images)
         if not np.isfinite(val_loss):

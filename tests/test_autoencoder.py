@@ -1,6 +1,8 @@
 """Architecture assembly, shape contracts, determinism, checkpoints."""
 
 import sys
+import threading
+import time
 from concurrent.futures import Future
 
 import numpy as np
@@ -296,6 +298,26 @@ class TestChunkedForward:
         with pytest.raises(RuntimeError) as info:
             Autoencoder(8, seed=11)._chunked(fn, x)
         assert info.value is error
+
+    def test_task_error_drops_items_not_started(self, monkeypatch):
+        monkeypatch.setattr(autoencoder, "_workers", lambda: 2)
+        failed = threading.Event()
+        ran = []
+
+        def task(i):
+            ran.append(i)
+            if i == 0:  # hold this thread until the other one has failed
+                assert failed.wait(timeout=10)
+                time.sleep(0.05)  # time for the failing thread to empty the queue
+            elif i == 1:
+                failed.set()
+                raise RuntimeError("task failed")
+
+        threads = threading.active_count()
+        with pytest.raises(RuntimeError, match="task failed"):
+            autoencoder._run_tasks(task, range(10))
+        assert sorted(ran) == [0, 1]
+        assert threading.active_count() == threads
 
 
 class TestMatchesUnfusedStack:

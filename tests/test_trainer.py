@@ -1,13 +1,24 @@
 """Split, early-stopping rule, and the training loop on tiny data."""
 
 import dataclasses
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from latent_guard import TrainConfig, inlier_split, split_dataset, train
+from latent_guard import Autoencoder, TrainConfig, autoencoder, inlier_split, split_dataset, train
+from latent_guard.autoencoder import _CHUNK
 from latent_guard.data import ImageDataset, filter_class
-from latent_guard.trainer import L1_LAMBDA, STOP_EARLY, STOP_MAX_EPOCHS, EarlyStopping
+from latent_guard.nn.losses import bce_loss_and_grad, l1_penalty
+from latent_guard.nn.optim import Adadelta
+from latent_guard.trainer import (
+    L1_LAMBDA,
+    STOP_EARLY,
+    STOP_MAX_EPOCHS,
+    EarlyStopping,
+    _batch_loss_and_grads,
+)
 
 from conftest import synthetic_digits
 
@@ -222,3 +233,140 @@ class TestTrainLoop:
         config = TrainConfig(**{**self.CONFIG, "inlier_class": 7})
         with pytest.raises(ValueError, match="no samples"):
             train(config, tiny_train_set)
+
+
+def whole_batch_reference(config, dataset):
+    """The training loop with each batch in one forward/backward pass:
+    (final model, per-epoch training losses)."""
+    train_inliers, _ = inlier_split(config, dataset)
+    model = Autoencoder(config.bottleneck_size, config.seed)
+    optimizer = Adadelta(model.named_parameters())
+    x = np.ascontiguousarray(train_inliers.images.transpose(0, 2, 3, 1))
+    losses = []
+    for epoch in range(1, config.max_epochs + 1):
+        order = np.random.default_rng([config.seed, epoch]).permutation(len(x))
+        total = 0.0
+        for start in range(0, len(x), config.batch_size):
+            batch = x[order[start:start + config.batch_size]]
+            b = len(batch)
+            recon, bottleneck = model.forward_training(batch)
+            bce, d_recon = bce_loss_and_grad(recon, batch)
+            penalty, d_bottleneck = l1_penalty(bottleneck, L1_LAMBDA)
+            total += (bce + penalty / b) * b
+            model.backward_training(d_recon, d_bottleneck / b)
+            optimizer.step(model.named_grads())
+        losses.append(total / len(x))
+    return model, losses
+
+
+def params_equal(a, b):
+    pa, pb = a.named_parameters(), b.named_parameters()
+    return pa.keys() == pb.keys() and all(np.array_equal(pa[k], pb[k]) for k in pa)
+
+
+class TestSubBatches:
+    """Each batch runs as fixed _CHUNK-row sub-batches on every core, summed
+    in sub-batch order into one optimizer step."""
+
+    # 250 images, 50 held out: 200 training rows, i.e. batches of 128 (two
+    # sub-batches) and 72 (a full sub-batch and an 8-row one)
+    CONFIG = dict(inlier_class=0, bottleneck_size=4, seed=21, max_epochs=2,
+                  patience=1, batch_size=128, val_size=50)
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return synthetic_digits(250, seed=22, n_classes=1)
+
+    # batch 200 takes the whole set: sub-batches of 64, 64, 64 and 8 rows
+    @pytest.mark.parametrize("batch_size", [128, 200])
+    def test_record_and_params_do_not_depend_on_workers(self, data, batch_size, monkeypatch):
+        assert _CHUNK == 64  # the splits the comments above describe
+        config = TrainConfig(**{**self.CONFIG, "batch_size": batch_size})
+        threads = threading.active_count()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the sub-batch threads finely
+        runs = []
+        try:
+            for workers in (1, 2, 4):
+                monkeypatch.setattr(autoencoder, "_workers", lambda: workers)
+                runs.append(train(config, data))
+                assert threading.active_count() == threads
+        finally:
+            sys.setswitchinterval(interval)
+        (model, record), *others = runs
+        for other_model, other_record in others:
+            assert other_record == record
+            assert params_equal(other_model, model)
+
+    @pytest.mark.parametrize("batch_size", [50, _CHUNK])
+    def test_one_sub_batch_equals_whole_batch_pass(self, data, batch_size):
+        config = TrainConfig(**{**self.CONFIG, "batch_size": batch_size})
+        model, record = train(config, data)
+        ref_model, ref_losses = whole_batch_reference(config, data)
+        assert record.best_epoch == config.max_epochs  # so model holds the final step
+        assert [e.train_loss for e in record.epochs] == ref_losses
+        assert params_equal(model, ref_model)
+
+    @pytest.mark.parametrize("rows", [2 * _CHUNK, _CHUNK + 8])
+    def test_summed_sub_batch_grads_match_whole_batch(self, rows):
+        model = Autoencoder(16, seed=23)
+        batch = np.random.default_rng(rows).uniform(0.0, 1.0, (rows, 28, 28, 1))
+        loss, grads = _batch_loss_and_grads(model, batch, "test batch")
+
+        recon, bottleneck = model.forward_training(batch)
+        bce, d_recon = bce_loss_and_grad(recon, batch)
+        penalty, d_bottleneck = l1_penalty(bottleneck, L1_LAMBDA)
+        model.backward_training(d_recon, d_bottleneck / rows)
+        np.testing.assert_allclose(loss, bce + penalty / rows, rtol=1e-12)
+        ref = model.named_grads()
+        assert grads.keys() == ref.keys()
+        for name, grad in grads.items():
+            scale = np.abs(ref[name]).max()
+            assert np.abs(grad - ref[name]).max() <= 1e-12 * scale, name
+
+    def nan_in_sub_batch(self, monkeypatch, config, dataset, epoch, rows):
+        """Makes the reconstruction NaN for the sub-batch that holds exactly
+        training ``rows`` of ``epoch``'s shuffle; returns the list the
+        patched ``forward_training`` appends each sub-batch's size to."""
+        train_inliers, _ = inlier_split(config, dataset)
+        x = train_inliers.images.transpose(0, 2, 3, 1)
+        order = np.random.default_rng([config.seed, epoch]).permutation(len(x))
+        marked = x[order[rows]]
+        real = Autoencoder.forward_training
+        calls = []
+
+        def forward_training(lane, batch):
+            calls.append(len(batch))
+            recon, bottleneck = real(lane, batch)
+            if np.array_equal(batch, marked):
+                recon = np.full_like(recon, np.nan)
+            return recon, bottleneck
+
+        monkeypatch.setattr(Autoencoder, "forward_training", forward_training)
+        return calls
+
+    @pytest.mark.parametrize("workers", [1, 2, 4])
+    def test_nan_in_second_sub_batch_names_epoch_and_batch(self, workers, monkeypatch):
+        # 350 images, 50 held out: batches of 128, 128 and 44 training rows;
+        # the NaN is in the second sub-batch of epoch 2's batch 1
+        data = synthetic_digits(350, seed=24, n_classes=1)
+        config = TrainConfig(**self.CONFIG)
+        calls = self.nan_in_sub_batch(monkeypatch, config, data, epoch=2,
+                                      rows=slice(128 + _CHUNK, 256))
+        monkeypatch.setattr(autoencoder, "_workers", lambda: workers)
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match=r"epoch 2, batch 1\b"):
+            train(config, data)
+        assert threading.active_count() == threads
+        # epoch 1 ran 2 + 2 + 1 sub-batches; epoch 2 stopped in its batch 1
+        assert len(calls) == 5 + 4
+
+    def test_error_drops_sub_batches_not_started(self, data, monkeypatch):
+        config = TrainConfig(**{**self.CONFIG, "batch_size": 5 * _CHUNK, "val_size": 10})
+        # 240 training rows, one batch of four sub-batches; the second fails
+        calls = self.nan_in_sub_batch(monkeypatch, config, data, epoch=1,
+                                      rows=slice(_CHUNK, 2 * _CHUNK))
+        monkeypatch.setattr(autoencoder, "_workers", lambda: 1)
+        with pytest.raises(FloatingPointError, match=r"epoch 1, batch 0\b"):
+            train(config, data)
+        assert calls == [_CHUNK, _CHUNK]
