@@ -32,10 +32,13 @@ Public array convention is channels-first ([1, 28, 28] single sample,
 Inference and training both split a batch into fixed ``_CHUNK``-row
 chunks and run them on one thread per CPU the process may use, the
 caller's thread among them (``_run_tasks``).  Each inference chunk's result
-lands at its own rows.  Each training sub-batch runs forward and backward
-on its own "lane", a layer stack that shares this model's parameters but
-keeps its own caches and gradients, and the caller sums the sub-batch
-results in sub-batch order.  Neither the output bytes nor the gradients
+lands at its own rows; a scoring pass may reduce each chunk's embeddings
+to one value per row on the chunk's thread (the ``latent`` callable of
+``encode_and_reconstruction_errors``), so no [N, k] embedding matrix is
+held.  Each training sub-batch runs forward and backward on its own
+"lane", a layer stack that shares this model's parameters but keeps its
+own caches and gradients, and the caller sums the sub-batch results in
+sub-batch order.  Neither the output bytes nor the gradients
 depend on the core count or on the order the threads finish in.
 """
 
@@ -234,13 +237,18 @@ class Autoencoder:
     def reconstruct(self, x):
         return self.decode(self.encode(x))
 
-    def encode_and_reconstruction_errors(self, x):
+    def encode_and_reconstruction_errors(self, x, latent=None):
         """Single forward pass yielding (embeddings [N,k], per-sample BCE
-        reconstruction errors [N]); the L1 activity penalty is excluded."""
+        reconstruction errors [N]); the L1 activity penalty is excluded.
+
+        ``latent``, if given, maps one chunk's embeddings [c, k] to one value
+        per row [c]; it runs on the chunk's thread, and the first result is
+        then those values [N] instead of the embeddings."""
 
         def encode_and_errors(chunk):
             z = self._run(self.encoder_layers, chunk)
-            return z, bce_loss_per_sample(self._run(self.decoder_layers, z), chunk)
+            re = bce_loss_per_sample(self._run(self.decoder_layers, z), chunk)
+            return (z if latent is None else latent(z)), re
 
         return self._chunked(encode_and_errors, self._to_nhwc_batch(x)[0])
 
@@ -314,5 +322,7 @@ class Autoencoder:
         for name, arr in arrays.items():
             if params[name].shape != arr.shape:
                 raise ShapeError(f"checkpoint param {name}", params[name].shape, arr.shape)
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"checkpoint param {name} contains non-finite values")
             params[name][...] = arr
         return model

@@ -134,14 +134,24 @@ class ExperimentBundle:
             )
         return data
 
+    def _load(self, name: str, parse):
+        """``parse`` applied to the verified bytes of ``name``; a ValueError
+        it raises (a bad container, non-finite arrays) names the file."""
+        data = self._verified(name)
+        try:
+            return parse(data)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from exc
+
     def load_model(self) -> Autoencoder:
-        return Autoencoder.from_bytes(self._verified(CHECKPOINT_FILE))
+        return self._load(CHECKPOINT_FILE, Autoencoder.from_bytes)
 
     def load_stats(self) -> GaussianStats:
-        return GaussianStats.from_bytes(self._verified(STATS_FILE))
+        return self._load(STATS_FILE, GaussianStats.from_bytes)
 
     def load_calibration(self) -> NoveltyCalibration:
-        return NoveltyCalibration.from_json(self._verified(CALIBRATION_FILE).decode())
+        return self._load(CALIBRATION_FILE,
+                          lambda data: NoveltyCalibration.from_json(data.decode()))
 
     def verify(self) -> None:
         """Checks every manifest digest against the file contents."""

@@ -304,11 +304,14 @@ class LinearProjectionCodec:
     def encode(self, x):
         return np.asarray(x, dtype=np.float64) @ self.basis.T
 
-    def encode_and_reconstruction_errors(self, x):
-        """(coefficients [N,m], residual norms [N]); a 1-D point is one row."""
+    def encode_and_reconstruction_errors(self, x, latent=None):
+        """(coefficients [N,m], residual norms [N]); a 1-D point is one row.
+        ``latent`` maps the whole batch's coefficients to one value per row
+        and replaces them in the result, as in ``Autoencoder``."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         z = self.encode(x)
-        return z, np.linalg.norm(x - z @ self.basis, axis=1)
+        re = np.linalg.norm(x - z @ self.basis, axis=1)
+        return (z if latent is None else latent(z)), re
 
 
 class CircularProjectionCodec:
@@ -330,8 +333,11 @@ class CircularProjectionCodec:
         norms = np.linalg.norm(offset, axis=-1, keepdims=True)
         return self.radius * offset / norms
 
-    def encode_and_reconstruction_errors(self, x):
-        """(circle points [N,2], radial offsets [N]); a 1-D point is one row."""
+    def encode_and_reconstruction_errors(self, x, latent=None):
+        """(circle points [N,2], radial offsets [N]); a 1-D point is one row.
+        ``latent`` maps the whole batch's circle points to one value per row
+        and replaces them in the result, as in ``Autoencoder``."""
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
         radial = np.linalg.norm(x - self.center, axis=1)
-        return self.encode(x), np.abs(radial - self.radius)
+        z = self.encode(x)
+        return (z if latent is None else latent(z)), np.abs(radial - self.radius)

@@ -10,9 +10,14 @@ mixing weights are the reciprocal standard deviations of each feature over
 a validation set of inliers, so neither super-feature dominates.  Higher
 score = more novel.
 
-Any model exposing ``encode_and_reconstruction_errors(x) -> (z [N,k],
-err [N])`` works here; the trained autoencoder and both analytic projection
-codecs do.
+Any model exposing ``encode_and_reconstruction_errors(x, latent) ->
+(latent(z) [N], err [N])`` works here, where ``latent`` maps embeddings
+z [c, k] to one value per row; the trained autoencoder and both analytic
+projection codecs do.  ``features`` passes the Mahalanobis distance as
+``latent``: the autoencoder computes it per inference chunk, on the thread
+that encoded the chunk, so no [N, k] embedding matrix is ever held, and
+the codecs apply it to their whole batch.  Distances are per-row, so the
+values equal those of one bulk call on all embeddings.
 """
 
 from __future__ import annotations
@@ -62,8 +67,11 @@ class NoveltyCalibration:
 
 def features(model, stats: GaussianStats, images) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample (reconstruction error, latent distance) over a batch."""
-    z, re = model.encode_and_reconstruction_errors(images)
-    return re, mahalanobis_many(stats, z)
+    # the lambda looks ``mahalanobis_many`` up at call time, so a wrapper
+    # installed on this module's name (e.g. a tracer) sees every chunk
+    ld, re = model.encode_and_reconstruction_errors(
+        images, latent=lambda z: mahalanobis_many(stats, z))
+    return re, ld
 
 
 def calibrate(model, stats: GaussianStats, val_inliers) -> NoveltyCalibration:

@@ -246,6 +246,22 @@ class TestChunkedForward:
         assert np.array_equal(errs, errs_ref)
         assert np.array_equal(model.encode(x), z_ref)
 
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_latent_reduces_each_chunk_in_place_of_embeddings(self, workers, monkeypatch):
+        monkeypatch.setattr(autoencoder, "_workers", lambda: workers)
+        model = Autoencoder(8, seed=11)
+        chunk_rows = []
+
+        def row_sums(z):
+            chunk_rows.append(len(z))
+            return z.sum(axis=1)
+
+        sums, errs = model.encode_and_reconstruction_errors(self.X_MULTI, latent=row_sums)
+        z, errs_ref = model.encode_and_reconstruction_errors(self.X_MULTI)
+        assert sorted(chunk_rows) == [1, _CHUNK, _CHUNK]
+        assert np.array_equal(sums, z.sum(axis=1))
+        assert np.array_equal(errs, errs_ref)
+
     @pytest.mark.parametrize("workers, rows", [(4, _CHUNK), (4, 1), (1, 2 * _CHUNK + 1)])
     def test_one_chunk_or_one_cpu_starts_no_thread(self, workers, rows, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -408,6 +424,13 @@ class TestCheckpoint:
         raw = serialization.encode_arrays({"kind": "other"}, {"a": np.zeros(2)})
         with pytest.raises(ValueError, match="checkpoint"):
             Autoencoder.from_bytes(raw)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_parameter_rejected(self, bad):
+        model = Autoencoder(4, seed=0)
+        model.named_parameters()["decoder.8.bias"][0] = bad
+        with pytest.raises(ValueError, match="decoder.8.bias contains non-finite"):
+            Autoencoder.from_bytes(model.to_bytes())
 
     def test_truncated_file_rejected(self):
         model = Autoencoder(4, seed=0)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latent_guard import cli
+from latent_guard import cli, serialization
 from latent_guard.bundle import ExperimentBundle
 from latent_guard.data import IDX_IMAGE_MAGIC, write_idx_images, write_idx_labels
 from latent_guard.metrics import EvalReport, ScoredSet, auroc, fpr_at_tpr
@@ -190,6 +190,24 @@ class TestEval:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error[bundle]: ") and "checkpoint.lgar" in err
+
+    @pytest.mark.parametrize("name, array", [("latent_stats.lgar", "chol"),
+                                             ("checkpoint.lgar", "decoder.8.bias")])
+    def test_non_finite_bundle_array_is_bundle_error(self, data_dir, trained_bundle,
+                                                     tmp_path, capsys, name, array):
+        # a NaN written with its digest re-recorded passes the digest check,
+        # so loading the file itself must refuse it
+        damaged = tmp_path / "nan"
+        shutil.copytree(trained_bundle, damaged)
+        header, arrays = serialization.decode_arrays((damaged / name).read_bytes())
+        arrays[array][..., 0] = np.nan
+        ExperimentBundle(damaged).record_file(
+            {name: serialization.encode_arrays(header, arrays)})
+        code = cli.main(["eval", "--bundle", str(damaged),
+                         "--data-dir", str(data_dir), "--mode", "LD"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[bundle]: ") and name in err and "non-finite" in err
 
     def test_incomplete_bundle_rejected(self, data_dir, tmp_path, capsys):
         code = cli.main(["eval", "--bundle", str(tmp_path / "nothing"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from latent_guard import GaussianStats, fit_gaussian, mahalanobis, mahalanobis_many
+from latent_guard import GaussianStats, fit_gaussian, mahalanobis, mahalanobis_many, serialization
 
 
 class TestFit:
@@ -107,6 +107,17 @@ class TestMahalanobis:
             mahalanobis_many(stats, xs)
             np.testing.assert_array_equal(xs, before)
 
+    @pytest.mark.parametrize("k", [4, 98, 784])
+    def test_each_distance_independent_of_rows_in_the_call(self, k):
+        # what lets scoring compute distances chunk by chunk: a row's
+        # distance is the same alone, in a short call and in a long one
+        rng = np.random.default_rng(k)
+        stats = fit_gaussian(rng.standard_normal((100, k)))
+        xs = rng.standard_normal((70, k))
+        bulk = mahalanobis_many(stats, xs)
+        for start, stop in ((0, 1), (69, 70), (5, 7), (0, 64), (64, 70)):
+            assert np.array_equal(mahalanobis_many(stats, xs[start:stop]), bulk[start:stop])
+
     def test_many_matches_reference_formula_bit_for_bit(self):
         rng = np.random.default_rng(11)
         stats = fit_gaussian(rng.standard_normal((300, 32)))
@@ -170,3 +181,57 @@ class TestPersistence:
         assert np.array_equal(stats.covariance, loaded.covariance)
         assert np.array_equal(stats.chol, loaded.chol)
         assert stats.jitter == loaded.jitter
+
+
+class TestFiniteness:
+    """The fitted arrays are checked once, when a GaussianStats is built;
+    the queries check only their own input rows."""
+
+    @staticmethod
+    def _arrays():
+        stats = fit_gaussian(np.random.default_rng(12).standard_normal((30, 4)))
+        return {"mean": stats.mean, "covariance": stats.covariance, "chol": stats.chol}
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected(self, bad):
+        stats = GaussianStats(**self._arrays(), jitter=0.0)
+        x = np.zeros(4)
+        x[2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            mahalanobis(stats, x)
+        xs = np.zeros((5, 4))
+        xs[3, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            mahalanobis_many(stats, xs)
+
+    @pytest.mark.parametrize("name", ["mean", "covariance", "chol"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_array_rejected_at_construction_and_load(self, name, bad):
+        arrays = self._arrays()
+        arrays[name] = arrays[name].copy()
+        arrays[name].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"{name} contains non-finite"):
+            GaussianStats(**arrays, jitter=0.0)
+        raw = serialization.encode_arrays(
+            {"kind": "latent-stats", "format_version": 1}, {**arrays, "jitter": np.array(0.0)})
+        with pytest.raises(ValueError, match=f"{name} contains non-finite"):
+            GaussianStats.from_bytes(raw)
+
+    @pytest.mark.parametrize("name, shape", [("mean", (4, 1)), ("covariance", (4, 3)),
+                                             ("chol", (3, 3))])
+    def test_wrong_shape_rejected(self, name, shape):
+        arrays = self._arrays()
+        arrays[name] = np.zeros(shape)
+        with pytest.raises(ValueError, match=f"{name} must have shape"):
+            GaussianStats(**arrays, jitter=0.0)
+
+    def test_factor_without_positive_diagonal_rejected(self):
+        arrays = self._arrays()
+        arrays["chol"] = arrays["chol"].copy()
+        arrays["chol"][2, 2] = 0.0
+        with pytest.raises(ValueError, match="positive diagonal"):
+            GaussianStats(**arrays, jitter=0.0)
+
+    def test_empty_batch_gives_no_distances(self):
+        stats = GaussianStats(**self._arrays(), jitter=0.0)
+        assert mahalanobis_many(stats, np.empty((0, 4))).shape == (0,)

@@ -1,11 +1,13 @@
 """Calibration, the three scoring modes, classification, CSV round trips."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from latent_guard import (
+    Autoencoder,
     CircularManifold,
     CircularProjectionCodec,
     LinearManifold,
@@ -15,15 +17,21 @@ from latent_guard import (
     classify,
     fit_gaussian,
     make_manifold_set,
+    mahalanobis_many,
     novelty_scores,
 )
+from latent_guard import autoencoder
+from latent_guard.autoencoder import _CHUNK
 from latent_guard.novelty import (
     MODE_HYBRID,
     MODE_LATENT_DISTANCE,
     MODE_RECONSTRUCTION,
+    features,
     read_scores_csv,
     write_scores_csv,
 )
+
+from conftest import synthetic_digits
 
 
 @pytest.fixture(scope="module")
@@ -197,6 +205,63 @@ class TestCodecProtocol:
         z, expected_re = codec.encode_and_reconstruction_errors(points)
         np.testing.assert_array_equal(re, expected_re)
         np.testing.assert_array_equal(ld, mahalanobis_many(stats, z))
+
+
+# empty, one row, around one chunk, and five chunks plus a ragged tail
+STREAM_ROWS = [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 5 * _CHUNK + 3]
+
+
+@pytest.mark.parametrize("n", STREAM_ROWS)
+@pytest.mark.parametrize("name", sorted(CODECS))
+def test_codec_features_equal_bulk_distances(name, n):
+    codec, d = CODECS[name]
+    rng = np.random.default_rng(3)
+    stats = fit_gaussian(codec.encode(rng.normal(size=(50, d))))
+    points = rng.normal(size=(n, d))
+    re, ld = features(codec, stats, points)
+    assert np.array_equal(re, codec.encode_and_reconstruction_errors(points)[1])
+    assert np.array_equal(ld, mahalanobis_many(stats, codec.encode(points)))
+
+
+@pytest.fixture(scope="module", params=[16, 784], ids=lambda k: f"k{k}")
+def scored_model(request):
+    """An untrained model and the Gaussian of its embeddings; k=784 is
+    rank-deficient, as in the benchmark's score workload."""
+    model = Autoencoder(request.param, seed=3)
+    return model, fit_gaussian(model.encode(synthetic_digits(120, seed=4, n_classes=1).images))
+
+
+class TestStreamedLatentDistance:
+    """``features`` computes LD inside each inference chunk."""
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    @pytest.mark.parametrize("n", STREAM_ROWS)
+    def test_features_equal_bulk_distances(self, scored_model, n, workers, monkeypatch):
+        model, stats = scored_model
+        monkeypatch.setattr(autoencoder, "_workers", lambda: workers)
+        x = np.random.default_rng(n).uniform(0.0, 1.0, (n, 1, 28, 28))
+        re, ld = features(model, stats, x)
+        assert np.array_equal(re, model.encode_and_reconstruction_errors(x)[1])
+        assert np.array_equal(ld, mahalanobis_many(stats, model.encode(x)))
+
+    def test_peak_memory_holds_no_embedding_matrix(self, monkeypatch):
+        k = 784
+        monkeypatch.setattr(autoencoder, "_workers", lambda: 1)
+        model = Autoencoder(k, seed=3)
+        stats = fit_gaussian(model.encode(synthetic_digits(120, seed=4, n_classes=1).images))
+        rng = np.random.default_rng(5)
+        peaks = {}
+        for n in (_CHUNK, 10 * _CHUNK):
+            x = rng.uniform(0.0, 1.0, (n, 1, 28, 28))
+            tracemalloc.start()
+            try:
+                features(model, stats, x)
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        # a held [n, k] matrix (or its centered copy) would add 8 * k bytes per row
+        growth = peaks[10 * _CHUNK] - peaks[_CHUNK]
+        assert growth < 10 * _CHUNK * k * 8, peaks
 
 
 class TestWideBottleneck:
