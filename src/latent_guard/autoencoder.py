@@ -13,11 +13,13 @@ Architecture (bottleneck size k is configurable):
 The layer stacks fuse the two ends that work on 28x28x32 tensors:
 ``Conv3x3ReLUPool`` stands for the first conv + relu + maxpool and
 ``UpsampleConv3x3`` for the last upsample + conv, so neither tensor is ever
-built.  Both give bit-identical inference results, and checkpoints keep
-the unfused stack's parameter names (``PARAM_LAYER_NAMES``).  Both fused
-layers sum their training gradients in their own order (the stem per
-pool-window corner), so every training gradient agrees with the unfused
-stack to rounding.
+built.  The stem runs four GEMMs, one per pool-window corner, on the 4x4
+input patch behind each pooled pixel, in fixed blocks of patch rows, and
+caches those patches for training.  Both give bit-identical inference
+results, and checkpoints keep the unfused stack's parameter names
+(``PARAM_LAYER_NAMES``).  Both fused layers sum their training gradients
+in their own order (the stem per pool-window corner), so every training
+gradient agrees with the unfused stack to rounding.
 
 Training puts an L1 activity penalty on the bottleneck dense layer (weight
 ``trainer.L1_LAMBDA``); the penalty never enters the reconstruction-error
@@ -315,10 +317,25 @@ class Autoencoder:
         if header.get("kind") != "autoencoder-checkpoint":
             raise ValueError("not an autoencoder checkpoint")
         # older checkpoints also carry an "l1_lambda" key, which is ignored
-        model = cls(header["bottleneck_size"], header["seed"])
+        for key in ("bottleneck_size", "seed"):
+            if key not in header:
+                raise ValueError(f"checkpoint header has no {key!r}")
+            if type(header[key]) is not int:
+                raise ValueError(f"checkpoint header {key!r} must be an integer, got {header[key]!r}")
+        names = {f"{layer}.{key}" for layer in PARAM_LAYER_NAMES for key in ("weight", "bias")}
+        if set(arrays) != names:
+            raise ValueError(
+                f"checkpoint parameter names do not match: missing {sorted(names - set(arrays))}, "
+                f"unexpected {sorted(set(arrays) - names)}"
+            )
+        # the header's k sizes every layer built below, so it must agree with
+        # the file's own bottleneck weight first
+        k = header["bottleneck_size"]
+        if arrays["encoder.7.weight"].shape != (k, _FLAT_DIM):
+            raise ShapeError("checkpoint param encoder.7.weight", (k, _FLAT_DIM),
+                             arrays["encoder.7.weight"].shape)
+        model = cls(k, header["seed"])
         params = model.named_parameters()
-        if set(params) != set(arrays):
-            raise ValueError("checkpoint parameter names do not match")
         for name, arr in arrays.items():
             if params[name].shape != arr.shape:
                 raise ShapeError(f"checkpoint param {name}", params[name].shape, arr.shape)

@@ -126,6 +126,11 @@ class GaussianStats:
         header, arrays = serialization.decode_arrays(raw)
         if header.get("kind") != "latent-stats":
             raise ValueError("not a latent-stats container")
+        for key in ("mean", "covariance", "chol", "jitter"):
+            if key not in arrays:
+                raise ValueError(f"latent stats have no {key!r} array")
+        if arrays["jitter"].shape != ():
+            raise ValueError(f"latent stats jitter must be a scalar, got shape {arrays['jitter'].shape}")
         return cls(
             mean=arrays["mean"],
             covariance=arrays["covariance"],

@@ -10,15 +10,18 @@ routing indices only when asked to (training).  Dense and ReLU are
 one-liners and live in layers.py.
 
 Two fused kernels keep the autoencoder's 28x28x32 tensors out of memory.
-The stem, Conv3x3 -> ReLU -> MaxPool2x2, runs the convolution's GEMM on
-im2col rows grouped by pool-window corner and pools the four results
-before the bias and ReLU.  The tail, Upsample2x2 -> Conv3x3, runs as four
-phase convolutions on the half-resolution input (the sub-pixel identity of
-Shi et al. 2016, arXiv 1609.05158, in reverse).  Both forwards give the
-unfused chains' bits; the tail keeps the unfused GEMM shape and tap order,
-since pre-summed taps or one merged GEMM change the rounding (4e-15 on a
-128-image chunk).  Both backwards sum in their own order (the stem's per
-window corner), so their dW and db match the unfused chains' to rounding.
+The stem, Conv3x3 -> ReLU -> MaxPool2x2, reads the 4x4 input patch behind
+each pooled pixel once and runs one GEMM per pool-window corner on it, with
+that corner's 3x3 kernel placed in a 4x4 weight grid of exact zeros; it
+pools the four results, block by block of patch rows, before the bias and
+ReLU.  The tail, Upsample2x2 -> Conv3x3, runs as four phase convolutions on
+the half-resolution input (the sub-pixel identity of Shi et al. 2016, arXiv
+1609.05158, in reverse).  Both forwards give the unfused chains' bits: the
+stem's zero taps add exact zeros to finite sums, and the tail keeps the
+unfused GEMM shape and tap order, since pre-summed taps or one merged GEMM
+change the rounding (4e-15 on a 128-image chunk).  Both backwards sum in
+their own order (the stem's per window corner), so their dW and db match
+the unfused chains' to rounding.
 """
 
 from __future__ import annotations
@@ -31,6 +34,11 @@ from scipy.special import expit
 # cheap to materialize; above it the kernels run batched matmuls directly
 # on strided views of the padded input, which avoids any window copy.
 _IM2COL_MAX_CIN = 4
+
+# Rows of 4x4 patches per block of the fused stem: the four corner GEMM
+# outputs of one block (4 x 784 x 32 float64, 0.8 MB) stay in a core's L2
+# cache until the max reads them.  A constant, so the GEMM shapes are fixed.
+_STEM_ROWS = 784
 
 
 def conv3x3_fwd_nhwc(x, weights, bias=None):
@@ -160,46 +168,80 @@ def upsample2x2_bwd_nhwc(dout):
     return dout[:, 0::2, 0::2] + dout[:, 0::2, 1::2] + dout[:, 1::2, 0::2] + dout[:, 1::2, 1::2]
 
 
+def _corner_weights(weights):
+    """The four pool-window corners' GEMM weights over 4x4 patches,
+    [4, 16*C_in, C_out]: corner (a, b) holds the 3x3 kernel at patch offset
+    (a, b), in the patch's (row, column, channel) order, and exact zeros in
+    the seven other taps."""
+    c_out, c_in = weights.shape[:2]
+    w4 = np.zeros((4, 4, 4, c_in, c_out))
+    for k in range(4):
+        a, b = divmod(k, 2)
+        w4[k, a:a + 3, b:b + 3] = weights.transpose(2, 3, 1, 0)
+    return w4.reshape(4, 16 * c_in, c_out)
+
+
 def conv3x3_relu_pool_fwd_nhwc(x, weights, bias, train=False):
     """Conv3x3 -> ReLU -> MaxPool2x2 on [N, H, W, C_in], with few C_in.
 
-    The im2col rows are laid out corner-major, one block per pool-window
-    corner in routing order, so a single GEMM of the unfused shape yields
-    the four pre-activations of every window.  Their max gets the bias and
-    then ReLU, which is exact: rounding is monotone, so max(y) + b rounds
-    to max(y + b), and ReLU commutes with max.  Returns ``(out, cache)``;
-    the cache (None unless ``train``) holds the columns, the routing indices
-    of the tournament over the four GEMM outputs, and the ReLU mask of the
-    pooled pre-activation.
+    Each pooled pixel reads the 4x4, stride-2 patch of the padded input
+    behind its window, one row of ``P`` [N*H/2*W/2, 16*C_in].  Corner k's
+    pre-activations are one GEMM of ``P`` against ``_corner_weights``; the
+    patch lists each corner's nine taps in the unfused im2col order (row,
+    column, channel), and a +0.0 weight times a finite input adds a signed
+    zero, which changes no nonzero partial sum, so the GEMM gives the
+    unfused conv's bits.  The four GEMMs run on ``_STEM_ROWS``-row blocks of ``P``
+    so that their outputs stay in cache while the max reads them.  The max
+    gets the bias and then ReLU, which is exact: rounding is monotone, so
+    max(y) + b rounds to max(y + b), and ReLU commutes with max.  Returns
+    ``(out, cache)``; the cache (None unless ``train``) holds ``P``, the
+    routing indices of the tournament over the four corners, and the ReLU
+    mask of the pooled pre-activation.
     """
     n, h, w, c_in = x.shape
     _check_even(h, w)
     c_out = weights.shape[0]
     ho, wo = h // 2, w // 2
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
-    win = sliding_window_view(xp, (3, 3), axis=(1, 2))  # [N,H,W,Ci,3,3]
-    cols = (
-        win.reshape(n, ho, 2, wo, 2, c_in, 3, 3)
-        .transpose(2, 4, 0, 1, 3, 6, 7, 5)
-        .reshape(4 * n * ho * wo, 9 * c_in)
-    )
-    wmat = weights.transpose(2, 3, 1, 0).reshape(9 * c_in, c_out)
-    y = (cols @ wmat).reshape(4, n, ho, wo, c_out)
-    out, idx = _max4(y[0], y[1], y[2], y[3], train)
+    win = sliding_window_view(xp, (4, 4), axis=(1, 2))[:, ::2, ::2]  # [N,Ho,Wo,Ci,4,4]
+    p = win.transpose(0, 1, 2, 4, 5, 3).reshape(n * ho * wo, 16 * c_in)
+    wk = _corner_weights(weights)
+    m = len(p)
+    out = np.empty((m, c_out))
+    idx = np.empty((m, c_out), np.uint8) if train else None
+    y = np.empty((4, _STEM_ROWS, c_out))
+    for i in range(0, m, _STEM_ROWS):
+        rows = slice(i, i + _STEM_ROWS)
+        pb = p[rows]
+        yb = y[:, :len(pb)]
+        for k in range(4):
+            np.matmul(pb, wk[k], out=yb[k])
+        if train:
+            out[rows], idx[rows] = _max4(*yb, True)
+        else:
+            np.maximum(yb[0], yb[1], out=yb[0])
+            np.maximum(yb[2], yb[3], out=yb[2])
+            np.maximum(yb[0], yb[2], out=out[rows])
+    out = out.reshape(n, ho, wo, c_out)
     out += bias
-    cache = (cols, idx, out > 0) if train else None
+    cache = (p, idx.reshape(out.shape), out > 0) if train else None
     np.maximum(out, 0.0, out=out)
     return out, cache
 
 
 def conv3x3_relu_pool_param_grads_nhwc(dout, cache, weight_shape):
     """Weight/bias gradients of the fused stem, the adjoint of its forward:
-    each corner's block of the corner-major columns against the ReLU-masked
+    for each corner, its nine taps copied out of the cached patches (the
+    unfused im2col columns of that corner's pixels) against the ReLU-masked
     gradient routed to it, summed over corners (unfused result to rounding)."""
-    cols, idx, mask = cache
+    p, idx, mask = cache
     dout = dout * mask
-    per_corner = [conv3x3_param_grads_nhwc(_route(dout, idx, k), ("cols", block), weight_shape)
-                  for k, block in enumerate(cols.reshape(4, -1, cols.shape[1]))]
+    taps = p.reshape(-1, 4, 4, weight_shape[1])
+    per_corner = []
+    for k in range(4):
+        a, b = divmod(k, 2)
+        cols = taps[:, a:a + 3, b:b + 3].reshape(len(taps), -1)
+        per_corner.append(conv3x3_param_grads_nhwc(_route(dout, idx, k), ("cols", cols), weight_shape))
     return tuple(g0 + g1 + g2 + g3 for g0, g1, g2, g3 in zip(*per_corner))
 
 

@@ -432,6 +432,31 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="decoder.8.bias contains non-finite"):
             Autoencoder.from_bytes(model.to_bytes())
 
+    @pytest.mark.parametrize("key", ["bottleneck_size", "seed"])
+    def test_missing_header_key_rejected(self, key):
+        model = Autoencoder(4, seed=0)
+        header = {"kind": "autoencoder-checkpoint", "format_version": 1,
+                  "bottleneck_size": 4, "seed": 0}
+        del header[key]
+        with pytest.raises(ValueError, match=f"no '{key}'"):
+            Autoencoder.from_bytes(serialization.encode_arrays(header, model.named_parameters()))
+
+    @pytest.mark.parametrize("key, value", [("bottleneck_size", "4"), ("seed", None), ("seed", 1.5)])
+    def test_non_integer_header_value_rejected(self, key, value):
+        model = Autoencoder(4, seed=0)
+        header = {"kind": "autoencoder-checkpoint", "format_version": 1,
+                  "bottleneck_size": 4, "seed": 0, key: value}
+        with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
+            Autoencoder.from_bytes(serialization.encode_arrays(header, model.named_parameters()))
+
+    def test_header_size_checked_before_layers_are_built(self):
+        # built first, a 10**9-wide bottleneck would fail to allocate
+        model = Autoencoder(4, seed=0)
+        header = {"kind": "autoencoder-checkpoint", "format_version": 1,
+                  "bottleneck_size": 10**9, "seed": 0}
+        with pytest.raises(ValueError, match="encoder.7.weight"):
+            Autoencoder.from_bytes(serialization.encode_arrays(header, model.named_parameters()))
+
     def test_truncated_file_rejected(self):
         model = Autoencoder(4, seed=0)
         cut = model.to_bytes()[:-100]

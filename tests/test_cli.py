@@ -209,6 +209,25 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error[bundle]: ") and name in err and "non-finite" in err
 
+    @pytest.mark.parametrize("name, damage", [
+        ("latent_stats.lgar", lambda header, arrays: arrays.pop("jitter")),
+        ("checkpoint.lgar", lambda header, arrays: header.pop("seed")),
+        ("checkpoint.lgar", lambda header, arrays: header.update(bottleneck_size=10**9)),
+    ], ids=["stats-without-jitter", "checkpoint-without-seed", "checkpoint-huge-k"])
+    def test_inconsistent_bundle_file_is_bundle_error(self, data_dir, trained_bundle,
+                                                      tmp_path, capsys, name, damage):
+        damaged = tmp_path / "inconsistent"
+        shutil.copytree(trained_bundle, damaged)
+        header, arrays = serialization.decode_arrays((damaged / name).read_bytes())
+        damage(header, arrays)
+        ExperimentBundle(damaged).record_file(
+            {name: serialization.encode_arrays(header, arrays)})
+        code = cli.main(["eval", "--bundle", str(damaged),
+                         "--data-dir", str(data_dir), "--mode", "LD"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[bundle]: ") and name in err
+
     def test_incomplete_bundle_rejected(self, data_dir, tmp_path, capsys):
         code = cli.main(["eval", "--bundle", str(tmp_path / "nothing"),
                          "--data-dir", str(data_dir), "--mode", "RE"])

@@ -232,6 +232,20 @@ class TestFiniteness:
         with pytest.raises(ValueError, match="positive diagonal"):
             GaussianStats(**arrays, jitter=0.0)
 
+    @pytest.mark.parametrize("name", ["mean", "covariance", "chol", "jitter"])
+    def test_missing_array_rejected_at_load(self, name):
+        arrays = {**self._arrays(), "jitter": np.array(0.0)}
+        del arrays[name]
+        raw = serialization.encode_arrays({"kind": "latent-stats", "format_version": 1}, arrays)
+        with pytest.raises(ValueError, match=f"no '{name}'"):
+            GaussianStats.from_bytes(raw)
+
+    def test_vector_jitter_rejected_at_load(self):
+        arrays = {**self._arrays(), "jitter": np.zeros(2)}
+        raw = serialization.encode_arrays({"kind": "latent-stats", "format_version": 1}, arrays)
+        with pytest.raises(ValueError, match="jitter must be a scalar"):
+            GaussianStats.from_bytes(raw)
+
     def test_empty_batch_gives_no_distances(self):
         stats = GaussianStats(**self._arrays(), jitter=0.0)
         assert mahalanobis_many(stats, np.empty((0, 4))).shape == (0,)

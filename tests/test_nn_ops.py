@@ -377,6 +377,18 @@ class TestFusedLayersMatchChains:
     @EQUIV
     @given(data=st.data(), shape=SHAPES, c_in=st.integers(1, ops._IM2COL_MAX_CIN))
     def test_stem_forward_routing_and_param_grads(self, data, shape, c_in):
+        self.check_stem(data, shape, c_in)
+
+    @EQUIV
+    @given(data=st.data(), n=st.integers(1, 2 * ops._STEM_ROWS // 196 + 1),
+           c_in=st.integers(1, 3), c_out=st.integers(1, 40))
+    def test_stem_across_row_blocks(self, data, n, c_in, c_out):
+        # 196 pooled pixels (patch rows) per 28x28 image: up to two full
+        # _STEM_ROWS blocks and a partial last one
+        self.check_stem(data, (n, 14, 14, c_out), c_in)
+
+    @staticmethod
+    def check_stem(data, shape, c_in):
         n, ho, wo, c_out = shape
         stem, chain = fused_and_chain(Conv3x3ReLUPool, (Conv3x3, ReLU, MaxPool2x2), data, c_in, c_out)
         x = data.draw(arrays(np.float64, (n, 2 * ho, 2 * wo, c_in), elements=TIES))
