@@ -41,11 +41,15 @@ held.  Each training sub-batch runs forward and backward on its own
 "lane", a layer stack that shares this model's parameters but keeps its
 own caches and gradients, and the caller sums the sub-batch results in
 sub-batch order.  Neither the output bytes nor the gradients
-depend on the core count or on the order the threads finish in.
+depend on the core count or on the order the threads finish in.  The
+first chunked call of a process tunes glibc's allocator for these threads
+(``tune_allocator``), so library callers that never enter the CLI or the
+trainer get the same hot heap.
 """
 
 from __future__ import annotations
 
+import ctypes
 import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -93,6 +97,46 @@ def _workers() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+_allocator_tuned = False
+
+
+def tune_allocator() -> None:
+    """Raises glibc's malloc mmap/trim thresholds for the current process,
+    once: later calls return at once.
+
+    The conv kernels allocate tens of MB of transient buffers per batch;
+    with default thresholds glibc hands those pages back to the kernel on
+    every free and the chunks spend most of their time in page faults.
+    Raising the thresholds keeps the heap hot.
+
+    It also caps malloc at one arena.  Inference chunks and training
+    sub-batches run on threads, and glibc would give each thread its own
+    arena, whose freed buffers the raised trim threshold never hands back,
+    so peak RSS would grow with the thread count.  One shared arena reuses
+    the same hot pages instead.
+
+    ``_chunked`` and ``map_sub_batches`` call it before their first chunk,
+    so library callers get it too; ``cli.main`` and ``train_on_split`` call
+    it earlier, before they load or copy data.  A no-op where glibc is
+    unavailable.
+    """
+    global _allocator_tuned
+    if _allocator_tuned:
+        return
+    try:
+        libc = ctypes.CDLL("libc.so.6")
+    except OSError:
+        pass
+    else:
+        libc.mallopt(-8, 1)  # M_ARENA_MAX
+        libc.mallopt(-3, 1 << 30)  # M_MMAP_THRESHOLD
+        libc.mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+        libc.mallopt(-2, 1 << 28)  # M_TOP_PAD
+    # set last, so no caller returns before the settings hold; two threads
+    # that both make the first call set the same values twice
+    _allocator_tuned = True
 
 
 def _run_tasks(task, items):
@@ -207,6 +251,7 @@ class Autoencoder:
         preallocated outputs.  The first chunk runs in the caller and fixes
         the output shapes (an empty ``x`` still makes that one call); the
         others go through ``_run_tasks``."""
+        tune_allocator()
         first = fn(x[:_CHUNK])
         outs = tuple(np.empty((len(x), *p.shape[1:])) for p in first)
 
@@ -284,6 +329,7 @@ class Autoencoder:
         the lane's own.  ``fn`` may train its lane
         (``forward_training``/``backward_training``) but must leave the
         parameters alone."""
+        tune_allocator()
         starts = range(0, len(x), _CHUNK)
         while len(self._lanes) < len(starts):
             lane = Autoencoder(self.bottleneck_size, self.seed)

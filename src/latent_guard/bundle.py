@@ -115,7 +115,13 @@ class ExperimentBundle:
     # -- reading --------------------------------------------------------------
 
     def manifest(self) -> dict:
-        return json.loads((self.path / MANIFEST_FILE).read_text())
+        """The parsed manifest; ValueError unless it holds the ``config`` and
+        ``files`` objects every reader indexes."""
+        manifest = json.loads((self.path / MANIFEST_FILE).read_text())
+        for key in ("config", "files"):
+            if not isinstance(manifest, dict) or not isinstance(manifest.get(key), dict):
+                raise ValueError(f"{MANIFEST_FILE} has no {key!r} object")
+        return manifest
 
     def config(self) -> dict:
         return self.manifest()["config"]

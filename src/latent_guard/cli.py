@@ -22,6 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from latent_guard import novelty
+from latent_guard.autoencoder import tune_allocator
 from latent_guard.bundle import ExperimentBundle
 from latent_guard.data import load_mnist_split
 from latent_guard.latent_stats import fit_gaussian
@@ -348,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    from latent_guard.trainer import tune_allocator
-
     tune_allocator()
     parser = build_parser()
     args = parser.parse_args(argv)

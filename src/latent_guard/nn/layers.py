@@ -15,11 +15,13 @@ tensors; each has the single forward/backward pair of every layer, and
 its forward output is bit-identical to the chain it replaces (see
 ``ops``).  The stem's training cache is its 4x4 input patches, 16 values
 per pooled pixel and input channel, from which backward copies each
-corner's nine im2col columns.  The encoder's 32->2 conv + relu + maxpool
-and the decoder's 2->32 upsample + conv stay unfused: with 32 input
-channels the first's patch GEMMs would do 16/9 of the unfused GEMM's
-multiply-adds, and the phase form of the second is slower than the
-unfused pair and not bit-identical to its im2col GEMM.
+corner's nine im2col columns; the gradient itself is copied once per
+corner, routed and ReLU-masked in one pass into a reused buffer.  The
+encoder's 32->2 conv + relu + maxpool and the decoder's 2->32 upsample +
+conv stay unfused: with 32 input channels the first's patch GEMMs would
+do 16/9 of the unfused GEMM's multiply-adds, and the phase form of the
+second is slower than the unfused pair and not bit-identical to its
+im2col GEMM.
 """
 
 from __future__ import annotations

@@ -6,8 +6,10 @@ memory traffic, not FLOPs.  Conv weights keep the canonical
 ``[C_out, C_in, 3, 3]`` shape.  Max pooling and the upsample gradient work
 on the four strided views ``x[:, i::2, j::2]`` of the 2x2 window corners,
 with no 5-D transpose copy; pooling computes its uint8 first-max-wins
-routing indices only when asked to (training).  Dense and ReLU are
-one-liners and live in layers.py.
+routing indices only when asked to (training), from the tournament's
+boolean comparisons, and the backward routes a gradient to a corner by
+ANDing its bits with a boolean selection.  Dense and ReLU are one-liners
+and live in layers.py.
 
 Two fused kernels keep the autoencoder's 28x28x32 tensors out of memory.
 The stem, Conv3x3 -> ReLU -> MaxPool2x2, reads the 4x4 input patch behind
@@ -21,7 +23,11 @@ stem's zero taps add exact zeros to finite sums, and the tail keeps the
 unfused GEMM shape and tap order, since pre-summed taps or one merged GEMM
 change the rounding (4e-15 on a 128-image chunk).  Both backwards sum in
 their own order (the stem's per window corner), so their dW and db match
-the unfused chains' to rounding.
+the unfused chains' to rounding.  The stem's backward folds the ReLU mask
+into each corner's routing, with no separate masked copy of the gradient,
+and keeps one 9-column GEMM per corner: a single 16-column GEMM over the
+patches, cut down to each corner's taps, rounds differently on some
+OpenBLAS kernels.
 """
 
 from __future__ import annotations
@@ -107,15 +113,23 @@ def conv3x3_input_grad_nhwc(dout, weights):
     return dx
 
 
-def _max4(a, b, c, d, indices):
+def _max4(a, b, c, d, indices, out=None, idx=None):
     """Elementwise max of the four corners of 2x2 windows (row-major order)
-    and, if ``indices`` is true, the uint8 position 0..3 of the first max."""
+    and, if ``indices`` is true, the uint8 position 0..3 of the first max,
+    built from boolean comparisons with no ``np.where`` over uint8 arrays.
+    A comparison with NaN is false, so the earlier corner or half wins it,
+    as it wins a tie (-0.0 against +0.0 is one).  ``out`` and ``idx``, if
+    given, receive the results."""
     top, bot = np.maximum(a, b), np.maximum(c, d)
-    out = np.maximum(top, bot)
+    out = np.maximum(top, bot, out=out)
     if not indices:
         return out, None
-    # tournament: each half keeps its first max, the top half wins ties
-    idx = np.where(bot > top, (d > c).view(np.uint8) + np.uint8(2), (b > a).view(np.uint8))
+    # tournament: each half keeps its first max, the top half wins ties;
+    # the index is (bottom half won) * 2 + (second column won in that half)
+    hi = bot > top
+    lo = (hi & (d > c)) | (~hi & (b > a))
+    idx = np.left_shift(hi.view(np.uint8), 1, out=idx)
+    idx |= lo.view(np.uint8)
     return out, idx
 
 
@@ -138,14 +152,12 @@ def maxpool2x2_fwd_nhwc(x, indices=True):
     return _max4(x[:, 0::2, 0::2], x[:, 0::2, 1::2], x[:, 1::2, 0::2], x[:, 1::2, 1::2], indices)
 
 
-def _route(dout, idx, k, out=None):
-    """Corner ``k``'s share of ``dout`` under first-max-wins routing: ``dout``
-    bitwise-ANDed with an all-ones or all-zeros mask, which (unlike a 0/1
-    multiply) leaves +0.0, never -0.0 or NaN, wherever ``idx != k``."""
-    out = np.empty(dout.shape) if out is None else out
-    mask = -(idx == k).astype(np.int64)  # 0 or all bits set
-    np.bitwise_and(dout.view(np.int64), mask, out=out.view(np.int64))
-    return out
+def _route(dout, sel, out):
+    """Writes ``dout`` where the boolean ``sel`` is true, and +0.0 elsewhere,
+    into ``out``: ``dout``'s bits ANDed with ``-sel`` as int8 (0 or all bits
+    set, widened by the ufunc), which, unlike a 0/1 multiply, never leaves
+    -0.0 or NaN where ``sel`` is false."""
+    np.bitwise_and(dout.view(np.int64), -sel.view(np.int8), out=out.view(np.int64))
 
 
 def maxpool2x2_bwd_nhwc(dout, idx):
@@ -153,7 +165,7 @@ def maxpool2x2_bwd_nhwc(dout, idx):
     n, ho, wo, c = dout.shape
     dx = np.empty((n, ho, 2, wo, 2, c))
     for k in range(4):
-        _route(dout, idx, k, out=dx[:, :, k // 2, :, k % 2, :])
+        _route(dout, idx == k, out=dx[:, :, k // 2, :, k % 2, :])
     return dx.reshape(n, 2 * ho, 2 * wo, c)
 
 
@@ -217,7 +229,7 @@ def conv3x3_relu_pool_fwd_nhwc(x, weights, bias, train=False):
         for k in range(4):
             np.matmul(pb, wk[k], out=yb[k])
         if train:
-            out[rows], idx[rows] = _max4(*yb, True)
+            _max4(*yb, True, out=out[rows], idx=idx[rows])
         else:
             np.maximum(yb[0], yb[1], out=yb[0])
             np.maximum(yb[2], yb[3], out=yb[2])
@@ -232,16 +244,21 @@ def conv3x3_relu_pool_fwd_nhwc(x, weights, bias, train=False):
 def conv3x3_relu_pool_param_grads_nhwc(dout, cache, weight_shape):
     """Weight/bias gradients of the fused stem, the adjoint of its forward:
     for each corner, its nine taps copied out of the cached patches (the
-    unfused im2col columns of that corner's pixels) against the ReLU-masked
-    gradient routed to it, summed over corners (unfused result to rounding)."""
+    unfused im2col columns of that corner's pixels) against the gradient
+    routed to it, summed over corners (unfused result to rounding).  The
+    ReLU mask folds into each corner's routing: a masked window routes
+    +0.0, where a separate ``dout * mask`` pass leaves -0.0 under a
+    negative gradient.  A zero term changes no sum that has a nonzero
+    term, and the tests pin dW and db to that pass's bits."""
     p, idx, mask = cache
-    dout = dout * mask
     taps = p.reshape(-1, 4, 4, weight_shape[1])
+    routed = np.empty(dout.shape)
     per_corner = []
     for k in range(4):
         a, b = divmod(k, 2)
         cols = taps[:, a:a + 3, b:b + 3].reshape(len(taps), -1)
-        per_corner.append(conv3x3_param_grads_nhwc(_route(dout, idx, k), ("cols", cols), weight_shape))
+        _route(dout, (idx == k) & mask, out=routed)
+        per_corner.append(conv3x3_param_grads_nhwc(routed, ("cols", cols), weight_shape))
     return tuple(g0 + g1 + g2 + g3 for g0, g1, g2, g3 in zip(*per_corner))
 
 

@@ -25,7 +25,7 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 
 import numpy as np
 
@@ -51,6 +51,9 @@ class NoveltyCalibration:
     def __post_init__(self):
         for name in ("alpha", "beta", "val_dm_std", "val_re_std"):
             value = getattr(self, name)
+            # np.isfinite raises TypeError on a string; a bool is no weight
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"calibration {name} must be a number, got {value!r}")
             if not (np.isfinite(value) and value > 0):
                 raise ValueError(f"calibration {name} must be positive and finite, got {value}")
 
@@ -61,7 +64,15 @@ class NoveltyCalibration:
     @classmethod
     def from_json(cls, text: str) -> "NoveltyCalibration":
         payload = json.loads(text)
+        if not isinstance(payload, dict):
+            raise ValueError(f"calibration must be a JSON object, got {type(payload).__name__}")
         payload.pop("format_version", None)
+        names = {f.name for f in fields(cls)}
+        if set(payload) != names:
+            raise ValueError(
+                f"calibration fields do not match: missing {sorted(names - set(payload))}, "
+                f"unexpected {sorted(set(payload) - names)}"
+            )
         return cls(**payload)
 
 

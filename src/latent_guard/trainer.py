@@ -20,13 +20,12 @@ Procedure for one (inlier class, bottleneck size) configuration:
 
 from __future__ import annotations
 
-import ctypes
 import json
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from latent_guard.autoencoder import Autoencoder
+from latent_guard.autoencoder import Autoencoder, tune_allocator
 from latent_guard.data import ImageDataset, filter_class
 from latent_guard.nn.losses import bce_loss_and_grad, l1_penalty
 from latent_guard.nn.optim import Adadelta
@@ -36,33 +35,6 @@ STOP_MAX_EPOCHS = "max_epochs"
 
 # weight of the L1 activity penalty on the bottleneck, the method's constant
 L1_LAMBDA = 1e-5
-
-
-def tune_allocator() -> None:
-    """Raises glibc's malloc mmap/trim thresholds for the current process.
-
-    The conv kernels allocate tens of MB of transient buffers per batch;
-    with default thresholds glibc hands those pages back to the kernel on
-    every free and the training loop spends most of its time in page
-    faults.  Raising the thresholds keeps the heap hot.
-
-    It also caps malloc at one arena.  Inference chunks and training
-    sub-batches run on threads (``autoencoder``), and glibc would give each
-    thread its own arena, whose freed buffers the raised trim threshold
-    never hands back, so peak RSS would grow with the thread count.  One
-    shared arena reuses the same hot pages instead.
-
-    Called on entry to train_on_split() and by ``cli.main``; a no-op where
-    glibc is unavailable.
-    """
-    try:
-        libc = ctypes.CDLL("libc.so.6")
-        libc.mallopt(-8, 1)  # M_ARENA_MAX
-        libc.mallopt(-3, 1 << 30)  # M_MMAP_THRESHOLD
-        libc.mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
-        libc.mallopt(-2, 1 << 28)  # M_TOP_PAD
-    except OSError:
-        pass
 
 
 @dataclass(frozen=True)

@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+import types
 from concurrent.futures import Future
 
 import numpy as np
@@ -334,6 +335,44 @@ class TestChunkedForward:
             autoencoder._run_tasks(task, range(10))
         assert sorted(ran) == [0, 1]
         assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("first_call", ["encode", "map_sub_batches"])
+    def test_first_chunked_call_tunes_allocator_once(self, first_call, monkeypatch):
+        # a library caller that never enters cli.main or train_on_split
+        mallopt = []
+
+        class FakeLibc:
+            def mallopt(self, option, value):
+                mallopt.append(option)
+
+        monkeypatch.setattr(autoencoder, "_allocator_tuned", False)
+        monkeypatch.setattr(autoencoder, "ctypes", types.SimpleNamespace(CDLL=lambda name: FakeLibc()))
+        monkeypatch.setattr(autoencoder, "_workers", lambda: 2)
+        model = Autoencoder(8, seed=11)
+        tuned_before_chunk = []
+        stem_forward = model.encoder_layers[0].forward
+
+        def stem(x, train=False):
+            tuned_before_chunk.append(len(mallopt))
+            return stem_forward(x, train)
+
+        def sub_batch(lane, chunk):
+            tuned_before_chunk.append(len(mallopt))
+
+        monkeypatch.setattr(model.encoder_layers[0], "forward", stem)
+
+        calls = {
+            "encode": lambda: model.encode(self.X_MULTI),
+            "map_sub_batches": lambda: model.map_sub_batches(sub_batch, self.X_MULTI[:, 0, :, :, None]),
+        }
+        calls[first_call]()
+        assert mallopt[0] == -8  # M_ARENA_MAX, before any chunk thread exists
+        tuned = list(mallopt)
+        for call in calls.values():
+            call()
+        model.encode_and_reconstruction_errors(self.X_MULTI)
+        assert mallopt == tuned and len(tuned) == 4
+        assert 0 not in tuned_before_chunk
 
 
 class TestMatchesUnfusedStack:

@@ -228,6 +228,39 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error[bundle]: ") and name in err
 
+    @pytest.mark.parametrize("damage, field", [
+        (lambda cal: {k: v for k, v in cal.items() if k != "alpha"}, "alpha"),
+        (lambda cal: {**cal, "gamma": 1.0}, "gamma"),
+        (lambda cal: {**cal, "beta": "2.0"}, "beta"),
+        (lambda cal: [cal["alpha"], cal["beta"]], "JSON object"),
+    ], ids=["missing-field", "extra-field", "string-field", "json-list"])
+    def test_malformed_calibration_is_bundle_error(self, data_dir, trained_bundle,
+                                                   tmp_path, capsys, damage, field):
+        damaged = tmp_path / "bad-cal"
+        shutil.copytree(trained_bundle, damaged)
+        cal = damage(json.loads((damaged / "calibration.json").read_text()))
+        ExperimentBundle(damaged).record_file(
+            {"calibration.json": (json.dumps(cal) + "\n").encode()})
+        code = cli.main(["eval", "--bundle", str(damaged),
+                         "--data-dir", str(data_dir), "--mode", "H"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[bundle]: calibration.json: ") and field in err
+
+    @pytest.mark.parametrize("key", ["config", "files"])
+    def test_manifest_without_key_is_bundle_error(self, data_dir, trained_bundle,
+                                                  tmp_path, capsys, key):
+        damaged = tmp_path / f"no-{key}"
+        shutil.copytree(trained_bundle, damaged)
+        manifest = json.loads((damaged / "manifest.json").read_text())
+        del manifest[key]
+        (damaged / "manifest.json").write_text(json.dumps(manifest))
+        code = cli.main(["eval", "--bundle", str(damaged),
+                         "--data-dir", str(data_dir), "--mode", "RE"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[bundle]: manifest.json ") and repr(key) in err
+
     def test_incomplete_bundle_rejected(self, data_dir, tmp_path, capsys):
         code = cli.main(["eval", "--bundle", str(tmp_path / "nothing"),
                          "--data-dir", str(data_dir), "--mode", "RE"])

@@ -4,6 +4,8 @@ Everything runs on the channels-last ([N, H, W, C]) layer objects and the
 kernels in ``nn.ops`` that they call.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -456,6 +458,59 @@ class TestFusedLayersMatchChains:
         backprop_chain(chain, dout)
         for key in ("weight", "bias"):
             np.testing.assert_array_equal(stem.grads[key], chain[0].grads[key])
+
+
+# The stem's training pass pinned to the bits of its earlier formulas: the
+# uint8 indices of np.where over the tournament's comparisons, and dW/db from
+# a separate ReLU-mask multiply followed by per-corner routing through an
+# int64 mask, the column copy and one conv weight-gradient call per corner,
+# corners summed in order.
+
+def ref_max4_indices(a, b, c, d):
+    top, bot = np.maximum(a, b), np.maximum(c, d)
+    return np.where(bot > top, (d > c).view(np.uint8) + np.uint8(2), (b > a).view(np.uint8))
+
+
+def ref_stem_param_grads(dout, cache, weight_shape):
+    p, idx, mask = cache
+    dout = dout * mask  # a negative gradient under a masked window becomes -0.0
+    taps = p.reshape(-1, 4, 4, weight_shape[1])
+    per_corner = []
+    for k in range(4):
+        a, b = divmod(k, 2)
+        cols = taps[:, a:a + 3, b:b + 3].reshape(len(taps), -1)
+        routed = np.bitwise_and(dout.view(np.int64), -(idx == k).astype(np.int64)).view(np.float64)
+        per_corner.append(ops.conv3x3_param_grads_nhwc(routed, ("cols", cols), weight_shape))
+    return tuple(g0 + g1 + g2 + g3 for g0, g1, g2, g3 in zip(*per_corner))
+
+
+class TestStemTrainingBits:
+    def test_max4_indices_match_where_formula(self):
+        # every ordered 4-tuple over NaN, signed zeros and tie-prone values
+        values = [np.nan, -0.0, 0.0, -1.0, 1.0, 2.0]
+        a, b, c, d = np.array(list(itertools.product(values, repeat=4))).T
+        out, idx = ops._max4(a, b, c, d, True)
+        assert same_bytes(idx, ref_max4_indices(a, b, c, d))
+        assert same_bytes(out, np.maximum(np.maximum(a, b), np.maximum(c, d)))
+
+    # n up to three _STEM_ROWS blocks of 196-row images
+    @pytest.mark.parametrize("n", [1, 4, 5, 3 * ops._STEM_ROWS // 196])
+    @pytest.mark.parametrize("c_in", [1, 2, 3])
+    @pytest.mark.parametrize("c_out", [1, 7, 32, 40])
+    def test_param_grads_match_masked_routing_reference(self, n, c_in, c_out):
+        rng = np.random.default_rng([n, c_in, c_out])
+        x = rng.uniform(0.0, 1.0, (n, 28, 28, c_in))
+        x[:, :6] = 0.0  # an all-zero band: its windows pool to the negative bias
+        w = rng.normal(0.0, 0.3, (c_out, c_in, 3, 3))
+        b = rng.uniform(-0.3, -0.01, c_out)
+        out, cache = ops.conv3x3_relu_pool_fwd_nhwc(x, w, b, train=True)
+        mask = cache[2]
+        dout = rng.standard_normal(out.shape)
+        assert np.any(~mask & (dout < 0)) and np.any(mask)
+        got = ops.conv3x3_relu_pool_param_grads_nhwc(dout, cache, w.shape)
+        ref = ref_stem_param_grads(dout, cache, w.shape)
+        for g, r in zip(got, ref, strict=True):
+            assert same_bytes(g.view(np.int64), r.view(np.int64))
 
 
 def fused_fd_check(layer, x, proj, input_grad):
