@@ -38,7 +38,6 @@ from latent_guard.trainer import (
     inlier_split,
     split_dataset,
     train,
-    train_on_split,
 )
 
 __version__ = "0.1.0"
@@ -78,6 +77,5 @@ __all__ = [
     "inlier_split",
     "split_dataset",
     "train",
-    "train_on_split",
     "__version__",
 ]

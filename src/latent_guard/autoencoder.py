@@ -118,8 +118,8 @@ def tune_allocator() -> None:
     the same hot pages instead.
 
     ``_chunked`` and ``map_sub_batches`` call it before their first chunk,
-    so library callers get it too; ``cli.main`` and ``train_on_split`` call
-    it earlier, before they load or copy data.  A no-op where glibc is
+    so library callers get it too; ``cli.main`` and ``trainer.train_on_rows``
+    call it earlier, before they load or gather data.  A no-op where glibc is
     unavailable.
     """
     global _allocator_tuned
@@ -362,6 +362,7 @@ class Autoencoder:
         header, arrays = serialization.decode_arrays(raw)
         if header.get("kind") != "autoencoder-checkpoint":
             raise ValueError("not an autoencoder checkpoint")
+        serialization.check_format_version(header, CHECKPOINT_VERSION, "checkpoint")
         # older checkpoints also carry an "l1_lambda" key, which is ignored
         for key in ("bottleneck_size", "seed"):
             if key not in header:

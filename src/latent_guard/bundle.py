@@ -140,10 +140,10 @@ class ExperimentBundle:
             )
         return data
 
-    def _load(self, name: str, parse):
+    def _load(self, name: str, parse, manifest=None):
         """``parse`` applied to the verified bytes of ``name``; a ValueError
         it raises (a bad container, non-finite arrays) names the file."""
-        data = self._verified(name)
+        data = self._verified(name, manifest)
         try:
             return parse(data)
         except ValueError as exc:
@@ -176,7 +176,8 @@ class ExperimentBundle:
         digest; it is left out here, to be evaluated again."""
         manifest = self.manifest()
         names = {mode: f"eval_{mode}.json" for mode in MODES}
-        return {mode: EvalReport.from_json(self._verified(name, manifest).decode())
+        return {mode: self._load(name, lambda data: EvalReport.from_json(data.decode()),
+                                 manifest)
                 for mode, name in names.items()
                 if name in manifest["files"] and (self.path / name).exists()}
 

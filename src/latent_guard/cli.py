@@ -29,7 +29,7 @@ from latent_guard.latent_stats import fit_gaussian
 from latent_guard.metrics import ScoredSet, evaluate
 from latent_guard.novelty import MODES
 from latent_guard.plot import write_scatter_svg
-from latent_guard.trainer import TrainConfig, inlier_split, train_on_split
+from latent_guard.trainer import TrainConfig, inlier_indices, train_on_rows
 
 DATA_DIR_ENV = "LATENT_GUARD_DATA_DIR"
 
@@ -123,10 +123,11 @@ def _train_config(args, bottleneck, seed) -> TrainConfig:
 def _train_bundle(config: TrainConfig, data_dir: Path, out: Path) -> ExperimentBundle:
     train_full = _load_split(data_dir, "train")
     try:
-        train_inliers, val_inliers = inlier_split(config, train_full)
-        model, record = train_on_split(config, train_inliers, val_inliers)
-        stats = fit_gaussian(model.encode(train_inliers.images))
-        calibration = novelty.calibrate(model, stats, val_inliers.images)
+        train_rows, val_rows = inlier_indices(config, train_full.labels)
+        val_images = train_full.images[val_rows]
+        model, record = train_on_rows(config, train_full.images, train_rows, val_images)
+        stats = fit_gaussian(model.encode(train_full.images[train_rows]))
+        calibration = novelty.calibrate(model, stats, val_images)
     except (ValueError, FloatingPointError) as exc:
         raise CliError("train", str(exc)) from exc
     try:

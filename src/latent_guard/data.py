@@ -98,7 +98,11 @@ def _read_idx(path, expected_magic, what):
 
 
 def load_idx(images_path, labels_path) -> ImageDataset:
-    """Loads an IDX image/label file pair into a normalized dataset."""
+    """Loads an IDX image/label file pair into a normalized dataset.
+
+    The pixels are divided by 255 straight into one float64 array
+    [n, 1, rows, cols], so the decode holds the file's bytes and that
+    array and nothing else of their size."""
     raw_images = _read_idx(images_path, IDX_IMAGE_MAGIC, "image")
     raw_labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label")
     if raw_images.shape[0] != raw_labels.shape[0]:
@@ -106,7 +110,8 @@ def load_idx(images_path, labels_path) -> ImageDataset:
             f"count mismatch: {raw_images.shape[0]} images vs "
             f"{raw_labels.shape[0]} labels"
         )
-    images = raw_images.astype(np.float64)[:, None, :, :] / 255.0
+    images = np.empty((raw_images.shape[0], 1, *raw_images.shape[1:]))
+    np.divide(raw_images[:, None], 255.0, out=images)
     return ImageDataset(images=images, labels=raw_labels.astype(np.int64))
 
 
@@ -126,14 +131,19 @@ def write_idx_labels(path, labels) -> None:
         f.write(labels.tobytes())
 
 
-def filter_class(dataset: ImageDataset, digit: int) -> ImageDataset:
-    """Order-preserving subset of one digit class."""
+def class_rows(labels, digit: int) -> np.ndarray:
+    """Indices of the rows of one digit class in ``labels``, in order."""
     if not 0 <= digit <= 9:
         raise ValueError(f"digit must be 0-9, got {digit}")
-    mask = dataset.labels == digit
-    if not mask.any():
+    rows = np.flatnonzero(labels == digit)
+    if len(rows) == 0:
         raise ValueError(f"no samples of class {digit} in dataset")
-    return dataset.subset(mask)
+    return rows
+
+
+def filter_class(dataset: ImageDataset, digit: int) -> ImageDataset:
+    """Order-preserving subset of one digit class."""
+    return dataset.subset(class_rows(dataset.labels, digit))
 
 
 _MNIST_FILES = {

@@ -126,6 +126,7 @@ class GaussianStats:
         header, arrays = serialization.decode_arrays(raw)
         if header.get("kind") != "latent-stats":
             raise ValueError("not a latent-stats container")
+        serialization.check_format_version(header, STATS_VERSION, "latent stats")
         for key in ("mean", "covariance", "chol", "jitter"):
             if key not in arrays:
                 raise ValueError(f"latent stats have no {key!r} array")

@@ -26,6 +26,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from latent_guard import serialization
+
 
 @dataclass(frozen=True)
 class ScoredSet:
@@ -131,7 +133,7 @@ class EvalReport:
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
-        return cls(**json.loads(text))
+        return cls(**serialization.json_fields(text, cls, "eval report"))
 
 
 def evaluate(scored: ScoredSet, *, inlier_class: int, bottleneck_size: int,

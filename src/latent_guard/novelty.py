@@ -25,10 +25,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from latent_guard import serialization
 from latent_guard.latent_stats import GaussianStats, mahalanobis_many
 
 MODE_RECONSTRUCTION = "RE"
@@ -63,17 +64,8 @@ class NoveltyCalibration:
 
     @classmethod
     def from_json(cls, text: str) -> "NoveltyCalibration":
-        payload = json.loads(text)
-        if not isinstance(payload, dict):
-            raise ValueError(f"calibration must be a JSON object, got {type(payload).__name__}")
-        payload.pop("format_version", None)
-        names = {f.name for f in fields(cls)}
-        if set(payload) != names:
-            raise ValueError(
-                f"calibration fields do not match: missing {sorted(names - set(payload))}, "
-                f"unexpected {sorted(set(payload) - names)}"
-            )
-        return cls(**payload)
+        return cls(**serialization.json_fields(text, cls, "calibration",
+                                               version=CALIBRATION_VERSION))
 
 
 def features(model, stats: GaussianStats, images) -> tuple[np.ndarray, np.ndarray]:

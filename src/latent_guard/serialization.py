@@ -14,6 +14,10 @@ Layout (all integers little-endian):
 
 Used for model checkpoints and fitted latent statistics.  Round trips are
 bit-exact; a declared size is checked against the buffer before any allocation.
+
+The two checks every bundle file's loader shares live here too: a declared
+``format_version`` must be the one the loader writes, and a JSON record must
+hold exactly its dataclass's fields.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from dataclasses import fields
 
 import numpy as np
 
@@ -78,3 +83,32 @@ def decode_arrays(raw: bytes):
         # copied so that every array is aligned and none pins the whole buffer
         arrays[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
     return header, arrays
+
+
+def check_format_version(header: dict, expected: int, what: str) -> None:
+    """ValueError when ``header`` declares a ``format_version`` other than
+    ``expected``; a header without one reads as ``expected``."""
+    version = header.get("format_version", expected)
+    if type(version) is not int or version != expected:
+        raise ValueError(f"{what} format_version {version!r} is not supported "
+                         f"(this version reads {expected})")
+
+
+def json_fields(text: str, cls, what: str, version=None) -> dict:
+    """The JSON object ``text`` as keyword arguments of dataclass ``cls``;
+    ValueError for a value that is not an object and for keys other than
+    ``cls``'s fields.  With ``version`` set, the object may also declare
+    that ``format_version``."""
+    payload = json.loads(text)
+    if not isinstance(payload, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(payload).__name__}")
+    if version is not None:
+        check_format_version(payload, version, what)
+        payload.pop("format_version", None)
+    names = {f.name for f in fields(cls)}
+    if set(payload) != names:
+        raise ValueError(
+            f"{what} fields do not match: missing {sorted(names - set(payload))}, "
+            f"unexpected {sorted(set(payload) - names)}"
+        )
+    return payload

@@ -4,7 +4,9 @@ Procedure for one (inlier class, bottleneck size) configuration:
 
 1. Randomly split the full training set (before any class filtering) into
    train/validation parts of exact sizes.
-2. Filter both parts to the inlier class.
+2. Filter both parts to the inlier class.  Steps 1-2 select rows by index
+   (``inlier_indices``): training gathers each batch from the full set's
+   images, and only the validation inliers are copied out.
 3. Minimize BCE(x, reconstruction) + L1_LAMBDA * mean_per_sample |bottleneck|
    with adadelta over shuffled mini-batches; the shuffle order is derived
    from (seed, epoch), so a fixed config is bit-reproducible.  Each batch
@@ -26,7 +28,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from latent_guard.autoencoder import Autoencoder, tune_allocator
-from latent_guard.data import ImageDataset, filter_class
+from latent_guard.data import ImageDataset, class_rows
 from latent_guard.nn.losses import bce_loss_and_grad, l1_penalty
 from latent_guard.nn.optim import Adadelta
 
@@ -86,23 +88,33 @@ class TrainRecord:
         return "\n".join(json.dumps(asdict(e), sort_keys=True) for e in self.epochs) + "\n"
 
 
-def split_dataset(dataset: ImageDataset, val_size: int, seed: int):
-    """Disjoint random (train, validation) split with exact sizes."""
-    n = len(dataset)
+def _split_rows(n: int, val_size: int, seed: int):
+    """Disjoint random (train, validation) row indices of exact sizes."""
     if not 0 < val_size < n:
         raise ValueError(
             f"val_size must be in (0, {n}), got {val_size}; early stopping "
             "requires a non-empty validation set"
         )
     perm = np.random.default_rng(seed).permutation(n)
-    return dataset.subset(perm[val_size:]), dataset.subset(perm[:val_size])
+    return perm[val_size:], perm[:val_size]
+
+
+def split_dataset(dataset: ImageDataset, val_size: int, seed: int):
+    """Disjoint random (train, validation) split with exact sizes."""
+    return tuple(dataset.subset(rows)
+                 for rows in _split_rows(len(dataset), val_size, seed))
+
+
+def inlier_indices(config: TrainConfig, labels):
+    """Steps 1-2 of the procedure as row indices into the full training
+    set: (train inliers, validation inliers), each in split order."""
+    return tuple(rows[class_rows(labels[rows], config.inlier_class)]
+                 for rows in _split_rows(len(labels), config.val_size, config.seed))
 
 
 def inlier_split(config: TrainConfig, dataset: ImageDataset):
     """Steps 1-2 of the procedure: (train inliers, validation inliers)."""
-    train_set, val_set = split_dataset(dataset, config.val_size, config.seed)
-    return (filter_class(train_set, config.inlier_class),
-            filter_class(val_set, config.inlier_class))
+    return tuple(dataset.subset(rows) for rows in inlier_indices(config, dataset.labels))
 
 
 class EarlyStopping:
@@ -166,19 +178,19 @@ def _batch_loss_and_grads(model, batch, where):
 
 def train(config: TrainConfig, dataset: ImageDataset):
     """Runs the full procedure; returns (best-epoch model, TrainRecord)."""
-    return train_on_split(config, *inlier_split(config, dataset))
+    train_rows, val_rows = inlier_indices(config, dataset.labels)
+    return train_on_rows(config, dataset.images, train_rows, dataset.images[val_rows])
 
 
-def train_on_split(config: TrainConfig, train_inliers: ImageDataset,
-                   val_inliers: ImageDataset):
-    """Steps 3-4 of the procedure on the parts ``inlier_split`` returns;
-    returns (best-epoch model, TrainRecord)."""
+def train_on_rows(config: TrainConfig, images, train_rows, val_images):
+    """Steps 3-4 of the procedure: trains on ``images[train_rows]``, which
+    each batch gathers from ``images`` [N,1,28,28] without a copy of the
+    whole part, and validates on ``val_images``; returns (best-epoch model,
+    TrainRecord)."""
     tune_allocator()
     model = Autoencoder(config.bottleneck_size, config.seed)
     optimizer = Adadelta(model.named_parameters())
-
-    x_train = np.ascontiguousarray(train_inliers.images.transpose(0, 2, 3, 1))
-    n = x_train.shape[0]
+    n = len(train_rows)
 
     record = TrainRecord()
     stopper = EarlyStopping(config.patience)
@@ -188,13 +200,14 @@ def train_on_split(config: TrainConfig, train_inliers: ImageDataset,
         order = np.random.default_rng([config.seed, epoch]).permutation(n)
         total_loss = 0.0
         for start in range(0, n, config.batch_size):
-            batch = x_train[order[start:start + config.batch_size]]
+            rows = train_rows[order[start:start + config.batch_size]]
+            batch = np.ascontiguousarray(images[rows].transpose(0, 2, 3, 1))
             loss, grads = _batch_loss_and_grads(
                 model, batch, f"epoch {epoch}, batch {start // config.batch_size}")
             optimizer.step(grads)
             total_loss += loss * len(batch)
 
-        val_loss = _objective_forward(model, val_inliers.images)
+        val_loss = _objective_forward(model, val_images)
         if not np.isfinite(val_loss):
             raise FloatingPointError(
                 f"non-finite validation loss {val_loss} at epoch {epoch}"

@@ -488,6 +488,17 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
             Autoencoder.from_bytes(serialization.encode_arrays(header, model.named_parameters()))
 
+    def test_declared_format_version_must_be_the_written_one(self):
+        model = Autoencoder(4, seed=0)
+        header = {"kind": "autoencoder-checkpoint", "bottleneck_size": 4, "seed": 0}
+        # a header without the key loads as today
+        Autoencoder.from_bytes(serialization.encode_arrays(header, model.named_parameters()))
+        for version in (2, 1.0, None):
+            raw = serialization.encode_arrays({**header, "format_version": version},
+                                              model.named_parameters())
+            with pytest.raises(ValueError, match=f"format_version {version!r}"):
+                Autoencoder.from_bytes(raw)
+
     def test_header_size_checked_before_layers_are_built(self):
         # built first, a 10**9-wide bottleneck would fail to allocate
         model = Autoencoder(4, seed=0)

@@ -48,6 +48,17 @@ def trained_bundle(data_dir, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def swept_bundles(data_dir, tmp_path_factory):
+    """Bundles dir of a finished one-cell sweep (class 0, k=3, seed 5)."""
+    root = tmp_path_factory.mktemp("swept")
+    code = cli.main(["sweep", "--class", "0", "--bottlenecks", "3", "--seeds", "5",
+                     "--data-dir", str(data_dir), "--bundles-dir", str(root / "bundles"),
+                     "--out-csv", str(root / "sweep.csv"), *TRAIN_ARGS[:-2]])
+    assert code == 0
+    return root / "bundles"
+
+
 class TestTrain:
     def test_bundle_manifest_records_config(self, trained_bundle):
         manifest = json.loads((trained_bundle / "manifest.json").read_text())
@@ -247,6 +258,25 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error[bundle]: calibration.json: ") and field in err
 
+    @pytest.mark.parametrize("name", ["checkpoint.lgar", "latent_stats.lgar",
+                                      "calibration.json"])
+    def test_other_format_version_is_bundle_error(self, data_dir, trained_bundle,
+                                                  tmp_path, capsys, name):
+        damaged = tmp_path / "future"
+        shutil.copytree(trained_bundle, damaged)
+        if name.endswith(".json"):
+            payload = {**json.loads((damaged / name).read_text()), "format_version": 9}
+            data = (json.dumps(payload) + "\n").encode()
+        else:
+            header, arrays = serialization.decode_arrays((damaged / name).read_bytes())
+            data = serialization.encode_arrays({**header, "format_version": 9}, arrays)
+        ExperimentBundle(damaged).record_file({name: data})
+        code = cli.main(["eval", "--bundle", str(damaged),
+                         "--data-dir", str(data_dir), "--mode", "H"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[bundle]: {name}: ") and "format_version 9" in err
+
     @pytest.mark.parametrize("key", ["config", "files"])
     def test_manifest_without_key_is_bundle_error(self, data_dir, trained_bundle,
                                                   tmp_path, capsys, key):
@@ -356,6 +386,29 @@ class TestSweep:
         rows = (tmp_path / "b.csv").read_text()
         assert "0.123" not in rows
         assert rows.count("nan,nan,nan,nan") == 3
+
+    @pytest.mark.parametrize("damage, field", [
+        (lambda report: {k: v for k, v in report.items() if k != "auroc"}, "auroc"),
+        (lambda report: {**report, "tpr": 0.95}, "tpr"),
+        (lambda report: list(report.values()), "JSON object"),
+    ], ids=["missing-field", "extra-field", "json-list"])
+    def test_resume_names_file_and_field_of_malformed_report(self, data_dir, swept_bundles,
+                                                            tmp_path, capsys, damage, field):
+        bundles = tmp_path / "bundles"
+        shutil.copytree(swept_bundles, bundles)
+        bundle = bundles / "class0_k3_seed5"
+        report = damage(json.loads((bundle / "eval_LD.json").read_text()))
+        ExperimentBundle(bundle).record_file(
+            {"eval_LD.json": (json.dumps(report) + "\n").encode()})
+        capsys.readouterr()
+
+        assert cli.main(["sweep", "--class", "0", "--bottlenecks", "3", "--seeds", "5",
+                         "--data-dir", str(data_dir), "--bundles-dir", str(bundles),
+                         "--out-csv", str(tmp_path / "b.csv"), *TRAIN_ARGS[:-2],
+                         "--resume"]) == 0
+        err = capsys.readouterr().err
+        assert "error[sweep]:" in err and "eval_LD.json: eval report " in err and field in err
+        assert (tmp_path / "b.csv").read_text().count("nan,nan,nan,nan") == 3
 
     def test_resume_evaluates_report_without_digest_again(self, data_dir, tmp_path, capsys):
         # a crash between writing eval_RE.json and the manifest leaves this state

@@ -2,6 +2,7 @@
 
 import gzip
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,6 +123,31 @@ class TestIdxLoading:
         )
         ds = load_mnist_split(tmp_path, "t10k")
         assert len(ds) == 3
+
+    def test_every_byte_value_decodes_to_the_scaled_float(self, tmp_path):
+        raw = np.arange(256, dtype=np.uint8).reshape(1, 16, 16)
+        write_idx_images(tmp_path / "i", raw)
+        write_idx_labels(tmp_path / "l", [0])
+        ds = load_idx(tmp_path / "i", tmp_path / "l")
+        expected = raw.astype(np.float64)[:, None] / 255.0
+        assert ds.images.dtype == np.float64
+        np.testing.assert_array_equal(ds.images.view(np.int64), expected.view(np.int64))
+
+    def test_decode_holds_one_float_copy(self, tmp_path):
+        # the file's bytes and the float64 images; a float temporary of the
+        # same size would add another 1.0x
+        n = 2000
+        pixels = np.random.default_rng(1).integers(0, 256, (n, 28, 28), dtype=np.uint8)
+        write_idx_images(tmp_path / "i", pixels)
+        write_idx_labels(tmp_path / "l", np.zeros(n))
+        tracemalloc.start()
+        try:
+            ds = load_idx(tmp_path / "i", tmp_path / "l")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        raw_bytes = (tmp_path / "i").stat().st_size
+        assert peak < raw_bytes + 1.5 * ds.images.nbytes, peak / ds.images.nbytes
 
 
 class TestFilterClass:

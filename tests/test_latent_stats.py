@@ -246,6 +246,16 @@ class TestFiniteness:
         with pytest.raises(ValueError, match="jitter must be a scalar"):
             GaussianStats.from_bytes(raw)
 
+    def test_declared_format_version_must_be_the_written_one(self):
+        arrays = {**self._arrays(), "jitter": np.array(0.0)}
+        # a header without the key loads as today
+        GaussianStats.from_bytes(serialization.encode_arrays({"kind": "latent-stats"}, arrays))
+        for version in (2, 0, "1"):
+            raw = serialization.encode_arrays(
+                {"kind": "latent-stats", "format_version": version}, arrays)
+            with pytest.raises(ValueError, match=f"format_version {version!r}"):
+                GaussianStats.from_bytes(raw)
+
     def test_empty_batch_gives_no_distances(self):
         stats = GaussianStats(**self._arrays(), jitter=0.0)
         assert mahalanobis_many(stats, np.empty((0, 4))).shape == (0,)

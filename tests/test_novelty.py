@@ -1,6 +1,7 @@
 """Calibration, the three scoring modes, classification, CSV round trips."""
 
 import io
+import json
 import tracemalloc
 
 import numpy as np
@@ -84,6 +85,15 @@ class TestCalibration:
     def test_json_round_trip(self):
         cal = NoveltyCalibration(alpha=0.25, beta=4.0, val_dm_std=4.0, val_re_std=0.25)
         assert NoveltyCalibration.from_json(cal.to_json()) == cal
+
+    def test_declared_format_version_must_be_the_written_one(self):
+        cal = NoveltyCalibration(alpha=0.25, beta=4.0, val_dm_std=4.0, val_re_std=0.25)
+        payload = json.loads(cal.to_json())
+        del payload["format_version"]  # files without the key load as today
+        assert NoveltyCalibration.from_json(json.dumps(payload)) == cal
+        for version in (7, "1", True):
+            with pytest.raises(ValueError, match=f"format_version {version!r}"):
+                NoveltyCalibration.from_json(json.dumps({**payload, "format_version": version}))
 
 
 class TestScoring:

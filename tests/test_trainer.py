@@ -3,6 +3,7 @@
 import dataclasses
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -233,6 +234,25 @@ class TestTrainLoop:
         config = TrainConfig(**{**self.CONFIG, "inlier_class": 7})
         with pytest.raises(ValueError, match="no samples"):
             train(config, tiny_train_set)
+
+    def test_training_rows_are_not_copied(self, monkeypatch):
+        # batches are gathered from the full set by index, so the peak does
+        # not grow with the number of training rows; only the validation
+        # inliers (about 100 rows, so full chunks, at both sizes) are copied
+        monkeypatch.setattr(autoencoder, "_workers", lambda: 1)
+        config = TrainConfig(inlier_class=0, bottleneck_size=4, seed=31, max_epochs=2,
+                             patience=1, batch_size=16, val_size=300)
+        peaks = []
+        for n in (600, 2400):
+            data = synthetic_digits(n, seed=32, n_classes=3)
+            tracemalloc.start()
+            try:
+                train(config, data)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        extra_rows_bytes = (2400 - 600) * data.images[0].nbytes
+        assert peaks[1] - peaks[0] < 0.5 * extra_rows_bytes, (peaks, extra_rows_bytes)
 
 
 def whole_batch_reference(config, dataset):
