@@ -149,7 +149,7 @@ def _evaluate_bundle(bundle: ExperimentBundle, test_set, modes) -> dict:
 
     re, ld = novelty.features(model, stats, test_set.images)
     is_inlier = test_set.labels == config["inlier_class"]
-    scores = dict(zip(MODES, (re, ld, calibration.alpha * ld + calibration.beta * re)))
+    scores = {mode: novelty._combine(re, ld, mode, calibration) for mode in MODES}
     scores_csv = io.StringIO()
     novelty.write_scores_csv(scores_csv, np.arange(len(re)), is_inlier, re, ld,
                              scores[novelty.MODE_HYBRID])

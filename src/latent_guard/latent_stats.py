@@ -1,100 +1,57 @@
 """Gaussian fit of encoded training data and Mahalanobis distances.
 
-The distance of an embedding z from the fitted distribution is
+The fit keeps the mean mu and the (unbiased, n-1 divisor) sample covariance
+C of the encoded training set, and the r eigenpairs of C above rounding
+level, lambda_i > k * eps * lambda_max, as a basis V [k, r] and variances
+[r].  The distance of an embedding z is its Mahalanobis distance under
+C + j I, with the eigenvalues below the cut taken as zero:
 
-    D(z) = sqrt((z - mu)^T  C^-1  (z - mu))
+    D(z)^2 = sum_i p_i^2 / (lambda_i + j)  +  ||d - V p||^2 / j,
+    d = z - mu,  p = V^T d.
 
-with mu the mean vector and C the (unbiased, n-1 divisor) sample covariance
-of the encoded training set.  C is factorized once (Cholesky, with a jitter
-ladder for rank-deficient fits); distances are evaluated by triangular
-solve, never by explicit inversion.
-
-The fitted arrays are checked once, when a ``GaussianStats`` is built (by
-the fit or from bundle bytes): their shapes, their finiteness and the
-factor's positive diagonal, so a damaged file fails at load.  The solves
-then skip scipy's finiteness scan of the k x k factor, which at k = 784
-costs more than a 64-row solve; each query still rejects a non-finite
-input row itself.
+The jitter j is 0 at full rank (r = k), where the residual term drops, and
+1e-12 below it (dead latent units, or fewer samples than dimensions), so
+the part of d off the fit's span keeps a large weight: the small-variance
+directions are where novel inputs differ.
 """
 
 from __future__ import annotations
 
-import ctypes
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cython_blas, solve_triangular
 
 from latent_guard import serialization
 
-# Jitter ladder: decades from 1e-12 up to (and including) 1e-3, tried after
-# the unregularized factorization fails.  Rank-deficient covariances are
-# routine when the bottleneck is wide relative to the number of samples or
-# the L1 penalty zeroes latent units.
-_JITTERS = (0.0,) + tuple(10.0 ** e for e in range(-12, -2))
+JITTER = 1e-12
 
-STATS_VERSION = 1
+STATS_VERSION = 2
 
-
-def _blas_function(name, *argtypes):
-    """Function ``name`` of the BLAS scipy links (Fortran calling convention),
-    from the C pointers ``scipy.linalg.cython_blas`` exports.  A call through
-    ctypes releases the GIL, where scipy's Python-level BLAS wrappers hold it
-    for the whole call, so a solve on one inference chunk's thread would
-    stall every other chunk thread."""
-    capsule = cython_blas.__pyx_capi__[name]
-    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-        ("PyCapsule_GetName", ctypes.pythonapi))
-    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-        ("PyCapsule_GetPointer", ctypes.pythonapi))
-    return ctypes.CFUNCTYPE(None, *argtypes)(get_pointer(capsule, get_name(capsule)))
-
-
-_INT_P = ctypes.POINTER(ctypes.c_int)
-_DOUBLE_P = ctypes.POINTER(ctypes.c_double)
-# dtrsm(side, uplo, transa, diag, m, n, alpha, a, lda, b, ldb)
-_DTRSM = _blas_function("dtrsm", *[ctypes.c_char_p] * 4, _INT_P, _INT_P, _DOUBLE_P,
-                        _DOUBLE_P, _INT_P, _DOUBLE_P, _INT_P)
-
-
-def _solve_lower(chol, b):
-    """Solves ``chol @ y = b`` for b [k, n] with BLAS trsm and returns y
-    [k, n], F-ordered; it overwrites b when b is F-ordered float64.
-
-    scipy's ``solve_triangular`` makes this same trsm call for several
-    right-hand sides, but solves a single one by another path, which rounds
-    differently.  Through trsm alone a row's distance does not depend on how
-    many rows share the call, so scoring chunk by chunk equals one bulk
-    call."""
-    a = np.asfortranarray(chol.T, dtype=np.float64)  # a view of a C-ordered chol
-    y = np.asfortranarray(b, dtype=np.float64)
-    k, n = y.shape
-    ld, cols, one = ctypes.c_int(k), ctypes.c_int(n), ctypes.c_double(1.0)
-    _DTRSM(b"L", b"U", b"T", b"N", ctypes.byref(ld), ctypes.byref(cols), ctypes.byref(one),
-           a.ctypes.data_as(_DOUBLE_P), ctypes.byref(ld), y.ctypes.data_as(_DOUBLE_P),
-           ctypes.byref(ld))
-    return y
+# the stored arrays, in field order; the jitter is stored as a scalar array
+_ARRAYS = ("mean", "covariance", "basis", "variances")
 
 
 @dataclass(frozen=True)
 class GaussianStats:
     """Fitted latent Gaussian; immutable, safe for concurrent queries.
 
-    ``jitter`` is the diagonal loading that made the factorization succeed
-    (0.0 when none was needed); ``chol`` is the lower Cholesky factor of
-    ``covariance + jitter * I``.  Construction checks that the three
-    arrays are finite with shapes [k], [k, k] and [k, k], and that ``chol``
-    has a positive diagonal, so the queries trust them.
+    ``basis`` [k, r] and ``variances`` [r] are the eigenpairs of
+    ``covariance`` that the fit kept.  Construction (by the fit or from
+    bundle bytes) checks the shapes and finiteness of the arrays, that every
+    variance is positive and that the jitter is finite, >= 0 and > 0 below
+    full rank, so a damaged file fails at load and the queries trust them.
     """
 
     mean: np.ndarray
     covariance: np.ndarray
-    chol: np.ndarray
+    basis: np.ndarray
+    variances: np.ndarray
     jitter: float
 
     def __post_init__(self):
         k = self.mean.shape[-1] if self.mean.ndim else 0
-        for name, shape in (("mean", (k,)), ("covariance", (k, k)), ("chol", (k, k))):
+        r = self.basis.shape[-1] if self.basis.ndim else 0
+        for name, shape in zip(_ARRAYS, ((k,), (k, k), (k, r), (r,))):
             value = getattr(self, name)
             if value.shape != shape:
                 raise ValueError(
@@ -102,8 +59,12 @@ class GaussianStats:
                 )
             if not np.all(np.isfinite(value)):
                 raise ValueError(f"latent stats {name} contains non-finite values")
-        if not np.all(np.diagonal(self.chol) > 0.0):
-            raise ValueError("latent stats chol must have a positive diagonal")
+        if not np.all(self.variances > 0.0):
+            raise ValueError("latent stats variances must be positive")
+        # below full rank the residual term divides by the jitter
+        if not (np.isfinite(self.jitter) and self.jitter >= 0.0 and (self.jitter > 0.0 or r == k)):
+            raise ValueError(f"latent stats jitter must be finite, >= 0 and > 0 below full "
+                             f"rank, got {self.jitter} at rank {r} of {k}")
 
     @property
     def dim(self) -> int:
@@ -111,15 +72,8 @@ class GaussianStats:
 
     def to_bytes(self) -> bytes:
         header = {"kind": "latent-stats", "format_version": STATS_VERSION}
-        return serialization.encode_arrays(
-            header,
-            {
-                "mean": self.mean,
-                "covariance": self.covariance,
-                "chol": self.chol,
-                "jitter": np.array(self.jitter),
-            },
-        )
+        arrays = {name: getattr(self, name) for name in _ARRAYS}
+        return serialization.encode_arrays(header, {**arrays, "jitter": np.array(self.jitter)})
 
     @classmethod
     def from_bytes(cls, raw: bytes) -> "GaussianStats":
@@ -127,25 +81,17 @@ class GaussianStats:
         if header.get("kind") != "latent-stats":
             raise ValueError("not a latent-stats container")
         serialization.check_format_version(header, STATS_VERSION, "latent stats")
-        for key in ("mean", "covariance", "chol", "jitter"):
+        for key in (*_ARRAYS, "jitter"):
             if key not in arrays:
                 raise ValueError(f"latent stats have no {key!r} array")
         if arrays["jitter"].shape != ():
             raise ValueError(f"latent stats jitter must be a scalar, got shape {arrays['jitter'].shape}")
-        return cls(
-            mean=arrays["mean"],
-            covariance=arrays["covariance"],
-            chol=arrays["chol"],
-            jitter=float(arrays["jitter"]),
-        )
+        return cls(*(arrays[name] for name in _ARRAYS), jitter=float(arrays["jitter"]))
 
 
 def fit_gaussian(embeddings) -> GaussianStats:
-    """Fits mean and unbiased covariance to rows of ``embeddings`` [n, k].
-
-    The covariance (plus the smallest successful jitter) must be positive
-    definite; after the full ladder fails a ValueError is raised.
-    """
+    """Fits mean and unbiased covariance to rows of ``embeddings`` [n, k]
+    and keeps the covariance's eigenpairs above rounding level."""
     z = np.asarray(embeddings, dtype=np.float64)
     if z.ndim != 2:
         raise ValueError(f"embeddings must be 2-D [n, k], got shape {z.shape}")
@@ -157,17 +103,11 @@ def fit_gaussian(embeddings) -> GaussianStats:
     mean = z.mean(axis=0)
     centered = z - mean
     cov = centered.T @ centered / (n - 1)
-    cov = (cov + cov.T) / 2.0  # exact symmetry for the factorization
-    eye = np.eye(k)
-    for jitter in _JITTERS:
-        try:
-            chol = np.linalg.cholesky(cov + jitter * eye)
-        except np.linalg.LinAlgError:
-            continue
-        return GaussianStats(mean=mean, covariance=cov, chol=chol, jitter=jitter)
-    raise ValueError(
-        f"covariance factorization failed for every jitter up to {_JITTERS[-1]:g}"
-    )
+    cov = (cov + cov.T) / 2.0  # exact symmetry for eigh
+    variances, basis = np.linalg.eigh(cov)  # ascending
+    keep = variances > k * np.finfo(np.float64).eps * variances[-1]
+    return GaussianStats(mean, cov, basis[:, keep], variances[keep],
+                         jitter=0.0 if keep.all() else JITTER)
 
 
 def mahalanobis(stats: GaussianStats, x) -> float:
@@ -177,10 +117,7 @@ def mahalanobis(stats: GaussianStats, x) -> float:
         raise ValueError(
             f"expected vector of dim {stats.dim}, got shape {x.shape}"
         )
-    if not np.all(np.isfinite(x)):
-        raise ValueError("vector contains non-finite values")
-    y = solve_triangular(stats.chol, x - stats.mean, lower=True, check_finite=False)
-    return float(np.sqrt(y @ y))
+    return float(mahalanobis_many(stats, x[None, :])[0])
 
 
 def mahalanobis_many(stats: GaussianStats, xs) -> np.ndarray:
@@ -192,7 +129,14 @@ def mahalanobis_many(stats: GaussianStats, xs) -> np.ndarray:
         )
     if not np.all(np.isfinite(xs)):
         raise ValueError("rows contain non-finite values")
-    # the subtraction makes a fresh array, so the solve may overwrite it
-    y = _solve_lower(stats.chol, (xs - stats.mean).T)
-    y *= y
-    return np.sqrt(np.sum(y, axis=0))
+    # [n, 1, k]: each product below is one call per row, so a row's distance
+    # does not depend on the other rows in the call, and scoring chunk by
+    # chunk equals one bulk call; one 2-D product over all rows can round a
+    # row differently with the number of rows
+    d = (xs - stats.mean)[:, None, :]
+    p = d @ stats.basis
+    d2 = (p / (stats.variances + stats.jitter)) @ p.swapaxes(-1, -2)
+    if len(stats.variances) < stats.dim:
+        residual = d - p @ stats.basis.T
+        d2 += (residual @ residual.swapaxes(-1, -2)) / stats.jitter
+    return np.sqrt(d2[:, 0, 0])

@@ -27,6 +27,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from latent_guard import serialization
+from latent_guard.novelty import MODES
 
 
 @dataclass(frozen=True)
@@ -127,6 +128,20 @@ class EvalReport:
     bottleneck_size: int
     mode: str
     seed: int
+
+    def __post_init__(self):
+        # a bool is an int to Python, but no metric and no identifier
+        for name in ("fpr_at_95_tpr", "auroc", "aupr_in", "aupr_out"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not 0.0 <= value <= 1.0:
+                raise ValueError(f"eval report {name} must be a number in [0, 1], got {value!r}")
+        for name in ("inlier_class", "bottleneck_size", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"eval report {name} must be an integer, got {value!r}")
+        if self.mode not in MODES:
+            raise ValueError(f"eval report mode must be one of {MODES}, got {self.mode!r}")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)

@@ -257,7 +257,8 @@ def test_criterion_3_mahalanobis_properties():
     stats = GaussianStats(
         mean=rng.standard_normal(4),
         covariance=np.eye(4),
-        chol=np.eye(4),
+        basis=np.eye(4),
+        variances=np.ones(4),
         jitter=0.0,
     )
     for _ in range(20):

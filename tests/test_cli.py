@@ -202,7 +202,7 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error[bundle]: ") and "checkpoint.lgar" in err
 
-    @pytest.mark.parametrize("name, array", [("latent_stats.lgar", "chol"),
+    @pytest.mark.parametrize("name, array", [("latent_stats.lgar", "basis"),
                                              ("checkpoint.lgar", "decoder.8.bias")])
     def test_non_finite_bundle_array_is_bundle_error(self, data_dir, trained_bundle,
                                                      tmp_path, capsys, name, array):
@@ -276,6 +276,23 @@ class TestEval:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error[bundle]: {name}: ") and "format_version 9" in err
+
+    def test_stats_file_of_format_version_1_is_bundle_error(self, data_dir, trained_bundle,
+                                                            tmp_path, capsys):
+        # version 1 stored a Cholesky factor; it is refused, not converted
+        damaged = tmp_path / "v1"
+        shutil.copytree(trained_bundle, damaged)
+        header, arrays = serialization.decode_arrays((damaged / "latent_stats.lgar").read_bytes())
+        cov, jitter = arrays["covariance"], arrays["jitter"]
+        v1 = {"mean": arrays["mean"], "covariance": cov,
+              "chol": np.linalg.cholesky(cov + jitter * np.eye(len(cov))), "jitter": jitter}
+        ExperimentBundle(damaged).record_file({"latent_stats.lgar": serialization.encode_arrays(
+            {**header, "format_version": 1}, v1)})
+        code = cli.main(["eval", "--bundle", str(damaged),
+                         "--data-dir", str(data_dir), "--mode", "LD"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[bundle]: latent_stats.lgar: ") and "format_version 1" in err
 
     @pytest.mark.parametrize("key", ["config", "files"])
     def test_manifest_without_key_is_bundle_error(self, data_dir, trained_bundle,
@@ -408,6 +425,29 @@ class TestSweep:
                          "--resume"]) == 0
         err = capsys.readouterr().err
         assert "error[sweep]:" in err and "eval_LD.json: eval report " in err and field in err
+        assert (tmp_path / "b.csv").read_text().count("nan,nan,nan,nan") == 3
+
+    @pytest.mark.parametrize("field, value", [
+        ("auroc", "0.99"), ("auroc", True), ("auroc", float("nan")), ("aupr_out", 1.5),
+        ("inlier_class", "0"), ("seed", 5.0), ("mode", "X"),
+    ], ids=["string-metric", "bool-metric", "nan-metric", "metric-above-1",
+            "string-class", "float-seed", "unknown-mode"])
+    def test_resume_names_file_and_field_of_mistyped_report(self, data_dir, swept_bundles,
+                                                           tmp_path, capsys, field, value):
+        bundles = tmp_path / "bundles"
+        shutil.copytree(swept_bundles, bundles)
+        bundle = bundles / "class0_k3_seed5"
+        report = {**json.loads((bundle / "eval_LD.json").read_text()), field: value}
+        ExperimentBundle(bundle).record_file(
+            {"eval_LD.json": (json.dumps(report) + "\n").encode()})
+        capsys.readouterr()
+
+        assert cli.main(["sweep", "--class", "0", "--bottlenecks", "3", "--seeds", "5",
+                         "--data-dir", str(data_dir), "--bundles-dir", str(bundles),
+                         "--out-csv", str(tmp_path / "b.csv"), *TRAIN_ARGS[:-2],
+                         "--resume"]) == 0
+        err = capsys.readouterr().err
+        assert "error[sweep]:" in err and f"eval_LD.json: eval report {field} " in err
         assert (tmp_path / "b.csv").read_text().count("nan,nan,nan,nan") == 3
 
     def test_resume_evaluates_report_without_digest_again(self, data_dir, tmp_path, capsys):

@@ -2,9 +2,35 @@
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
 
 from latent_guard import GaussianStats, fit_gaussian, mahalanobis, mahalanobis_many, serialization
+from latent_guard.latent_stats import JITTER
+
+
+def _with_dead_units(rng, n, k, live):
+    """[n, k] ReLU-like embeddings in which only ``live`` random units fire."""
+    z = np.zeros((n, k))
+    mixing = rng.standard_normal((live, live)) / np.sqrt(live)
+    z[:, rng.permutation(k)[:live]] = np.maximum(rng.standard_normal((n, live)) @ mixing, 0.0)
+    return 0.1 * z
+
+
+def _mahalanobis_reference(a, d):
+    """Distances sqrt(d_i^T a^-1 d_i) for the rows of ``d``, by a Cholesky
+    solve in long double (64-bit mantissa on x86), so that the reference's
+    own round-off stays far below the tolerance even when ``a`` is
+    ill-conditioned."""
+    a = np.array(a, dtype=np.longdouble)
+    n = len(a)
+    chol = np.zeros_like(a)
+    for j in range(n):
+        chol[j:, j] = a[j:, j] / np.sqrt(a[j, j])
+        a[j + 1:, j + 1:] -= np.outer(chol[j + 1:, j], chol[j + 1:, j])
+    y = np.zeros((n, len(d)), dtype=np.longdouble)
+    rhs = np.asarray(d, dtype=np.longdouble).T
+    for i in range(n):
+        y[i] = (rhs[i] - chol[i, :i] @ y[:i]) / chol[i, i]
+    return np.sqrt(np.sum(y * y, axis=0)).astype(np.float64)
 
 
 class TestFit:
@@ -19,7 +45,7 @@ class TestFit:
         pts = np.array([[1.0, 2.0], [1.0, 2.0]])
         stats = fit_gaussian(pts)
         np.testing.assert_array_equal(stats.covariance, np.zeros((2, 2)))
-        assert stats.jitter > 0.0  # ladder engaged
+        assert stats.jitter > 0.0  # below full rank, so the jitter applies
         assert mahalanobis(stats, np.array([1.0, 2.0])) == 0.0
 
     def test_permutation_invariant(self):
@@ -40,7 +66,7 @@ class TestFit:
         np.testing.assert_allclose(stats.covariance, stats.covariance.T, atol=1e-10)
 
     def test_jitter_ladder_records_smallest_working_value(self):
-        # rank-1 data in 3-D: unregularized cholesky must fail
+        # rank-1 data in 3-D: the covariance is singular, so the fit needs the jitter
         rng = np.random.default_rng(2)
         direction = np.array([1.0, 2.0, -1.0])
         pts = np.outer(rng.standard_normal(50), direction)
@@ -48,6 +74,22 @@ class TestFit:
         assert stats.jitter > 0.0
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.cholesky(stats.covariance)
+
+    @pytest.mark.parametrize("k", [16, 64, 784])
+    def test_full_rank_fit_keeps_every_direction_without_jitter(self, k):
+        stats = fit_gaussian(np.random.default_rng(k).standard_normal((2 * k, k)))
+        assert stats.basis.shape == (k, k) and stats.variances.shape == (k,)
+        assert stats.jitter == 0.0
+
+    @pytest.mark.parametrize("k, live", [(16, 9), (64, 53), (784, 58)])
+    def test_dead_units_fit_keeps_the_rank_with_jitter(self, k, live):
+        # units that never fire are constant on the fit set, so the
+        # covariance has the rank of the live ones
+        z = _with_dead_units(np.random.default_rng(k), 2000, k, live)
+        stats = fit_gaussian(z)
+        assert np.linalg.matrix_rank(z - z.mean(axis=0)) == live
+        assert stats.basis.shape == (k, live) and stats.variances.shape == (live,)
+        assert stats.jitter == JITTER == 1e-12
 
 
 class TestMahalanobis:
@@ -71,7 +113,8 @@ class TestMahalanobis:
         stats_exact = GaussianStats(
             mean=np.zeros(2),
             covariance=np.diag([4.0, 1.0]),
-            chol=np.linalg.cholesky(np.diag([4.0, 1.0])),
+            basis=np.eye(2),
+            variances=np.array([4.0, 1.0]),
             jitter=0.0,
         )
         np.testing.assert_allclose(
@@ -118,12 +161,44 @@ class TestMahalanobis:
         for start, stop in ((0, 1), (69, 70), (5, 7), (0, 64), (64, 70)):
             assert np.array_equal(mahalanobis_many(stats, xs[start:stop]), bulk[start:stop])
 
+    def test_rank_deficient_distance_matches_long_double_solve(self):
+        # LD is the Mahalanobis distance under covariance + jitter * I; at a
+        # dead-unit fit that matrix has cond ~1e10, and LD must stay within
+        # the accuracy limit of a backward-stable float64 solve
+        rng = np.random.default_rng(14)
+        k, live = 784, 58
+        z = _with_dead_units(rng, 2050, k, live)
+        fit, held_out = z[:2000], z[2000:]
+        stats = fit_gaussian(fit)
+        assert stats.variances.shape == (live,) and stats.jitter == JITTER
+        # held-out inliers, the same rows with dead units firing slightly,
+        # and rows far off the fit's span
+        firing = held_out + 1e-3 * np.abs(rng.standard_normal(held_out.shape))
+        xs = np.concatenate([held_out, firing, 0.1 * np.abs(rng.standard_normal((10, k)))])
+        a = stats.covariance + stats.jitter * np.eye(k)
+        reference = _mahalanobis_reference(a, xs - stats.mean)
+        tolerance = max(1e-9, np.linalg.cond(a) * np.finfo(np.float64).eps)
+        assert 1e8 < np.linalg.cond(a) < 1e12
+        np.testing.assert_allclose(mahalanobis_many(stats, xs), reference, rtol=tolerance, atol=0)
+
     def test_many_matches_reference_formula_bit_for_bit(self):
+        # the eigen formula of the module docstring, one row at a time, at
+        # full rank (no residual term) and below it
         rng = np.random.default_rng(11)
-        stats = fit_gaussian(rng.standard_normal((300, 32)))
-        xs = rng.standard_normal((500, 32)) * 3.0
-        y = solve_triangular(stats.chol, (xs - stats.mean).T, lower=True)
-        np.testing.assert_array_equal(mahalanobis_many(stats, xs), np.sqrt(np.sum(y * y, axis=0)))
+        for n in (300, 20):
+            stats = fit_gaussian(rng.standard_normal((n, 32)))
+            xs = rng.standard_normal((500, 32)) * 3.0
+            basis, variances, jitter = stats.basis, stats.variances, stats.jitter
+            rows = []
+            for x in xs:
+                d = x - stats.mean
+                p = d @ basis
+                d2 = (p / (variances + jitter)) @ p
+                if len(variances) < len(d):
+                    residual = d - p @ basis.T
+                    d2 += (residual @ residual) / jitter
+                rows.append(np.sqrt(d2))
+            np.testing.assert_array_equal(mahalanobis_many(stats, xs), rows)
 
 
 class TestProperties:
@@ -163,7 +238,8 @@ class TestProperties:
         stats = GaussianStats(
             mean=np.array([1.0, -2.0, 0.5]),
             covariance=np.eye(3),
-            chol=np.eye(3),
+            basis=np.eye(3),
+            variances=np.ones(3),
             jitter=0.0,
         )
         rng = np.random.default_rng(10)
@@ -179,7 +255,8 @@ class TestPersistence:
         loaded = GaussianStats.from_bytes(stats.to_bytes())
         assert np.array_equal(stats.mean, loaded.mean)
         assert np.array_equal(stats.covariance, loaded.covariance)
-        assert np.array_equal(stats.chol, loaded.chol)
+        assert np.array_equal(stats.basis, loaded.basis)
+        assert np.array_equal(stats.variances, loaded.variances)
         assert stats.jitter == loaded.jitter
 
 
@@ -190,7 +267,8 @@ class TestFiniteness:
     @staticmethod
     def _arrays():
         stats = fit_gaussian(np.random.default_rng(12).standard_normal((30, 4)))
-        return {"mean": stats.mean, "covariance": stats.covariance, "chol": stats.chol}
+        return {"mean": stats.mean, "covariance": stats.covariance, "basis": stats.basis,
+                "variances": stats.variances}
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_rejected(self, bad):
@@ -204,7 +282,7 @@ class TestFiniteness:
         with pytest.raises(ValueError, match="non-finite"):
             mahalanobis_many(stats, xs)
 
-    @pytest.mark.parametrize("name", ["mean", "covariance", "chol"])
+    @pytest.mark.parametrize("name", ["mean", "covariance", "basis", "variances"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_array_rejected_at_construction_and_load(self, name, bad):
         arrays = self._arrays()
@@ -213,36 +291,55 @@ class TestFiniteness:
         with pytest.raises(ValueError, match=f"{name} contains non-finite"):
             GaussianStats(**arrays, jitter=0.0)
         raw = serialization.encode_arrays(
-            {"kind": "latent-stats", "format_version": 1}, {**arrays, "jitter": np.array(0.0)})
+            {"kind": "latent-stats", "format_version": 2}, {**arrays, "jitter": np.array(0.0)})
         with pytest.raises(ValueError, match=f"{name} contains non-finite"):
             GaussianStats.from_bytes(raw)
 
     @pytest.mark.parametrize("name, shape", [("mean", (4, 1)), ("covariance", (4, 3)),
-                                             ("chol", (3, 3))])
+                                             ("basis", (3, 3)), ("variances", (3,))])
     def test_wrong_shape_rejected(self, name, shape):
         arrays = self._arrays()
         arrays[name] = np.zeros(shape)
         with pytest.raises(ValueError, match=f"{name} must have shape"):
             GaussianStats(**arrays, jitter=0.0)
 
-    def test_factor_without_positive_diagonal_rejected(self):
-        arrays = self._arrays()
-        arrays["chol"] = arrays["chol"].copy()
-        arrays["chol"][2, 2] = 0.0
-        with pytest.raises(ValueError, match="positive diagonal"):
-            GaussianStats(**arrays, jitter=0.0)
+    def test_non_positive_variance_rejected(self):
+        for value in (0.0, -1.0):
+            arrays = self._arrays()
+            arrays["variances"] = arrays["variances"].copy()
+            arrays["variances"][2] = value
+            with pytest.raises(ValueError, match="variances must be positive"):
+                GaussianStats(**arrays, jitter=0.0)
 
-    @pytest.mark.parametrize("name", ["mean", "covariance", "chol", "jitter"])
+    @pytest.mark.parametrize("jitter", [-1e-12, np.nan, np.inf])
+    def test_negative_or_non_finite_jitter_rejected(self, jitter):
+        with pytest.raises(ValueError, match="jitter must be finite, >= 0 and > 0 below"):
+            GaussianStats(**self._arrays(), jitter=jitter)
+
+    def test_zero_jitter_below_full_rank_rejected_at_construction_and_load(self):
+        # without the jitter the off-span residual would divide by zero
+        stats = fit_gaussian(np.random.default_rng(13).standard_normal((3, 4)))
+        assert stats.variances.shape == (2,)
+        arrays = {"mean": stats.mean, "covariance": stats.covariance, "basis": stats.basis,
+                  "variances": stats.variances}
+        with pytest.raises(ValueError, match="jitter must be finite, >= 0 and > 0 below"):
+            GaussianStats(**arrays, jitter=0.0)
+        raw = serialization.encode_arrays({"kind": "latent-stats", "format_version": 2},
+                                          {**arrays, "jitter": np.array(0.0)})
+        with pytest.raises(ValueError, match="jitter must be finite, >= 0 and > 0 below"):
+            GaussianStats.from_bytes(raw)
+
+    @pytest.mark.parametrize("name", ["mean", "covariance", "basis", "variances", "jitter"])
     def test_missing_array_rejected_at_load(self, name):
         arrays = {**self._arrays(), "jitter": np.array(0.0)}
         del arrays[name]
-        raw = serialization.encode_arrays({"kind": "latent-stats", "format_version": 1}, arrays)
+        raw = serialization.encode_arrays({"kind": "latent-stats", "format_version": 2}, arrays)
         with pytest.raises(ValueError, match=f"no '{name}'"):
             GaussianStats.from_bytes(raw)
 
     def test_vector_jitter_rejected_at_load(self):
         arrays = {**self._arrays(), "jitter": np.zeros(2)}
-        raw = serialization.encode_arrays({"kind": "latent-stats", "format_version": 1}, arrays)
+        raw = serialization.encode_arrays({"kind": "latent-stats", "format_version": 2}, arrays)
         with pytest.raises(ValueError, match="jitter must be a scalar"):
             GaussianStats.from_bytes(raw)
 
@@ -250,7 +347,7 @@ class TestFiniteness:
         arrays = {**self._arrays(), "jitter": np.array(0.0)}
         # a header without the key loads as today
         GaussianStats.from_bytes(serialization.encode_arrays({"kind": "latent-stats"}, arrays))
-        for version in (2, 0, "1"):
+        for version in (1, 0, "2"):
             raw = serialization.encode_arrays(
                 {"kind": "latent-stats", "format_version": version}, arrays)
             with pytest.raises(ValueError, match=f"format_version {version!r}"):

@@ -276,7 +276,7 @@ class TestStreamedLatentDistance:
 
 class TestWideBottleneck:
     def test_more_latent_dims_than_samples_still_scores(self):
-        # rank-deficient latent covariance: jitter ladder must engage and
+        # rank-deficient latent covariance: the fit must add the jitter and
         # the whole scoring pipeline stay finite
         from conftest import synthetic_digits
         from latent_guard import Autoencoder
