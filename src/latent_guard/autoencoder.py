@@ -37,14 +37,13 @@ caller's thread among them (``_run_tasks``).  Each inference chunk's result
 lands at its own rows; a scoring pass may reduce each chunk's embeddings
 to one value per row on the chunk's thread (the ``latent`` callable of
 ``encode_and_reconstruction_errors``), so no [N, k] embedding matrix is
-held.  Each training sub-batch runs forward and backward on its own
-"lane", a layer stack that shares this model's parameters but keeps its
-own caches and gradients, and the caller sums the sub-batch results in
-sub-batch order.  Neither the output bytes nor the gradients
-depend on the core count or on the order the threads finish in.  The
-first chunked call of a process tunes glibc's allocator for these threads
-(``tune_allocator``), so library callers that never enter the CLI or the
-trainer get the same hot heap.
+held.  Each training sub-batch runs forward and backward on this model's
+layers, which hold only parameters, with caches and gradients of its own,
+and the caller sums the sub-batch results in sub-batch order.  Neither the
+output bytes nor the gradients depend on the core count or on the order
+the threads finish in.  The first chunked call of a process tunes glibc's
+allocator for these threads (``tune_allocator``), so library callers that
+never enter the CLI or the trainer get the same hot heap.
 """
 
 from __future__ import annotations
@@ -174,10 +173,9 @@ def _run_tasks(task, items):
 class Autoencoder:
     """Appendix-architecture autoencoder; see the module docstring.
 
-    The layer stack is immutable during inference (encode/score calls cache
-    nothing), so concurrent reads are safe.  Training sub-batches run on
-    lanes (``map_sub_batches``), and the parameters change only between
-    them, through a single writer.
+    Every pass, training or inference, keeps its caches and gradients to
+    itself, so concurrent passes are safe.  The parameters change only
+    between training batches, through a single writer.
     """
 
     def __init__(self, bottleneck_size: int, seed: int):
@@ -205,24 +203,20 @@ class Autoencoder:
             UpsampleConv3x3(32, 1, rng),
             Sigmoid(),
         ]
-        self._lanes = []
 
     # -- parameter access ---------------------------------------------------
 
-    def _named(self, attr):
+    def _named(self, of_layer):
         layers = [layer for layer in self.encoder_layers + self.decoder_layers if layer.params]
         return {
             f"{name}.{key}": arr
             for name, layer in zip(PARAM_LAYER_NAMES, layers, strict=True)
-            for key, arr in getattr(layer, attr).items()
+            for key, arr in of_layer(layer).items()
         }
 
     def named_parameters(self):
         """Live references to every parameter array, in a stable order."""
-        return self._named("params")
-
-    def named_grads(self):
-        return self._named("grads")
+        return self._named(lambda layer: layer.params)
 
     # -- inference ----------------------------------------------------------
 
@@ -240,9 +234,13 @@ class Autoencoder:
             )
         return x.transpose(0, 2, 3, 1), single
 
-    def _run(self, stack, x, train=False):
+    def _run(self, stack, x, caches=None):
+        """A training pass when ``caches`` is given: each layer's cache is
+        appended to it."""
         for layer in stack:
-            x = layer.forward(x, train=train)
+            x, cache = layer.forward(x, train=caches is not None)
+            if caches is not None:
+                caches.append(cache)
         return x
 
     def _chunked(self, fn, x):
@@ -302,45 +300,44 @@ class Autoencoder:
     # -- training hooks -----------------------------------------------------
 
     def forward_training(self, x_nhwc):
-        """Caching forward pass; returns (reconstruction, bottleneck), NHWC."""
-        z = self._run(self.encoder_layers, x_nhwc, train=True)
-        return self._run(self.decoder_layers, z, train=True), z
+        """Caching forward pass; returns (reconstruction, bottleneck, caches),
+        NHWC, where ``caches`` lists the layers' training caches in stack
+        order for ``backward_training``."""
+        caches = []
+        z = self._run(self.encoder_layers, x_nhwc, caches)
+        return self._run(self.decoder_layers, z, caches), z, caches
 
-    def backward_training(self, d_recon, d_bottleneck=None):
-        """Backpropagates loss gradients; fills every layer's ``grads``.
+    def backward_training(self, caches, d_recon, d_bottleneck=None):
+        """Backpropagates loss gradients through the pass that made
+        ``caches``; returns the parameter gradients by checkpoint name.
 
-        ``d_bottleneck`` (e.g. the L1 activity subgradient) is added where
-        the decoder gradient reaches the encoder output.
+        Each layer's cache is popped off ``caches`` as its backward runs,
+        so it is freed as soon as that layer is done.  ``d_bottleneck``
+        (e.g. the L1 activity subgradient) is added where the decoder
+        gradient reaches the encoder output.
         """
+        grads = {}
         g = d_recon
         for layer in reversed(self.decoder_layers):
-            g = layer.backward(g)
+            g, grads[layer] = layer.backward(g, caches.pop())
         if d_bottleneck is not None:
             g = g + d_bottleneck
         for layer in reversed(self.encoder_layers):
-            g = layer.backward(g)
+            g, grads[layer] = layer.backward(g, caches.pop())
+        return self._named(grads.__getitem__)
 
     def map_sub_batches(self, fn, x):
-        """Calls ``fn(lane, sub_batch)`` on each ``_CHUNK``-row sub-batch of
-        ``x`` through ``_run_tasks``, sub-batch i on lane i, and returns the
-        results in sub-batch order.  A lane is a layer stack built like this
-        model whose layers share this model's ``params`` dicts, so in-place
-        parameter updates reach every lane, while caches and ``grads`` stay
-        the lane's own.  ``fn`` may train its lane
+        """Calls ``fn(sub_batch)`` on each ``_CHUNK``-row sub-batch of ``x``
+        through ``_run_tasks`` and returns the results in sub-batch order.
+        ``fn`` may run training passes on this model
         (``forward_training``/``backward_training``) but must leave the
         parameters alone."""
         tune_allocator()
         starts = range(0, len(x), _CHUNK)
-        while len(self._lanes) < len(starts):
-            lane = Autoencoder(self.bottleneck_size, self.seed)
-            for mine, theirs in zip(lane.encoder_layers + lane.decoder_layers,
-                                    self.encoder_layers + self.decoder_layers, strict=True):
-                mine.params = theirs.params
-            self._lanes.append(lane)
         results = [None] * len(starts)
 
         def task(i):
-            results[i] = fn(self._lanes[i], x[starts[i]:starts[i] + _CHUNK])
+            results[i] = fn(x[starts[i]:starts[i] + _CHUNK])
 
         _run_tasks(task, range(len(starts)))
         return results

@@ -28,7 +28,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -36,6 +36,7 @@ from latent_guard.autoencoder import Autoencoder
 from latent_guard.latent_stats import GaussianStats
 from latent_guard.metrics import EvalReport
 from latent_guard.novelty import MODES, NoveltyCalibration
+from latent_guard.trainer import TrainConfig
 
 MANIFEST_VERSION = 1
 
@@ -116,11 +117,17 @@ class ExperimentBundle:
 
     def manifest(self) -> dict:
         """The parsed manifest; ValueError unless it holds the ``config`` and
-        ``files`` objects every reader indexes."""
+        ``files`` objects every reader indexes, with every ``TrainConfig``
+        field of ``config`` an integer."""
         manifest = json.loads((self.path / MANIFEST_FILE).read_text())
         for key in ("config", "files"):
             if not isinstance(manifest, dict) or not isinstance(manifest.get(key), dict):
                 raise ValueError(f"{MANIFEST_FILE} has no {key!r} object")
+        for field in fields(TrainConfig):
+            value = manifest["config"].get(field.name)
+            if type(value) is not int:  # bool is an int subclass, and refused too
+                raise ValueError(
+                    f"{MANIFEST_FILE} config {field.name!r} must be an integer, got {value!r}")
         return manifest
 
     def config(self) -> dict:

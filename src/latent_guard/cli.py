@@ -245,7 +245,15 @@ def cmd_sweep(args) -> int:
                 "bundle_path": str(bundles_dir / name),
                 "data_dir": str(data_dir),
             })
-    bundles_dir.mkdir(parents=True, exist_ok=True)
+    # the CSV is written after every cell has run, so its place is checked first
+    out_csv = Path(args.out_csv)
+    if out_csv.is_dir():
+        raise CliError("usage", f"--out-csv is a directory: {out_csv}")
+    try:
+        out_csv.parent.mkdir(parents=True, exist_ok=True)
+        bundles_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError("usage", f"cannot create an output directory: {exc}") from exc
 
     outcomes = []
     if args.jobs > 1:
@@ -282,8 +290,6 @@ def cmd_sweep(args) -> int:
         else:
             rows.extend(outcome)
 
-    out_csv = Path(args.out_csv)
-    out_csv.parent.mkdir(parents=True, exist_ok=True)
     with open(out_csv, "w", newline="") as f:
         writer = csv.writer(f)
         writer.writerow(SWEEP_CSV_HEADER)
@@ -298,8 +304,11 @@ def cmd_plot(args) -> int:
     except (OSError, ValueError) as exc:
         raise CliError("plot", f"malformed scores CSV: {exc}") from exc
     out = Path(args.out_svg)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    write_scatter_svg(out, re, ld, is_inlier)
+    try:
+        out.parent.mkdir(parents=True, exist_ok=True)
+        write_scatter_svg(out, re, ld, is_inlier)
+    except OSError as exc:
+        raise CliError("plot", f"cannot write {out}: {exc}") from exc
     print(f"scatter written to {out}")
     return 0
 

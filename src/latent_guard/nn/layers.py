@@ -1,13 +1,13 @@
 """Layer objects used to assemble the autoencoder.
 
-Layers run channels-last internally ([N, H, W, C] batches) and hold their
-parameters/gradients in dicts keyed "weight"/"bias"; conv weights keep the
+Layers run channels-last internally ([N, H, W, C] batches) and hold only
+their parameters, in a dict keyed "weight"/"bias"; conv weights keep the
 canonical [C_out, C_in, 3, 3] shape and dense weights [out_dim, in_dim].
-``forward(x, train=True)`` caches whatever backward needs; caches belong to
-the most recent batch of this layer object only, so concurrent training
-passes each need their own layer stack (the autoencoder's lanes, which
-share their ``params`` dicts).  Inference (train=False) caches nothing, so
-concurrent forward passes over an immutable layer stack are safe.
+``forward(x, train=False)`` returns ``(out, cache)``, where the cache holds
+whatever backward needs and is None at inference; ``backward(dout, cache)``
+returns ``(dx, grads)``, the gradients keyed like ``params``.  A layer
+never changes during a pass, so concurrent passes, training ones included,
+can share one layer stack.
 
 ``Conv3x3ReLUPool`` and ``UpsampleConv3x3`` are fused layers for the two
 ends of the autoencoder, where the unfused chains would build 28x28x32
@@ -40,16 +40,15 @@ def glorot_uniform(rng, shape, fan_in, fan_out):
 
 
 class Layer:
-    """Base: parameter-free, cache-free layer."""
+    """Base: parameter-free layer."""
 
     def __init__(self):
         self.params = {}
-        self.grads = {}
 
     def forward(self, x, train=False):
         raise NotImplementedError
 
-    def backward(self, dout):
+    def backward(self, dout, cache):
         raise NotImplementedError
 
 
@@ -68,18 +67,14 @@ class Conv3x3(Layer):
     def __init__(self, in_channels, out_channels, rng):
         super().__init__()
         self.params = conv3x3_params(rng, in_channels, out_channels)
-        self._cache = None
 
     def forward(self, x, train=False):
         out, cache = ops.conv3x3_fwd_nhwc(x, self.params["weight"], self.params["bias"])
-        self._cache = cache if train else None
-        return out
+        return out, (cache if train else None)
 
-    def backward(self, dout):
-        dw, db = ops.conv3x3_param_grads_nhwc(dout, self._cache, self.params["weight"].shape)
-        self.grads = {"weight": dw, "bias": db}
-        self._cache = None
-        return ops.conv3x3_input_grad_nhwc(dout, self.params["weight"])
+    def backward(self, dout, cache):
+        dw, db = ops.conv3x3_param_grads_nhwc(dout, cache, self.params["weight"].shape)
+        return ops.conv3x3_input_grad_nhwc(dout, self.params["weight"]), {"weight": dw, "bias": db}
 
 
 class Conv3x3ReLUPool(Layer):
@@ -90,21 +85,17 @@ class Conv3x3ReLUPool(Layer):
     def __init__(self, in_channels, out_channels, rng):
         super().__init__()
         self.params = conv3x3_params(rng, in_channels, out_channels)
-        self._cache = None
 
     def forward(self, x, train=False):
-        out, self._cache = ops.conv3x3_relu_pool_fwd_nhwc(
+        return ops.conv3x3_relu_pool_fwd_nhwc(
             x, self.params["weight"], self.params["bias"], train=train
         )
-        return out
 
-    def backward(self, dout):
+    def backward(self, dout, cache):
         dw, db = ops.conv3x3_relu_pool_param_grads_nhwc(
-            dout, self._cache, self.params["weight"].shape
+            dout, cache, self.params["weight"].shape
         )
-        self.grads = {"weight": dw, "bias": db}
-        self._cache = None
-        return None
+        return None, {"weight": dw, "bias": db}
 
 
 class UpsampleConv3x3(Layer):
@@ -114,41 +105,30 @@ class UpsampleConv3x3(Layer):
     def __init__(self, in_channels, out_channels, rng):
         super().__init__()
         self.params = conv3x3_params(rng, in_channels, out_channels)
-        self._padded = None
 
     def forward(self, x, train=False):
         out, padded = ops.upsample2x2_conv3x3_fwd_nhwc(x, self.params["weight"], self.params["bias"])
-        self._padded = padded if train else None
-        return out
+        return out, (padded if train else None)
 
-    def backward(self, dout):
-        dx, dw, db = ops.upsample2x2_conv3x3_bwd_nhwc(dout, self._padded, self.params["weight"])
-        self.grads = {"weight": dw, "bias": db}
-        self._padded = None
-        return dx
+    def backward(self, dout, cache):
+        dx, dw, db = ops.upsample2x2_conv3x3_bwd_nhwc(dout, cache, self.params["weight"])
+        return dx, {"weight": dw, "bias": db}
 
 
 class MaxPool2x2(Layer):
-    def __init__(self):
-        super().__init__()
-        self._idx = None
-
     def forward(self, x, train=False):
-        out, self._idx = ops.maxpool2x2_fwd_nhwc(x, indices=train)
-        return out
+        return ops.maxpool2x2_fwd_nhwc(x, indices=train)
 
-    def backward(self, dout):
-        dx = ops.maxpool2x2_bwd_nhwc(dout, self._idx)
-        self._idx = None
-        return dx
+    def backward(self, dout, cache):
+        return ops.maxpool2x2_bwd_nhwc(dout, cache), {}
 
 
 class Upsample2x2(Layer):
     def forward(self, x, train=False):
-        return ops.upsample2x2_fwd_nhwc(x)
+        return ops.upsample2x2_fwd_nhwc(x), None
 
-    def backward(self, dout):
-        return ops.upsample2x2_bwd_nhwc(dout)
+    def backward(self, dout, cache):
+        return ops.upsample2x2_bwd_nhwc(dout), {}
 
 
 class Dense(Layer):
@@ -158,63 +138,40 @@ class Dense(Layer):
             "weight": glorot_uniform(rng, (out_dim, in_dim), in_dim, out_dim),
             "bias": np.zeros(out_dim),
         }
-        self._x = None
 
     def forward(self, x, train=False):
-        self._x = x if train else None
-        return x @ self.params["weight"].T + self.params["bias"]
+        return x @ self.params["weight"].T + self.params["bias"], (x if train else None)
 
-    def backward(self, dout):
-        self.grads = {"weight": dout.T @ self._x, "bias": dout.sum(axis=0)}
-        self._x = None
-        return dout @ self.params["weight"]
+    def backward(self, dout, cache):
+        grads = {"weight": dout.T @ cache, "bias": dout.sum(axis=0)}
+        return dout @ self.params["weight"], grads
 
 
 class ReLU(Layer):
-    def __init__(self):
-        super().__init__()
-        self._mask = None
-
     def forward(self, x, train=False):
-        if train:
-            self._mask = x > 0
-        return np.maximum(x, 0.0)
+        return np.maximum(x, 0.0), (x > 0 if train else None)
 
-    def backward(self, dout):
-        dx = dout * self._mask
-        self._mask = None
-        return dx
+    def backward(self, dout, cache):
+        return dout * cache, {}
 
 
 class Sigmoid(Layer):
-    def __init__(self):
-        super().__init__()
-        self._y = None
-
     def forward(self, x, train=False):
         y = ops.sigmoid(x)
-        self._y = y if train else None
-        return y
+        return y, (y if train else None)
 
-    def backward(self, dout):
-        dx = dout * self._y * (1.0 - self._y)
-        self._y = None
-        return dx
+    def backward(self, dout, cache):
+        return dout * cache * (1.0 - cache), {}
 
 
 class Flatten(Layer):
     """[N, H, W, C] -> [N, H*W*C]."""
 
-    def __init__(self):
-        super().__init__()
-        self._shape = None
-
     def forward(self, x, train=False):
-        self._shape = x.shape if train else None
-        return x.reshape(len(x), math.prod(x.shape[1:]))
+        return x.reshape(len(x), math.prod(x.shape[1:])), (x.shape if train else None)
 
-    def backward(self, dout):
-        return dout.reshape(self._shape)
+    def backward(self, dout, cache):
+        return dout.reshape(cache), {}
 
 
 class Reshape(Layer):
@@ -225,7 +182,7 @@ class Reshape(Layer):
         self.target = tuple(target)
 
     def forward(self, x, train=False):
-        return x.reshape(x.shape[0], *self.target)
+        return x.reshape(x.shape[0], *self.target), None
 
-    def backward(self, dout):
-        return dout.reshape(dout.shape[0], -1)
+    def backward(self, dout, cache):
+        return dout.reshape(dout.shape[0], -1), {}

@@ -153,8 +153,8 @@ def _batch_loss_and_grads(model, batch, where):
     its sub-batches in order; ``where`` names the batch in errors."""
     b = len(batch)
 
-    def sub_batch(lane, x):
-        recon, bottleneck = lane.forward_training(x)
+    def sub_batch(x):
+        recon, bottleneck, caches = model.forward_training(x)
         try:
             bce, d_recon = bce_loss_and_grad(recon, x)
         except ValueError:  # NaN reconstruction; reported below with its place
@@ -165,8 +165,7 @@ def _batch_loss_and_grads(model, batch, where):
         loss = bce * share + penalty / b
         if not np.isfinite(loss):
             raise FloatingPointError(f"non-finite training loss {loss} at {where}")
-        lane.backward_training(d_recon * share, d_bottleneck / b)
-        return loss, lane.named_grads()
+        return loss, model.backward_training(caches, d_recon * share, d_bottleneck / b)
 
     parts = model.map_sub_batches(sub_batch, batch)
     loss, grads = parts[0]

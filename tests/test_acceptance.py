@@ -94,21 +94,21 @@ def test_criterion_1_gradient_correctness():
             def loss_from(which, value, layer=layer, x=x, proj=proj):
                 saved = None
                 if which == "x":
-                    out = layer.forward(value, train=False)
+                    out, _ = layer.forward(value, train=False)
                 else:
                     saved = layer.params[which].copy()
                     layer.params[which][...] = value
-                    out = layer.forward(x, train=False)
+                    out, _ = layer.forward(x, train=False)
                     layer.params[which][...] = saved
                 return float((out * proj).sum())
 
-            layer.forward(x, train=True)
-            dx = layer.backward(proj)
+            _, cache = layer.forward(x, train=True)
+            dx, grads = layer.backward(proj, cache)
             check(dx, numeric_grad(lambda v: loss_from("x", v), x.copy()))
-            check(layer.grads["weight"],
+            check(grads["weight"],
                   numeric_grad(lambda v: loss_from("weight", v),
                                layer.params["weight"].copy()))
-            check(layer.grads["bias"],
+            check(grads["bias"],
                   numeric_grad(lambda v: loss_from("bias", v),
                                layer.params["bias"].copy()))
             checked += 3
@@ -118,22 +118,22 @@ def test_criterion_1_gradient_correctness():
         layer = L.Dense(in_dim, out_dim, rng)
         x = rng.standard_normal((3, in_dim))
         proj = rng.standard_normal((3, out_dim))
-        layer.forward(x, train=True)
-        dx = layer.backward(proj)
+        _, cache = layer.forward(x, train=True)
+        dx, grads = layer.backward(proj, cache)
 
         def dense_loss(which, value, layer=layer, x=x, proj=proj):
             if which == "x":
-                return float((layer.forward(value) * proj).sum())
+                return float((layer.forward(value)[0] * proj).sum())
             saved = layer.params[which].copy()
             layer.params[which][...] = value
-            out = float((layer.forward(x) * proj).sum())
+            out = float((layer.forward(x)[0] * proj).sum())
             layer.params[which][...] = saved
             return out
 
         check(dx, numeric_grad(lambda v: dense_loss("x", v), x.copy()))
-        check(layer.grads["weight"],
+        check(grads["weight"],
               numeric_grad(lambda v: dense_loss("weight", v), layer.params["weight"].copy()))
-        check(layer.grads["bias"],
+        check(grads["bias"],
               numeric_grad(lambda v: dense_loss("bias", v), layer.params["bias"].copy()))
         checked += 3
 
@@ -142,45 +142,45 @@ def test_criterion_1_gradient_correctness():
         x = rng.standard_normal((2, 4, 4, 3))
         proj = rng.standard_normal((2, 2, 2, 3))
         pool = L.MaxPool2x2()
-        pool.forward(x, train=True)
-        check(pool.backward(proj),
-              numeric_grad(lambda v: float((L.MaxPool2x2().forward(v) * proj).sum()),
+        _, cache = pool.forward(x, train=True)
+        check(pool.backward(proj, cache)[0],
+              numeric_grad(lambda v: float((L.MaxPool2x2().forward(v)[0] * proj).sum()),
                            x.copy()))
 
         up = L.Upsample2x2()
         proj_up = rng.standard_normal((2, 8, 8, 3))
-        up.forward(x, train=True)
-        check(up.backward(proj_up),
-              numeric_grad(lambda v: float((L.Upsample2x2().forward(v) * proj_up).sum()),
+        _, cache = up.forward(x, train=True)
+        check(up.backward(proj_up, cache)[0],
+              numeric_grad(lambda v: float((L.Upsample2x2().forward(v)[0] * proj_up).sum()),
                            x.copy()))
 
         act_x = rng.standard_normal((4, 6)) + 0.05
         proj_act = rng.standard_normal((4, 6))
         relu = L.ReLU()
-        relu.forward(act_x, train=True)
-        check(relu.backward(proj_act),
-              numeric_grad(lambda v: float((L.ReLU().forward(v) * proj_act).sum()),
+        _, cache = relu.forward(act_x, train=True)
+        check(relu.backward(proj_act, cache)[0],
+              numeric_grad(lambda v: float((L.ReLU().forward(v)[0] * proj_act).sum()),
                            act_x.copy()))
 
         sig = L.Sigmoid()
-        sig.forward(act_x, train=True)
-        check(sig.backward(proj_act),
-              numeric_grad(lambda v: float((L.Sigmoid().forward(v) * proj_act).sum()),
+        _, cache = sig.forward(act_x, train=True)
+        check(sig.backward(proj_act, cache)[0],
+              numeric_grad(lambda v: float((L.Sigmoid().forward(v)[0] * proj_act).sum()),
                            act_x.copy()))
 
         flat = L.Flatten()
         proj_flat = rng.standard_normal((2, 48))
-        flat.forward(x, train=True)
-        check(flat.backward(proj_flat),
-              numeric_grad(lambda v: float((L.Flatten().forward(v) * proj_flat).sum()),
+        _, cache = flat.forward(x, train=True)
+        check(flat.backward(proj_flat, cache)[0],
+              numeric_grad(lambda v: float((L.Flatten().forward(v)[0] * proj_flat).sum()),
                            x.copy()))
 
         resh = L.Reshape((4, 4, 3))
         flat_x = rng.standard_normal((2, 48))
         proj_resh = rng.standard_normal((2, 4, 4, 3))
-        resh.forward(flat_x, train=True)
-        check(resh.backward(proj_resh),
-              numeric_grad(lambda v: float((L.Reshape((4, 4, 3)).forward(v) * proj_resh).sum()),
+        _, cache = resh.forward(flat_x, train=True)
+        check(resh.backward(proj_resh, cache)[0],
+              numeric_grad(lambda v: float((L.Reshape((4, 4, 3)).forward(v)[0] * proj_resh).sum()),
                            flat_x.copy()))
         checked += 6
 

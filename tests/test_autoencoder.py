@@ -56,19 +56,24 @@ def unfused_stacks(k, seed):
     return encoder, decoder
 
 
-def unfused_named(attr, encoder, decoder):
-    """Position-keyed arrays of the reference stacks, like the old checkpoints."""
+def unfused_named(of_layer, encoder, decoder):
+    """Position-keyed arrays ``of_layer(layer)`` of the reference stacks,
+    like the old checkpoints."""
     return {
         f"{prefix}.{i}.{key}": arr
         for prefix, stack in (("encoder", encoder), ("decoder", decoder))
         for i, layer in enumerate(stack)
-        for key, arr in getattr(layer, attr).items()
+        for key, arr in of_layer(layer).items()
     }
 
 
-def run(stack, x, train=False):
+def run(stack, x, caches=None):
+    """The stack's output; a training pass that appends each layer's cache
+    to ``caches`` when it is given."""
     for layer in stack:
-        x = layer.forward(x, train=train)
+        x, cache = layer.forward(x, train=caches is not None)
+        if caches is not None:
+            caches.append(cache)
     return x
 
 
@@ -356,7 +361,7 @@ class TestChunkedForward:
             tuned_before_chunk.append(len(mallopt))
             return stem_forward(x, train)
 
-        def sub_batch(lane, chunk):
+        def sub_batch(chunk):
             tuned_before_chunk.append(len(mallopt))
 
         monkeypatch.setattr(model.encoder_layers[0], "forward", stem)
@@ -396,15 +401,17 @@ class TestMatchesUnfusedStack:
         model = Autoencoder(8, seed=31)
         encoder, decoder = unfused_stacks(8, 31)
         x = np.random.default_rng(9).uniform(0.0, 1.0, (3, 28, 28, 1))
-        recon, _ = model.forward_training(x)
-        ref = run(decoder, run(encoder, x, train=True), train=True)
+        recon, _, caches = model.forward_training(x)
+        ref_caches = []
+        ref = run(decoder, run(encoder, x, ref_caches), ref_caches)
         assert np.array_equal(recon, ref)
         d = (recon - x) / recon.size
-        model.backward_training(d)
+        grads = model.backward_training(caches, d)
+        layer_grads = {}
         for layer in reversed(encoder + decoder):
-            d = layer.backward(d)
-        ref_grads = unfused_named("grads", encoder, decoder)
-        for name, grad in model.named_grads().items():
+            d, layer_grads[layer] = layer.backward(d, ref_caches.pop())
+        ref_grads = unfused_named(layer_grads.__getitem__, encoder, decoder)
+        for name, grad in grads.items():
             np.testing.assert_allclose(grad, ref_grads[name], rtol=1e-12, atol=1e-15, err_msg=name)
 
     def test_parameter_names_keep_unfused_positions(self):
@@ -414,7 +421,7 @@ class TestMatchesUnfusedStack:
         model = Autoencoder(784, seed=22)
         header = {"kind": "autoencoder-checkpoint", "format_version": 1,
                   "bottleneck_size": 784, "seed": 22}
-        params = unfused_named("params", *unfused_stacks(784, 22))
+        params = unfused_named(lambda layer: layer.params, *unfused_stacks(784, 22))
         assert list(params) == PARENT_KEYS
         assert model.to_bytes() == serialization.encode_arrays(header, params)
 
@@ -423,15 +430,65 @@ class TestTrainingHooks:
     def test_grads_shape_match_params(self):
         model = Autoencoder(8, seed=30)
         x = RNG.uniform(0.0, 1.0, (4, 28, 28, 1))
-        recon, bottleneck = model.forward_training(x)
+        recon, bottleneck, caches = model.forward_training(x)
         assert recon.shape == (4, 28, 28, 1)
         assert bottleneck.shape == (4, 8)
-        model.backward_training(np.ones_like(recon) / recon.size)
+        grads = model.backward_training(caches, np.ones_like(recon) / recon.size)
+        assert caches == []  # every cache was popped, so none outlives the pass
         params = model.named_parameters()
-        grads = model.named_grads()
         assert set(grads) == set(params)
         for name in params:
             assert grads[name].shape == params[name].shape, name
+
+    @staticmethod
+    def training_pass(model, x):
+        recon, bottleneck, caches = model.forward_training(x)
+        return model.backward_training(caches, (recon - x) / recon.size, np.sign(bottleneck))
+
+    def test_training_pass_leaves_every_layer_unchanged(self):
+        model = Autoencoder(8, seed=32)
+        layers = model.encoder_layers + model.decoder_layers
+        before = [(dict(vars(layer)), dict(layer.params)) for layer in layers]
+        values = {name: p.copy() for name, p in model.named_parameters().items()}
+        self.training_pass(model, RNG.uniform(0.0, 1.0, (6, 28, 28, 1)))
+        for layer, (attrs, params) in zip(layers, before, strict=True):
+            assert vars(layer).keys() == attrs.keys(), type(layer).__name__
+            assert all(vars(layer)[key] is value for key, value in attrs.items())
+            assert layer.params.keys() == params.keys()
+            assert all(layer.params[key] is arr for key, arr in params.items())
+        for name, p in model.named_parameters().items():
+            assert p.tobytes() == values[name].tobytes(), name
+
+    def test_concurrent_training_passes_match_serial_ones_bit_for_bit(self):
+        # more threads than most runners have cores, on one model's layers
+        model = Autoencoder(8, seed=33)
+        rng = np.random.default_rng(34)
+        batches = [rng.uniform(0.0, 1.0, (8, 28, 28, 1)) for _ in range(4)]
+        serial = [self.training_pass(model, x) for x in batches]
+        barrier = threading.Barrier(len(batches))
+        results = [None] * len(batches)
+
+        def worker(i):
+            barrier.wait(timeout=30)
+            results[i] = self.training_pass(model, batches[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # interleave the passes finely
+        try:
+            for _ in range(3):
+                results[:] = [None] * len(batches)
+                threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(batches))]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+                    assert not thread.is_alive()
+                for got, ref in zip(results, serial, strict=True):
+                    assert got.keys() == ref.keys()
+                    for name, grad in ref.items():
+                        assert got[name].tobytes() == grad.tobytes(), name
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestCheckpoint:

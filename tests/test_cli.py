@@ -308,6 +308,23 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error[bundle]: manifest.json ") and repr(key) in err
 
+    @pytest.mark.parametrize("key, value", [
+        ("inlier_class", "0"), ("bottleneck_size", True), ("seed", 5.0),
+        ("patience", "1"), ("val_size", None),
+    ])
+    def test_mistyped_manifest_config_is_bundle_error(self, data_dir, trained_bundle,
+                                                      tmp_path, capsys, key, value):
+        damaged = tmp_path / "mistyped"
+        shutil.copytree(trained_bundle, damaged)
+        manifest = json.loads((damaged / "manifest.json").read_text())
+        manifest["config"][key] = value
+        (damaged / "manifest.json").write_text(json.dumps(manifest))
+        code = cli.main(["eval", "--bundle", str(damaged),
+                         "--data-dir", str(data_dir), "--mode", "RE"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[bundle]: manifest.json config {key!r} must be an integer")
+
     def test_incomplete_bundle_rejected(self, data_dir, tmp_path, capsys):
         code = cli.main(["eval", "--bundle", str(tmp_path / "nothing"),
                          "--data-dir", str(data_dir), "--mode", "RE"])
@@ -541,6 +558,44 @@ class TestSweep:
         assert not (tmp_path / "fresh").exists()
         assert not (tmp_path / "c.csv").exists()
 
+    @pytest.mark.parametrize("key, value", [("inlier_class", "0"), ("seed", 5.0),
+                                            ("bottleneck_size", True)])
+    def test_resume_with_mistyped_manifest_config_is_bundle_error(
+            self, data_dir, swept_bundles, tmp_path, capsys, key, value):
+        bundles = tmp_path / "bundles"
+        shutil.copytree(swept_bundles, bundles)
+        manifest_path = bundles / "class0_k3_seed5" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"][key] = value
+        manifest_path.write_text(json.dumps(manifest))
+        code = cli.main(["sweep", "--class", "0", "--bottlenecks", "3", "--seeds", "5",
+                         "--data-dir", str(data_dir), "--bundles-dir", str(bundles),
+                         "--out-csv", str(tmp_path / "c.csv"), *TRAIN_ARGS[:-2], "--resume"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[bundle]:")
+        assert f"manifest.json config {key!r} must be an integer" in err
+        assert not (tmp_path / "c.csv").exists()
+
+    @pytest.mark.parametrize("out_csv, bundles", [
+        ("file/sweep.csv", "bundles"), ("dir", "bundles"), ("sweep.csv", "file/bundles"),
+    ], ids=["csv-under-a-file", "csv-is-a-directory", "bundles-under-a-file"])
+    def test_unwritable_output_is_usage_error_before_any_cell(self, data_dir, tmp_path,
+                                                              monkeypatch, capsys,
+                                                              out_csv, bundles):
+        trained = []
+        monkeypatch.setattr(cli, "_train_bundle", lambda *args: trained.append(args))
+        (tmp_path / "file").write_text("not a directory\n")
+        (tmp_path / "dir").mkdir()
+        code = cli.main(["sweep", "--class", "0", "--bottlenecks", "3", "--seeds", "5",
+                         "--data-dir", str(data_dir), "--bundles-dir", str(tmp_path / bundles),
+                         "--out-csv", str(tmp_path / out_csv), *TRAIN_ARGS[:-2]])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error[usage]:")
+        assert trained == []
+        assert not (tmp_path / "bundles").exists()
+        assert not (tmp_path / "sweep.csv").exists()
+
     def test_partial_failure_recorded_as_nan_rows(self, data_dir, tmp_path,
                                                   monkeypatch, capsys):
         real = cli._train_bundle
@@ -605,6 +660,18 @@ class TestPlot:
                          "--out-svg", str(tmp_path / "one.svg")])
         assert code == 0
         ET.parse(tmp_path / "one.svg")
+
+    def test_out_svg_under_a_file_is_plot_error(self, tmp_path, capsys):
+        from latent_guard.novelty import write_scores_csv
+
+        csv_path = tmp_path / "scores.csv"
+        with open(csv_path, "w", newline="") as f:
+            write_scores_csv(f, [0, 1], [True, False], [0.1, 0.2], [1.0, 2.0], [1.1, 2.2])
+        (tmp_path / "file").write_text("not a directory\n")
+        code = cli.main(["plot", "--scores-csv", str(csv_path),
+                         "--out-svg", str(tmp_path / "file" / "x.svg")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error[plot]: cannot write ")
 
     def test_malformed_csv_is_plot_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

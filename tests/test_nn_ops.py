@@ -46,13 +46,13 @@ def dense_layer(w, b):
 
 
 def dense(x, w, b):
-    return dense_layer(w, b).forward(x)
+    return dense_layer(w, b).forward(x)[0]
 
 
 def grads_of(layer, x, upstream):
     """(dx, grads) of ``sum(layer(x) * upstream)`` via the layer's backward."""
-    layer.forward(x, train=True)
-    return layer.backward(upstream), layer.grads
+    _, cache = layer.forward(x, train=True)
+    return layer.backward(upstream, cache)
 
 
 class TestConvForward:
@@ -167,12 +167,12 @@ class TestMaxPool:
 
     def test_constant_tensor(self):
         x = np.full((1, 4, 6, 3), 2.5)
-        out = MaxPool2x2().forward(x)
+        out, _ = MaxPool2x2().forward(x)
         np.testing.assert_array_equal(out, np.full((1, 2, 3, 3), 2.5))
 
     def test_ramp_windows_by_hand(self):
         x = np.arange(1.0, 17.0).reshape(1, 4, 4, 1)
-        out = MaxPool2x2().forward(x)
+        out, _ = MaxPool2x2().forward(x)
         np.testing.assert_array_equal(out[0, :, :, 0], [[6.0, 8.0], [14.0, 16.0]])
 
     def test_odd_dims_rejected(self):
@@ -206,10 +206,8 @@ class TestMaxPool:
     def test_inference_caches_no_index(self):
         x = np.random.default_rng(5).standard_normal((2, 4, 4, 3))
         layer = MaxPool2x2()
-        layer.forward(x, train=True)
-        assert layer._idx is not None
-        layer.forward(x)
-        assert layer._idx is None
+        assert layer.forward(x, train=True)[1] is not None
+        assert layer.forward(x)[1] is None
         assert ops.maxpool2x2_fwd_nhwc(x, indices=False)[1] is None
 
     def test_backward_matches_finite_differences(self):
@@ -218,22 +216,22 @@ class TestMaxPool:
         x = rng.standard_normal((1, 4, 4, 2))
         proj = rng.standard_normal((1, 2, 2, 2))
         dx, _ = grads_of(MaxPool2x2(), x, proj)
-        num = numeric_grad(lambda xv: float((MaxPool2x2().forward(xv) * proj).sum()), x.copy())
+        num = numeric_grad(lambda xv: float((MaxPool2x2().forward(xv)[0] * proj).sum()), x.copy())
         assert_grad_close(dx, num, rtol=1e-5)
 
 
 class TestUpsample:
     def test_block_replication(self):
-        out = Upsample2x2().forward(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1))
+        out, _ = Upsample2x2().forward(np.array([[1.0, 2.0], [3.0, 4.0]]).reshape(1, 2, 2, 1))
         expected = np.array([[1, 1, 2, 2], [1, 1, 2, 2], [3, 3, 4, 4], [3, 3, 4, 4]], float)
         np.testing.assert_array_equal(out[0, :, :, 0], expected)
 
     def test_constant(self):
-        out = Upsample2x2().forward(np.full((1, 3, 5, 2), 7.0))
+        out, _ = Upsample2x2().forward(np.full((1, 3, 5, 2), 7.0))
         np.testing.assert_array_equal(out, np.full((1, 6, 10, 2), 7.0))
 
     def test_backward_block_sum(self):
-        dx = Upsample2x2().backward(np.ones((1, 4, 4, 1)))
+        dx, _ = Upsample2x2().backward(np.ones((1, 4, 4, 1)), None)
         np.testing.assert_array_equal(dx, np.full((1, 2, 2, 1), 4.0))
 
     def test_backward_matches_finite_differences(self):
@@ -241,12 +239,12 @@ class TestUpsample:
         x = rng.standard_normal((1, 3, 3, 2))
         proj = rng.standard_normal((1, 6, 6, 2))
         dx, _ = grads_of(Upsample2x2(), x, proj)
-        num = numeric_grad(lambda xv: float((Upsample2x2().forward(xv) * proj).sum()), x.copy())
+        num = numeric_grad(lambda xv: float((Upsample2x2().forward(xv)[0] * proj).sum()), x.copy())
         assert_grad_close(dx, num, rtol=1e-5)
 
     def test_maxpool_of_upsample_is_identity_on_constants(self):
         x = np.full((1, 4, 4, 2), 3.25)
-        out = MaxPool2x2().forward(Upsample2x2().forward(x))
+        out, _ = MaxPool2x2().forward(Upsample2x2().forward(x)[0])
         np.testing.assert_array_equal(out, x)
 
 
@@ -358,16 +356,21 @@ def fused_and_chain(fused_cls, chain_kinds, data, c_in, c_out, weights=WEIGHTS):
     return fused, chain
 
 
-def run_chain(chain, x, train=False):
+def run_chain(chain, x, caches=None):
+    """The chain's output; a training pass that appends each layer's cache
+    to ``caches`` when it is given."""
     for layer in chain:
-        x = layer.forward(x, train=train)
+        x, cache = layer.forward(x, train=caches is not None)
+        if caches is not None:
+            caches.append(cache)
     return x
 
 
-def backprop_chain(chain, dout):
+def backprop_chain(chain, dout, caches):
+    """The first layer's parameter gradients, popping ``caches``."""
     for layer in reversed(chain):
-        dout = layer.backward(dout)
-    return dout
+        dout, grads = layer.backward(dout, caches.pop())
+    return grads
 
 
 class TestFusedLayersMatchChains:
@@ -395,21 +398,25 @@ class TestFusedLayersMatchChains:
         stem, chain = fused_and_chain(Conv3x3ReLUPool, (Conv3x3, ReLU, MaxPool2x2), data, c_in, c_out)
         x = data.draw(arrays(np.float64, (n, 2 * ho, 2 * wo, c_in), elements=TIES))
         ref = run_chain(chain, x)
-        np.testing.assert_array_equal(stem.forward(x), ref)
-        assert stem._cache is None
+        out, cache = stem.forward(x)
+        np.testing.assert_array_equal(out, ref)
+        assert cache is None
 
-        np.testing.assert_array_equal(stem.forward(x, train=True), ref)
-        np.testing.assert_array_equal(run_chain(chain, x, train=True), ref)
+        out, cache = stem.forward(x, train=True)
+        np.testing.assert_array_equal(out, ref)
+        chain_caches = []
+        np.testing.assert_array_equal(run_chain(chain, x, chain_caches), ref)
         # the ReLU zeroes every gradient routed from a window whose pooled
         # pre-activation is <= 0, so routing only has to agree elsewhere
-        idx, positive = stem._cache[1], ref > 0
-        np.testing.assert_array_equal(idx[positive], chain[2]._idx[positive])
+        idx, positive = cache[1], ref > 0
+        np.testing.assert_array_equal(idx[positive], chain_caches[2][positive])
 
         dout = data.draw(arrays(np.float64, ref.shape, elements=FINITE_GRADS))
-        assert stem.backward(dout) is None
-        backprop_chain(chain, dout)
+        dx, grads = stem.backward(dout, cache)
+        assert dx is None
+        chain_grads = backprop_chain(chain, dout, chain_caches)
         for key in ("weight", "bias"):
-            np.testing.assert_array_equal(stem.grads[key], chain[0].grads[key])
+            np.testing.assert_array_equal(grads[key], chain_grads[key])
 
     @EQUIV
     @given(data=st.data(), shape=SHAPES, c_in=st.integers(1, 40))
@@ -421,27 +428,26 @@ class TestFusedLayersMatchChains:
         x = data.draw(arrays(np.float64, (n, h, w, c_in), elements=FLOATS))
         ref = run_chain(chain, x)
         for train in (False, True):
-            out = tail.forward(x, train=train)
+            out, cache = tail.forward(x, train=train)
             if c_in > ops._IM2COL_MAX_CIN:
                 # the unfused conv runs the same per-offset GEMMs
                 np.testing.assert_array_equal(out, ref)
             else:
                 # the unfused conv sums all nine taps in one im2col GEMM
                 np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
-        assert tail._padded is not None
-        tail.forward(x)
-        assert tail._padded is None
+        assert cache is not None
+        assert tail.forward(x)[1] is None
 
     def test_model_sized_chunk_is_bit_identical(self):
         rng = np.random.default_rng(15)
         x = rng.uniform(0.0, 1.0, (5, 28, 28, 1))
         w1, b1 = rng.uniform(-0.3, 0.3, (32, 1, 3, 3)), rng.uniform(-0.1, 0.1, 32)
         stem = with_params(Conv3x3ReLUPool(1, 32, rng), w1, b1)
-        h = stem.forward(x)
+        h, _ = stem.forward(x)
         assert same_bytes(h, run_chain([conv_layer(w1, b1), ReLU(), MaxPool2x2()], x))
         w2, b2 = rng.uniform(-0.3, 0.3, (1, 32, 3, 3)), rng.uniform(-0.1, 0.1, 1)
         tail = with_params(UpsampleConv3x3(32, 1, rng), w2, b2)
-        assert same_bytes(tail.forward(h), run_chain([Upsample2x2(), conv_layer(w2, b2)], h))
+        assert same_bytes(tail.forward(h)[0], run_chain([Upsample2x2(), conv_layer(w2, b2)], h))
 
         # a training backward on the values of TIES, WEIGHTS and FINITE_GRADS:
         # every sum is exact, so the stem's per-corner dW and db must equal the
@@ -451,13 +457,15 @@ class TestFusedLayersMatchChains:
         w1, b1 = rng.choice(weights, (32, 1, 3, 3)), rng.choice(weights, 32)
         stem = with_params(Conv3x3ReLUPool(1, 32, rng), w1, b1)
         chain = [conv_layer(w1, b1), ReLU(), MaxPool2x2()]
-        out = stem.forward(x, train=True)
-        np.testing.assert_array_equal(out, run_chain(chain, x, train=True))
+        out, cache = stem.forward(x, train=True)
+        chain_caches = []
+        np.testing.assert_array_equal(out, run_chain(chain, x, chain_caches))
         dout = rng.choice([-1.5, -0.0, 0.0, 0.25, 3.0], out.shape)
-        assert stem.backward(dout) is None
-        backprop_chain(chain, dout)
+        dx, grads = stem.backward(dout, cache)
+        assert dx is None
+        chain_grads = backprop_chain(chain, dout, chain_caches)
         for key in ("weight", "bias"):
-            np.testing.assert_array_equal(stem.grads[key], chain[0].grads[key])
+            np.testing.assert_array_equal(grads[key], chain_grads[key])
 
 
 # The stem's training pass pinned to the bits of its earlier formulas: the
@@ -515,15 +523,15 @@ class TestStemTrainingBits:
 
 def fused_fd_check(layer, x, proj, input_grad):
     """The layer's backward against central differences of sum(out * proj)."""
-    layer.forward(x, train=True)
-    dx = layer.backward(proj)
+    _, cache = layer.forward(x, train=True)
+    dx, grads = layer.backward(proj, cache)
 
     def loss(which, value):
         if which == "x":
-            return float((layer.forward(value) * proj).sum())
+            return float((layer.forward(value)[0] * proj).sum())
         saved = layer.params[which].copy()
         layer.params[which][...] = value
-        out = float((layer.forward(x) * proj).sum())
+        out = float((layer.forward(x)[0] * proj).sum())
         layer.params[which][...] = saved
         return out
 
@@ -533,7 +541,7 @@ def fused_fd_check(layer, x, proj, input_grad):
         assert dx is None
     for key in ("weight", "bias"):
         num = numeric_grad(lambda v: loss(key, v), layer.params[key].copy())
-        assert_grad_close(layer.grads[key], num, rtol=1e-5)
+        assert_grad_close(grads[key], num, rtol=1e-5)
 
 
 class TestFusedLayersFiniteDifferences:
@@ -563,10 +571,10 @@ class TestFlatten:
     def test_inference_caches_no_shape(self):
         x = np.zeros((2, 3, 3, 2))
         layer = Flatten()
-        layer.forward(x, train=True)
-        assert layer._shape == x.shape
-        assert layer.forward(x).shape == (2, 18)
-        assert layer._shape is None
+        assert layer.forward(x, train=True)[1] == x.shape
+        out, cache = layer.forward(x)
+        assert out.shape == (2, 18)
+        assert cache is None
 
 
 class TestDense:
@@ -609,7 +617,7 @@ class TestDense:
 
 class TestActivations:
     def test_relu_values(self):
-        np.testing.assert_array_equal(ReLU().forward(np.array([-3.0, 3.0])), [0.0, 3.0])
+        np.testing.assert_array_equal(ReLU().forward(np.array([-3.0, 3.0]))[0], [0.0, 3.0])
 
     def test_sigmoid_values(self):
         assert ops.sigmoid(np.array(0.0)) == 0.5
@@ -618,7 +626,7 @@ class TestActivations:
     def test_sigmoid_range(self):
         # float64 saturates to exactly 0/1 beyond |x| ~ 36.7; test inside it
         x = np.linspace(-36, 36, 101)
-        y = Sigmoid().forward(x)
+        y, _ = Sigmoid().forward(x)
         assert np.all(y > 0) and np.all(y < 1)
 
     def test_relu_backward_matches_fd(self):
@@ -626,7 +634,7 @@ class TestActivations:
         x = rng.standard_normal(20) + 0.05  # keep away from the kink at 0
         proj = rng.standard_normal(20)
         dx, _ = grads_of(ReLU(), x, proj)
-        num = numeric_grad(lambda v: float((ReLU().forward(v) * proj).sum()), x.copy())
+        num = numeric_grad(lambda v: float((ReLU().forward(v)[0] * proj).sum()), x.copy())
         assert_grad_close(dx, num, rtol=1e-5)
 
     def test_sigmoid_backward_matches_fd(self):

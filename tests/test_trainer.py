@@ -269,12 +269,11 @@ def whole_batch_reference(config, dataset):
         for start in range(0, len(x), config.batch_size):
             batch = x[order[start:start + config.batch_size]]
             b = len(batch)
-            recon, bottleneck = model.forward_training(batch)
+            recon, bottleneck, caches = model.forward_training(batch)
             bce, d_recon = bce_loss_and_grad(recon, batch)
             penalty, d_bottleneck = l1_penalty(bottleneck, L1_LAMBDA)
             total += (bce + penalty / b) * b
-            model.backward_training(d_recon, d_bottleneck / b)
-            optimizer.step(model.named_grads())
+            optimizer.step(model.backward_training(caches, d_recon, d_bottleneck / b))
         losses.append(total / len(x))
     return model, losses
 
@@ -333,12 +332,11 @@ class TestSubBatches:
         batch = np.random.default_rng(rows).uniform(0.0, 1.0, (rows, 28, 28, 1))
         loss, grads = _batch_loss_and_grads(model, batch, "test batch")
 
-        recon, bottleneck = model.forward_training(batch)
+        recon, bottleneck, caches = model.forward_training(batch)
         bce, d_recon = bce_loss_and_grad(recon, batch)
         penalty, d_bottleneck = l1_penalty(bottleneck, L1_LAMBDA)
-        model.backward_training(d_recon, d_bottleneck / rows)
+        ref = model.backward_training(caches, d_recon, d_bottleneck / rows)
         np.testing.assert_allclose(loss, bce + penalty / rows, rtol=1e-12)
-        ref = model.named_grads()
         assert grads.keys() == ref.keys()
         for name, grad in grads.items():
             scale = np.abs(ref[name]).max()
@@ -355,12 +353,12 @@ class TestSubBatches:
         real = Autoencoder.forward_training
         calls = []
 
-        def forward_training(lane, batch):
+        def forward_training(model, batch):
             calls.append(len(batch))
-            recon, bottleneck = real(lane, batch)
+            recon, bottleneck, caches = real(model, batch)
             if np.array_equal(batch, marked):
                 recon = np.full_like(recon, np.nan)
-            return recon, bottleneck
+            return recon, bottleneck, caches
 
         monkeypatch.setattr(Autoencoder, "forward_training", forward_training)
         return calls
