@@ -33,17 +33,17 @@ Public array convention is channels-first ([1, 28, 28] single sample,
 
 Inference and training both split a batch into fixed ``_CHUNK``-row
 chunks and run them on one thread per CPU the process may use, the
-caller's thread among them (``_run_tasks``).  Each inference chunk's result
-lands at its own rows; a scoring pass may reduce each chunk's embeddings
-to one value per row on the chunk's thread (the ``latent`` callable of
-``encode_and_reconstruction_errors``), so no [N, k] embedding matrix is
-held.  Each training sub-batch runs forward and backward on this model's
-layers, which hold only parameters, with caches and gradients of its own,
-and the caller sums the sub-batch results in sub-batch order.  Neither the
-output bytes nor the gradients depend on the core count or on the order
-the threads finish in.  The first chunked call of a process tunes glibc's
-allocator for these threads (``tune_allocator``), so library callers that
-never enter the CLI or the trainer get the same hot heap.
+caller's thread among them (``map_chunks``).  Each inference chunk writes
+its own rows of outputs sized up front; a scoring pass may reduce each
+chunk's embeddings to one value per row on the chunk's thread (the
+``latent`` callable of ``encode_and_reconstruction_errors``), so no [N, k]
+embedding matrix is held.  Each training sub-batch runs forward and
+backward on this model's layers, which hold only parameters, with caches
+and gradients of its own, and the caller sums the sub-batch results in
+sub-batch order.  Neither the output bytes nor the gradients depend on the
+core count or on the order the threads finish in.  The first chunked call
+tunes glibc's allocator for these threads (``tune_allocator``), so library
+callers that never enter the CLI or the trainer get the same hot heap.
 """
 
 from __future__ import annotations
@@ -116,10 +116,9 @@ def tune_allocator() -> None:
     so peak RSS would grow with the thread count.  One shared arena reuses
     the same hot pages instead.
 
-    ``_chunked`` and ``map_sub_batches`` call it before their first chunk,
-    so library callers get it too; ``cli.main`` and ``trainer.train_on_rows``
-    call it earlier, before they load or gather data.  A no-op where glibc is
-    unavailable.
+    ``map_chunks`` calls it before its first chunk, so library callers get
+    it too; ``cli.main`` and ``trainer.train_on_rows`` call it earlier,
+    before they load or gather data.  A no-op where glibc is unavailable.
     """
     global _allocator_tuned
     if _allocator_tuned:
@@ -138,36 +137,53 @@ def tune_allocator() -> None:
     _allocator_tuned = True
 
 
-def _run_tasks(task, items):
-    """Calls ``task(item)`` once for every item.  The caller takes items from
-    a shared queue together with up to ``_workers() - 1`` helper threads
-    that live only for this call, so a one-item call or a one-CPU process
-    starts no thread, and a helper the OS is slow to schedule holds up at
-    most its own item.  The first exception raised by a task propagates
-    unchanged and drops the items not yet started."""
-    todo = deque(items)
+def map_chunks(fn, n):
+    """Calls ``fn(rows)`` for each ``_CHUNK``-row slice of ``range(n)`` and
+    returns the results in row order.  The caller takes chunks from a
+    shared queue together with up to ``_workers() - 1`` helper threads that
+    live only for this call, so a one-chunk call or a one-CPU process starts
+    no thread, and a helper the OS is slow to schedule holds up at most its
+    own chunk.  ``fn`` runs on several threads at once, so it may write
+    only its own rows of a shared output.  The first exception raised by
+    ``fn`` propagates unchanged and drops the chunks not yet started."""
+    tune_allocator()
+    chunks = [slice(i, min(i + _CHUNK, n)) for i in range(0, n, _CHUNK)]
+    results = [None] * len(chunks)
+    todo = deque(range(len(chunks)))
 
     def drain():
         while True:
             try:
-                item = todo.popleft()  # atomic: each item runs once
+                i = todo.popleft()  # atomic: each chunk runs once
             except IndexError:
                 return
             try:
-                task(item)
+                results[i] = fn(chunks[i])
             except BaseException:
                 todo.clear()
                 raise
 
-    helpers = min(_workers(), len(todo)) - 1
+    helpers = min(_workers(), len(chunks)) - 1
     if helpers < 1:
         drain()
-        return
+        return results
     with ThreadPoolExecutor(helpers) as pool:
         futures = [pool.submit(drain) for _ in range(helpers)]
         drain()
     for future in futures:
         future.result()
+    return results
+
+
+def check_images(x):
+    """Raises unless ``x`` is an [N,1,28,28] batch with every value in [0, 1]."""
+    if x.ndim != 4 or x.shape[1:] != IMAGE_SHAPE:
+        raise ShapeError("autoencoder input", IMAGE_SHAPE, x.shape[1:] if x.ndim == 4 else x.shape)
+    # written so that NaN, for which every comparison is False, fails it too
+    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
+        raise ValueError(
+            f"image values must lie in [0, 1], got range [{x.min()}, {x.max()}]"
+        )
 
 
 class Autoencoder:
@@ -225,13 +241,7 @@ class Autoencoder:
         single = x.ndim == 3
         if single:
             x = x[None]
-        if x.ndim != 4 or x.shape[1:] != IMAGE_SHAPE:
-            raise ShapeError("autoencoder input", IMAGE_SHAPE, x.shape[1:] if x.ndim == 4 else x.shape)
-        # written so that NaN, for which every comparison is False, fails it too
-        if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
-            raise ValueError(
-                f"image values must lie in [0, 1], got range [{x.min()}, {x.max()}]"
-            )
+        check_images(x)
         return x.transpose(0, 2, 3, 1), single
 
     def _run(self, stack, x, caches=None):
@@ -243,28 +253,20 @@ class Autoencoder:
                 caches.append(cache)
         return x
 
-    def _chunked(self, fn, x):
-        """Applies ``fn`` (chunk -> tuple of per-row arrays) to ``_CHUNK``-row
-        chunks of ``x``, writing each result at its chunk's rows of
-        preallocated outputs.  The first chunk runs in the caller and fixes
-        the output shapes (an empty ``x`` still makes that one call); the
-        others go through ``_run_tasks``."""
-        tune_allocator()
-        first = fn(x[:_CHUNK])
-        outs = tuple(np.empty((len(x), *p.shape[1:])) for p in first)
+    def _forward_into(self, stack, x, out):
+        """Runs ``stack`` on each chunk of ``x`` and writes the result at the
+        chunk's rows of ``out``; returns ``out``."""
 
-        def put(i, parts):
-            for out, part in zip(outs, parts):
-                out[i:i + len(part)] = part
+        def chunk(rows):
+            out[rows] = self._run(stack, x[rows])
 
-        put(0, first)
-        _run_tasks(lambda i: put(i, fn(x[i:i + _CHUNK])), range(_CHUNK, len(x), _CHUNK))
-        return outs
+        map_chunks(chunk, len(x))
+        return out
 
     def encode(self, x):
         """Bottleneck embedding: [1,28,28] -> [k], or [N,1,28,28] -> [N,k]."""
         xb, single = self._to_nhwc_batch(x)
-        z = self._chunked(lambda c: (self._run(self.encoder_layers, c),), xb)[0]
+        z = self._forward_into(self.encoder_layers, xb, np.empty((len(xb), self.bottleneck_size)))
         return z[0] if single else z
 
     def decode(self, z):
@@ -275,7 +277,7 @@ class Autoencoder:
             z = z[None]
         if z.ndim != 2 or z.shape[1] != self.bottleneck_size:
             raise ShapeError("bottleneck input", (self.bottleneck_size,), z.shape[1:])
-        out = self._chunked(lambda c: (self._run(self.decoder_layers, c),), z)[0]
+        out = self._forward_into(self.decoder_layers, z, np.empty((len(z), 28, 28, 1)))
         out = out.transpose(0, 3, 1, 2)
         return out[0] if single else out
 
@@ -289,13 +291,18 @@ class Autoencoder:
         ``latent``, if given, maps one chunk's embeddings [c, k] to one value
         per row [c]; it runs on the chunk's thread, and the first result is
         then those values [N] instead of the embeddings."""
+        xb = self._to_nhwc_batch(x)[0]
+        n = len(xb)
+        zs = np.empty((n, self.bottleneck_size) if latent is None else n)
+        re = np.empty(n)
 
-        def encode_and_errors(chunk):
-            z = self._run(self.encoder_layers, chunk)
-            re = bce_loss_per_sample(self._run(self.decoder_layers, z), chunk)
-            return (z if latent is None else latent(z)), re
+        def chunk(rows):
+            z = self._run(self.encoder_layers, xb[rows])
+            re[rows] = bce_loss_per_sample(self._run(self.decoder_layers, z), xb[rows])
+            zs[rows] = z if latent is None else latent(z)
 
-        return self._chunked(encode_and_errors, self._to_nhwc_batch(x)[0])
+        map_chunks(chunk, n)
+        return zs, re
 
     # -- training hooks -----------------------------------------------------
 
@@ -325,22 +332,6 @@ class Autoencoder:
         for layer in reversed(self.encoder_layers):
             g, grads[layer] = layer.backward(g, caches.pop())
         return self._named(grads.__getitem__)
-
-    def map_sub_batches(self, fn, x):
-        """Calls ``fn(sub_batch)`` on each ``_CHUNK``-row sub-batch of ``x``
-        through ``_run_tasks`` and returns the results in sub-batch order.
-        ``fn`` may run training passes on this model
-        (``forward_training``/``backward_training``) but must leave the
-        parameters alone."""
-        tune_allocator()
-        starts = range(0, len(x), _CHUNK)
-        results = [None] * len(starts)
-
-        def task(i):
-            results[i] = fn(x[starts[i]:starts[i] + _CHUNK])
-
-        _run_tasks(task, range(len(starts)))
-        return results
 
     # -- persistence ----------------------------------------------------------
 

@@ -156,11 +156,26 @@ class ExperimentBundle:
         except ValueError as exc:
             raise ValueError(f"{name}: {exc}") from exc
 
+    def _load_of_k(self, name: str, parse, k_of):
+        """``_load`` of a file whose bottleneck size, ``k_of`` of what
+        ``parse`` returns, must be the manifest config's."""
+        manifest = self.manifest()
+        k = manifest["config"]["bottleneck_size"]
+
+        def parse_of_k(data):
+            parsed = parse(data)
+            if k_of(parsed) != k:
+                raise ValueError(f"bottleneck size {k_of(parsed)} does not match the config's {k}")
+            return parsed
+
+        return self._load(name, parse_of_k, manifest)
+
     def load_model(self) -> Autoencoder:
-        return self._load(CHECKPOINT_FILE, Autoencoder.from_bytes)
+        return self._load_of_k(CHECKPOINT_FILE, Autoencoder.from_bytes,
+                               lambda model: model.bottleneck_size)
 
     def load_stats(self) -> GaussianStats:
-        return self._load(STATS_FILE, GaussianStats.from_bytes)
+        return self._load_of_k(STATS_FILE, GaussianStats.from_bytes, lambda stats: stats.dim)
 
     def load_calibration(self) -> NoveltyCalibration:
         return self._load(CALIBRATION_FILE,

@@ -11,7 +11,7 @@ Procedure for one (inlier class, bottleneck size) configuration:
    with adadelta over shuffled mini-batches; the shuffle order is derived
    from (seed, epoch), so a fixed config is bit-reproducible.  Each batch
    runs as fixed 64-row sub-batches on every core
-   (``Autoencoder.map_sub_batches``); their loss parts and gradients are
+   (``autoencoder.map_chunks``); their loss parts and gradients are
    summed in sub-batch order into one adadelta step per batch, so the
    result does not depend on the core count.
 4. After each epoch compute the validation loss (same objective, including
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from latent_guard.autoencoder import Autoencoder, tune_allocator
+from latent_guard.autoencoder import Autoencoder, check_images, map_chunks, tune_allocator
 from latent_guard.data import ImageDataset, class_rows
 from latent_guard.nn.losses import bce_loss_and_grad, l1_penalty
 from latent_guard.nn.optim import Adadelta
@@ -153,7 +153,8 @@ def _batch_loss_and_grads(model, batch, where):
     its sub-batches in order; ``where`` names the batch in errors."""
     b = len(batch)
 
-    def sub_batch(x):
+    def sub_batch(rows):
+        x = batch[rows]
         recon, bottleneck, caches = model.forward_training(x)
         try:
             bce, d_recon = bce_loss_and_grad(recon, x)
@@ -167,7 +168,7 @@ def _batch_loss_and_grads(model, batch, where):
             raise FloatingPointError(f"non-finite training loss {loss} at {where}")
         return loss, model.backward_training(caches, d_recon * share, d_bottleneck / b)
 
-    parts = model.map_sub_batches(sub_batch, batch)
+    parts = map_chunks(sub_batch, b)
     loss, grads = parts[0]
     for part_loss, part_grads in parts[1:]:
         loss += part_loss
@@ -185,7 +186,9 @@ def train_on_rows(config: TrainConfig, images, train_rows, val_images):
     """Steps 3-4 of the procedure: trains on ``images[train_rows]``, which
     each batch gathers from ``images`` [N,1,28,28] without a copy of the
     whole part, and validates on ``val_images``; returns (best-epoch model,
-    TrainRecord)."""
+    TrainRecord).  ``images`` must pass inference's shape and range check
+    (``check_images``), which runs once, before the first step."""
+    check_images(images)
     tune_allocator()
     model = Autoencoder(config.bottleneck_size, config.seed)
     optimizer = Adadelta(model.named_parameters())

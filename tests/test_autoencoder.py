@@ -228,6 +228,9 @@ class TestChunkedForward:
         z, errs = model.encode_and_reconstruction_errors(empty)
         assert z.shape == (0, 8) and errs.shape == (0,)
         assert model.encode(empty).shape == (0, 8)
+        assert model.decode(np.empty((0, 8))).shape == (0, 1, 28, 28)
+        ld, errs = model.encode_and_reconstruction_errors(empty, latent=lambda z: z.sum(axis=1))
+        assert ld.shape == (0,) and errs.shape == (0,)
 
     @pytest.mark.parametrize("workers", [1, 4])
     @pytest.mark.parametrize("n", [0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 5 * _CHUNK + 3])
@@ -280,6 +283,21 @@ class TestChunkedForward:
         assert z.shape == (rows, 8)
         model.encode(self.X_MULTI[0])
 
+    def test_first_chunk_runs_alongside_the_others(self, monkeypatch):
+        # each of the two chunks waits in the stem until the other arrives,
+        # so the call returns only if no chunk runs alone first
+        monkeypatch.setattr(autoencoder, "_workers", lambda: 2)
+        model = Autoencoder(8, seed=11)
+        barrier = threading.Barrier(2, timeout=5)
+        stem_forward = model.encoder_layers[0].forward
+
+        def stem(x, train=False):
+            barrier.wait()
+            return stem_forward(x, train)
+
+        monkeypatch.setattr(model.encoder_layers[0], "forward", stem)
+        assert model.encode(self.X_MULTI[:2 * _CHUNK]).shape == (2 * _CHUNK, 8)
+
     def test_caller_runs_chunks_no_helper_takes(self, monkeypatch):
         class IdleHelpers:
             """A pool whose helpers never start, as if the OS never ran them."""
@@ -318,7 +336,7 @@ class TestChunkedForward:
         x = np.zeros((5 * _CHUNK, 28, 28, 1))
         x[2 * _CHUNK] = -1.0
         with pytest.raises(RuntimeError) as info:
-            Autoencoder(8, seed=11)._chunked(fn, x)
+            autoencoder.map_chunks(lambda rows: fn(x[rows]), len(x))
         assert info.value is error
 
     def test_task_error_drops_items_not_started(self, monkeypatch):
@@ -337,13 +355,13 @@ class TestChunkedForward:
 
         threads = threading.active_count()
         with pytest.raises(RuntimeError, match="task failed"):
-            autoencoder._run_tasks(task, range(10))
+            autoencoder.map_chunks(lambda rows: task(rows.start // _CHUNK), 10 * _CHUNK)
         assert sorted(ran) == [0, 1]
         assert threading.active_count() == threads
 
-    @pytest.mark.parametrize("first_call", ["encode", "map_sub_batches"])
+    @pytest.mark.parametrize("first_call", ["encode", "map_chunks"])
     def test_first_chunked_call_tunes_allocator_once(self, first_call, monkeypatch):
-        # a library caller that never enters cli.main or train_on_split
+        # a library caller that never enters cli.main or train_on_rows
         mallopt = []
 
         class FakeLibc:
@@ -368,7 +386,7 @@ class TestChunkedForward:
 
         calls = {
             "encode": lambda: model.encode(self.X_MULTI),
-            "map_sub_batches": lambda: model.map_sub_batches(sub_batch, self.X_MULTI[:, 0, :, :, None]),
+            "map_chunks": lambda: autoencoder.map_chunks(sub_batch, len(self.X_MULTI)),
         }
         calls[first_call]()
         assert mallopt[0] == -8  # M_ARENA_MAX, before any chunk thread exists

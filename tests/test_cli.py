@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from latent_guard import cli, serialization
+from latent_guard import Autoencoder, cli, fit_gaussian, serialization
 from latent_guard.bundle import ExperimentBundle
 from latent_guard.data import IDX_IMAGE_MAGIC, write_idx_images, write_idx_labels
 from latent_guard.metrics import EvalReport, ScoredSet, auroc, fpr_at_tpr
@@ -21,6 +21,11 @@ from latent_guard.novelty import read_scores_csv
 from conftest import synthetic_digits
 
 TEST_SIZE = 300
+
+
+def stats_of_k8():
+    """A latent-stats file's bytes for k=8, for bundles trained at k=4."""
+    return fit_gaussian(np.random.default_rng(0).standard_normal((30, 8))).to_bytes()
 
 TRAIN_ARGS = ["--max-epochs", "2", "--patience", "1", "--batch-size", "64",
               "--val-size", "120", "--seed", "5"]
@@ -224,7 +229,10 @@ class TestEval:
         ("latent_stats.lgar", lambda header, arrays: arrays.pop("jitter")),
         ("checkpoint.lgar", lambda header, arrays: header.pop("seed")),
         ("checkpoint.lgar", lambda header, arrays: header.update(bottleneck_size=10**9)),
-    ], ids=["stats-without-jitter", "checkpoint-without-seed", "checkpoint-huge-k"])
+        ("latent_stats.lgar",
+         lambda header, arrays: arrays.update(serialization.decode_arrays(stats_of_k8())[1])),
+    ], ids=["stats-without-jitter", "checkpoint-without-seed", "checkpoint-huge-k",
+            "stats-of-other-k"])
     def test_inconsistent_bundle_file_is_bundle_error(self, data_dir, trained_bundle,
                                                       tmp_path, capsys, name, damage):
         damaged = tmp_path / "inconsistent"
@@ -238,6 +246,20 @@ class TestEval:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error[bundle]: ") and name in err
+
+    def test_files_of_other_k_are_bundle_error(self, data_dir, trained_bundle,
+                                               tmp_path, capsys):
+        # a checkpoint and stats that agree with each other, both k=8, in a
+        # bundle whose config says k=4: scoring would run and report k=4
+        damaged = tmp_path / "other-k"
+        shutil.copytree(trained_bundle, damaged)
+        ExperimentBundle(damaged).record_file({"checkpoint.lgar": Autoencoder(8, seed=5).to_bytes(),
+                                               "latent_stats.lgar": stats_of_k8()})
+        code = cli.main(["eval", "--bundle", str(damaged),
+                         "--data-dir", str(data_dir), "--mode", "LD"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[bundle]: checkpoint.lgar: ") and "bottleneck size 8" in err
 
     @pytest.mark.parametrize("damage, field", [
         (lambda cal: {k: v for k, v in cal.items() if k != "alpha"}, "alpha"),

@@ -19,6 +19,8 @@ from latent_guard.trainer import (
     STOP_MAX_EPOCHS,
     EarlyStopping,
     _batch_loss_and_grads,
+    inlier_indices,
+    train_on_rows,
 )
 
 from conftest import synthetic_digits
@@ -253,6 +255,44 @@ class TestTrainLoop:
                 tracemalloc.stop()
         extra_rows_bytes = (2400 - 600) * data.images[0].nbytes
         assert peaks[1] - peaks[0] < 0.5 * extra_rows_bytes, (peaks, extra_rows_bytes)
+
+
+class TestTrainingPixels:
+    """Training refuses the pixels that inference refuses, before its first
+    step: the whole image array passes inference's shape and range check."""
+
+    CONFIG = TrainConfig(**SMOKE_CONFIG)
+
+    def assert_refused_before_any_step(self, monkeypatch, labels, images, val_images, match):
+        steps = []
+        monkeypatch.setattr(Adadelta, "step", lambda optimizer, grads: steps.append(grads))
+        train_rows, _ = inlier_indices(self.CONFIG, labels)
+        with pytest.raises(ValueError, match=match):
+            train_on_rows(self.CONFIG, images, train_rows, val_images)
+        assert steps == []
+
+    def test_training_rows_scaled_to_255_are_refused(self, tiny_train_set, monkeypatch):
+        _, val_rows = inlier_indices(self.CONFIG, tiny_train_set.labels)
+        images = tiny_train_set.images * 255.0
+        images[val_rows] = tiny_train_set.images[val_rows]  # validation stays in range
+        self.assert_refused_before_any_step(
+            monkeypatch, tiny_train_set.labels, images, tiny_train_set.images[val_rows],
+            r"image values must lie in \[0, 1\], got range \[0\.0, 2")
+
+    def test_nan_training_pixel_is_refused(self, tiny_train_set, monkeypatch):
+        train_rows, val_rows = inlier_indices(self.CONFIG, tiny_train_set.labels)
+        images = tiny_train_set.images.copy()
+        images[train_rows[0], 0, 3, 4] = np.nan
+        self.assert_refused_before_any_step(
+            monkeypatch, tiny_train_set.labels, images, tiny_train_set.images[val_rows],
+            r"image values must lie in \[0, 1\], got range \[nan, nan\]")
+
+    def test_32x32_images_are_refused(self, tiny_train_set, monkeypatch):
+        _, val_rows = inlier_indices(self.CONFIG, tiny_train_set.labels)
+        images = np.pad(tiny_train_set.images, ((0, 0), (0, 0), (2, 2), (2, 2)))
+        self.assert_refused_before_any_step(
+            monkeypatch, tiny_train_set.labels, images, images[val_rows],
+            r"autoencoder input: expected shape \(1, 28, 28\), got \(1, 32, 32\)")
 
 
 def whole_batch_reference(config, dataset):
