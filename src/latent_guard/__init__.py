@@ -15,7 +15,6 @@ from latent_guard.data import (
     LinearManifold,
     LinearProjectionCodec,
     SyntheticManifoldSet,
-    filter_class,
     load_idx,
     load_mnist_split,
     make_manifold_set,
@@ -35,9 +34,9 @@ from latent_guard.novelty import (
 from latent_guard.trainer import (
     TrainConfig,
     TrainRecord,
-    inlier_split,
-    split_dataset,
+    inlier_indices,
     train,
+    train_on_rows,
 )
 
 __version__ = "0.1.0"
@@ -50,7 +49,6 @@ __all__ = [
     "LinearManifold",
     "LinearProjectionCodec",
     "SyntheticManifoldSet",
-    "filter_class",
     "load_idx",
     "load_mnist_split",
     "make_manifold_set",
@@ -74,8 +72,8 @@ __all__ = [
     "novelty_scores",
     "TrainConfig",
     "TrainRecord",
-    "inlier_split",
-    "split_dataset",
+    "inlier_indices",
     "train",
+    "train_on_rows",
     "__version__",
 ]

@@ -117,17 +117,16 @@ class ExperimentBundle:
 
     def manifest(self) -> dict:
         """The parsed manifest; ValueError unless it holds the ``config`` and
-        ``files`` objects every reader indexes, with every ``TrainConfig``
-        field of ``config`` an integer."""
+        ``files`` objects every reader indexes, with the ``TrainConfig``
+        fields of ``config`` a valid ``TrainConfig``."""
         manifest = json.loads((self.path / MANIFEST_FILE).read_text())
         for key in ("config", "files"):
             if not isinstance(manifest, dict) or not isinstance(manifest.get(key), dict):
                 raise ValueError(f"{MANIFEST_FILE} has no {key!r} object")
-        for field in fields(TrainConfig):
-            value = manifest["config"].get(field.name)
-            if type(value) is not int:  # bool is an int subclass, and refused too
-                raise ValueError(
-                    f"{MANIFEST_FILE} config {field.name!r} must be an integer, got {value!r}")
+        try:
+            TrainConfig(**{f.name: manifest["config"].get(f.name) for f in fields(TrainConfig)})
+        except ValueError as exc:
+            raise ValueError(f"{MANIFEST_FILE} {exc}") from exc
         return manifest
 
     def config(self) -> dict:

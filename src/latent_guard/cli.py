@@ -124,10 +124,9 @@ def _train_bundle(config: TrainConfig, data_dir: Path, out: Path) -> ExperimentB
     train_full = _load_split(data_dir, "train")
     try:
         train_rows, val_rows = inlier_indices(config, train_full.labels)
-        val_images = train_full.images[val_rows]
-        model, record = train_on_rows(config, train_full.images, train_rows, val_images)
+        model, record = train_on_rows(config, train_full.images, train_rows, val_rows)
         stats = fit_gaussian(model.encode(train_full.images[train_rows]))
-        calibration = novelty.calibrate(model, stats, val_images)
+        calibration = novelty.calibrate(model, stats, train_full.images[val_rows])
     except (ValueError, FloatingPointError) as exc:
         raise CliError("train", str(exc)) from exc
     try:
@@ -170,10 +169,25 @@ def _evaluate_bundle(bundle: ExperimentBundle, test_set, modes) -> dict:
 # subcommands
 # ---------------------------------------------------------------------------
 
+def _create_output_dirs(*dirs) -> None:
+    """Creates the directories outputs go into before any training, so an
+    output path under a regular file is a usage error that wastes no epoch."""
+    try:
+        for d in dirs:
+            d.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError("usage", f"cannot create an output directory: {exc}") from exc
+
+
 def cmd_train(args) -> int:
     data_dir = _resolve_data_dir(args)
     config = _train_config(args, args.bottleneck, args.seed)
-    bundle = _train_bundle(config, data_dir, Path(args.out))
+    out = Path(args.out)
+    # checked again, against races, when the bundle is created
+    if out.exists():
+        raise CliError("bundle", f"bundle path already exists: {out}")
+    _create_output_dirs(out.parent)
+    bundle = _train_bundle(config, data_dir, out)
     manifest = bundle.manifest()
     print(f"bundle written to {bundle.path}")
     print(f"  best_epoch={manifest['train']['best_epoch']} "
@@ -249,11 +263,7 @@ def cmd_sweep(args) -> int:
     out_csv = Path(args.out_csv)
     if out_csv.is_dir():
         raise CliError("usage", f"--out-csv is a directory: {out_csv}")
-    try:
-        out_csv.parent.mkdir(parents=True, exist_ok=True)
-        bundles_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError("usage", f"cannot create an output directory: {exc}") from exc
+    _create_output_dirs(out_csv.parent, bundles_dir)
 
     outcomes = []
     if args.jobs > 1:

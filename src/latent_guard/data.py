@@ -59,9 +59,6 @@ class ImageDataset:
     def __len__(self) -> int:
         return len(self.images)
 
-    def subset(self, indices) -> "ImageDataset":
-        return ImageDataset(self.images[indices], self.labels[indices])
-
 
 def _read_maybe_gzip(path) -> bytes:
     raw = Path(path).read_bytes()
@@ -129,21 +126,6 @@ def write_idx_labels(path, labels) -> None:
     with open(path, "wb") as f:
         f.write(struct.pack(">II", IDX_LABEL_MAGIC, len(labels)))
         f.write(labels.tobytes())
-
-
-def class_rows(labels, digit: int) -> np.ndarray:
-    """Indices of the rows of one digit class in ``labels``, in order."""
-    if not 0 <= digit <= 9:
-        raise ValueError(f"digit must be 0-9, got {digit}")
-    rows = np.flatnonzero(labels == digit)
-    if len(rows) == 0:
-        raise ValueError(f"no samples of class {digit} in dataset")
-    return rows
-
-
-def filter_class(dataset: ImageDataset, digit: int) -> ImageDataset:
-    """Order-preserving subset of one digit class."""
-    return dataset.subset(class_rows(dataset.labels, digit))
 
 
 _MNIST_FILES = {

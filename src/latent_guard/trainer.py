@@ -4,9 +4,10 @@ Procedure for one (inlier class, bottleneck size) configuration:
 
 1. Randomly split the full training set (before any class filtering) into
    train/validation parts of exact sizes.
-2. Filter both parts to the inlier class.  Steps 1-2 select rows by index
-   (``inlier_indices``): training gathers each batch from the full set's
-   images, and only the validation inliers are copied out.
+2. Filter both parts to the inlier class.  Steps 1-2 are ``inlier_indices``,
+   the one place rows are chosen: they yield row indices into the full set,
+   from whose images training gathers each batch, and only the validation
+   inliers are copied out.
 3. Minimize BCE(x, reconstruction) + L1_LAMBDA * mean_per_sample |bottleneck|
    with adadelta over shuffled mini-batches; the shuffle order is derived
    from (seed, epoch), so a fixed config is bit-reproducible.  Each batch
@@ -23,12 +24,13 @@ Procedure for one (inlier class, bottleneck size) configuration:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, asdict
+import operator
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
 from latent_guard.autoencoder import Autoencoder, check_images, map_chunks, tune_allocator
-from latent_guard.data import ImageDataset, class_rows
+from latent_guard.data import ImageDataset
 from latent_guard.nn.losses import bce_loss_and_grad, l1_penalty
 from latent_guard.nn.optim import Adadelta
 
@@ -50,6 +52,17 @@ class TrainConfig:
     val_size: int = 10000
 
     def __post_init__(self):
+        # every field is stored as a Python int, so configs compare and
+        # serialize alike whatever integer type they were built from
+        for f in fields(self):
+            value = getattr(self, f.name)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                object.__setattr__(self, f.name, operator.index(value))
+            except TypeError:
+                raise ValueError(
+                    f"config {f.name!r} must be an integer, got {value!r}") from None
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.inlier_class <= 9:
@@ -88,33 +101,26 @@ class TrainRecord:
         return "\n".join(json.dumps(asdict(e), sort_keys=True) for e in self.epochs) + "\n"
 
 
-def _split_rows(n: int, val_size: int, seed: int):
-    """Disjoint random (train, validation) row indices of exact sizes."""
+def inlier_indices(config: TrainConfig, labels):
+    """Steps 1-2 of the procedure: (train inliers, validation inliers) as
+    row indices into the full training set's ``labels``, each in split
+    order.  The split is one seeded permutation of every row; the class
+    filter keeps each part's rows of ``config.inlier_class``."""
+    n, val_size = len(labels), config.val_size
     if not 0 < val_size < n:
         raise ValueError(
             f"val_size must be in (0, {n}), got {val_size}; early stopping "
             "requires a non-empty validation set"
         )
-    perm = np.random.default_rng(seed).permutation(n)
-    return perm[val_size:], perm[:val_size]
-
-
-def split_dataset(dataset: ImageDataset, val_size: int, seed: int):
-    """Disjoint random (train, validation) split with exact sizes."""
-    return tuple(dataset.subset(rows)
-                 for rows in _split_rows(len(dataset), val_size, seed))
-
-
-def inlier_indices(config: TrainConfig, labels):
-    """Steps 1-2 of the procedure as row indices into the full training
-    set: (train inliers, validation inliers), each in split order."""
-    return tuple(rows[class_rows(labels[rows], config.inlier_class)]
-                 for rows in _split_rows(len(labels), config.val_size, config.seed))
-
-
-def inlier_split(config: TrainConfig, dataset: ImageDataset):
-    """Steps 1-2 of the procedure: (train inliers, validation inliers)."""
-    return tuple(dataset.subset(rows) for rows in inlier_indices(config, dataset.labels))
+    perm = np.random.default_rng(config.seed).permutation(n)
+    parts = []
+    for name, rows in (("training", perm[val_size:]), ("validation", perm[:val_size])):
+        inliers = rows[labels[rows] == config.inlier_class]
+        if len(inliers) == 0:
+            raise ValueError(f"no samples of class {config.inlier_class} in the {name} "
+                             f"part of the split ({len(rows)} rows)")
+        parts.append(inliers)
+    return tuple(parts)
 
 
 class EarlyStopping:
@@ -178,17 +184,18 @@ def _batch_loss_and_grads(model, batch, where):
 
 def train(config: TrainConfig, dataset: ImageDataset):
     """Runs the full procedure; returns (best-epoch model, TrainRecord)."""
-    train_rows, val_rows = inlier_indices(config, dataset.labels)
-    return train_on_rows(config, dataset.images, train_rows, dataset.images[val_rows])
+    return train_on_rows(config, dataset.images, *inlier_indices(config, dataset.labels))
 
 
-def train_on_rows(config: TrainConfig, images, train_rows, val_images):
+def train_on_rows(config: TrainConfig, images, train_rows, val_rows):
     """Steps 3-4 of the procedure: trains on ``images[train_rows]``, which
     each batch gathers from ``images`` [N,1,28,28] without a copy of the
-    whole part, and validates on ``val_images``; returns (best-epoch model,
-    TrainRecord).  ``images`` must pass inference's shape and range check
-    (``check_images``), which runs once, before the first step."""
+    whole part, and validates on ``images[val_rows]``, gathered once;
+    returns (best-epoch model, TrainRecord).  ``images`` must pass
+    inference's shape and range check (``check_images``), which runs once,
+    before the first step, and so covers the validation rows too."""
     check_images(images)
+    val_images = images[val_rows]
     tune_allocator()
     model = Autoencoder(config.bottleneck_size, config.seed)
     optimizer = Adadelta(model.named_parameters())

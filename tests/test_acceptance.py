@@ -27,13 +27,12 @@ from latent_guard import (
     aupr,
     auroc,
     calibrate,
-    filter_class,
     fit_gaussian,
     fpr_at_tpr,
+    inlier_indices,
     mahalanobis,
     make_manifold_set,
     novelty_scores,
-    split_dataset,
     train,
 )
 from latent_guard import cli
@@ -323,9 +322,9 @@ def mnist_class0_runs():
         if k not in cache:
             config = TrainConfig(inlier_class=0, bottleneck_size=k, seed=SEED)
             model, _ = train(config, train_full)
-            train_set, val_set = split_dataset(train_full, config.val_size, config.seed)
-            stats = fit_gaussian(model.encode(filter_class(train_set, 0).images))
-            cal = calibrate(model, stats, filter_class(val_set, 0).images)
+            train_rows, val_rows = inlier_indices(config, train_full.labels)
+            stats = fit_gaussian(model.encode(train_full.images[train_rows]))
+            cal = calibrate(model, stats, train_full.images[val_rows])
             re, ld = features(model, stats, test_set.images)
             hybrid = cal.alpha * ld + cal.beta * re
             cache[k] = {

@@ -1,6 +1,7 @@
 """Bundle creation, digest verification, atomicity basics."""
 
 import builtins
+import dataclasses
 import errno
 import hashlib
 import io
@@ -48,6 +49,13 @@ def test_create_and_read_back(tmp_path, parts):
     assert stats.dim == 4
     cal = bundle.load_calibration()
     assert cal.alpha == 1.0
+
+
+def test_config_of_numpy_integers_is_written_and_read_back(tmp_path, parts):
+    *others, config = parts
+    from_numpy = TrainConfig(**{k: np.int64(v) for k, v in dataclasses.asdict(config).items()})
+    bundle = ExperimentBundle.create(tmp_path / "b", *others, from_numpy)
+    assert bundle.config() == dataclasses.asdict(config)
 
 
 def test_existing_path_rejected(tmp_path, parts):

@@ -16,6 +16,7 @@ from latent_guard import Autoencoder, cli, fit_gaussian, serialization
 from latent_guard.bundle import ExperimentBundle
 from latent_guard.data import IDX_IMAGE_MAGIC, write_idx_images, write_idx_labels
 from latent_guard.metrics import EvalReport, ScoredSet, auroc, fpr_at_tpr
+from latent_guard.nn.optim import Adadelta
 from latent_guard.novelty import read_scores_csv
 
 from conftest import synthetic_digits
@@ -140,6 +141,25 @@ class TestTrain:
                          *TRAIN_ARGS])
         assert code == 1
         assert capsys.readouterr().err.startswith("error[bundle]:")
+
+    @pytest.mark.parametrize("out, code_name", [
+        ("dir", "bundle"), ("file", "bundle"), ("file/bundle", "usage"),
+    ], ids=["existing-directory", "existing-file", "under-a-file"])
+    def test_unusable_out_fails_before_loading_or_training(self, data_dir, tmp_path,
+                                                           monkeypatch, capsys, out, code_name):
+        steps, loads = [], []
+        monkeypatch.setattr(Adadelta, "step", lambda optimizer, grads: steps.append(grads))
+        real_load = cli._load_split
+        monkeypatch.setattr(cli, "_load_split",
+                            lambda *args: loads.append(args) or real_load(*args))
+        (tmp_path / "dir").mkdir()
+        (tmp_path / "file").write_text("not a directory\n")
+        code = cli.main(["train", "--class", "0", "--bottleneck", "4",
+                         "--data-dir", str(data_dir), "--out", str(tmp_path / out),
+                         *TRAIN_ARGS])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error[{code_name}]:")
+        assert steps == [] and loads == []
 
 
 class TestEval:
@@ -346,6 +366,23 @@ class TestEval:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error[bundle]: manifest.json config {key!r} must be an integer")
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("seed", -1, "seed must be >= 0"), ("inlier_class", 10, "inlier_class must be 0-9"),
+        ("patience", 2, "patience must satisfy"),
+    ])
+    def test_manifest_config_out_of_range_is_bundle_error(self, data_dir, trained_bundle,
+                                                          tmp_path, capsys, key, value,
+                                                          message):
+        damaged = tmp_path / "out-of-range"
+        shutil.copytree(trained_bundle, damaged)
+        manifest = json.loads((damaged / "manifest.json").read_text())
+        manifest["config"][key] = value
+        (damaged / "manifest.json").write_text(json.dumps(manifest))
+        code = cli.main(["eval", "--bundle", str(damaged),
+                         "--data-dir", str(data_dir), "--mode", "RE"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error[bundle]: manifest.json {message}")
 
     def test_incomplete_bundle_rejected(self, data_dir, tmp_path, capsys):
         code = cli.main(["eval", "--bundle", str(tmp_path / "nothing"),

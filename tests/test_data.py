@@ -1,4 +1,4 @@
-"""IDX parsing, class filtering, and the synthetic manifold harness."""
+"""IDX parsing and the synthetic manifold harness."""
 
 import gzip
 import struct
@@ -12,12 +12,10 @@ from latent_guard import (
     CircularProjectionCodec,
     LinearManifold,
     LinearProjectionCodec,
-    filter_class,
     load_idx,
     make_manifold_set,
 )
 from latent_guard.data import (
-    ImageDataset,
     load_mnist_split,
     write_idx_images,
     write_idx_labels,
@@ -148,31 +146,6 @@ class TestIdxLoading:
             tracemalloc.stop()
         raw_bytes = (tmp_path / "i").stat().st_size
         assert peak < raw_bytes + 1.5 * ds.images.nbytes, peak / ds.images.nbytes
-
-
-class TestFilterClass:
-    def make(self, labels):
-        n = len(labels)
-        return ImageDataset(images=np.zeros((n, 1, 28, 28)), labels=np.array(labels))
-
-    def test_basic_subset(self):
-        ds = filter_class(self.make([0, 1, 0]), 0)
-        assert len(ds) == 2
-        assert set(ds.labels) == {0}
-
-    def test_missing_class_errors(self):
-        with pytest.raises(ValueError, match="no samples"):
-            filter_class(self.make([1, 2]), 0)
-
-    def test_idempotent(self):
-        ds = self.make([3, 1, 3, 3])
-        once = filter_class(ds, 3)
-        twice = filter_class(once, 3)
-        np.testing.assert_array_equal(once.labels, twice.labels)
-
-    def test_digit_out_of_range(self):
-        with pytest.raises(ValueError, match="0-9"):
-            filter_class(self.make([0]), 10)
 
 
 class TestLinearManifold:

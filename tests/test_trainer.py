@@ -8,9 +8,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from latent_guard import Autoencoder, TrainConfig, autoencoder, inlier_split, split_dataset, train
+from latent_guard import Autoencoder, TrainConfig, autoencoder, train
 from latent_guard.autoencoder import _CHUNK
-from latent_guard.data import ImageDataset, filter_class
 from latent_guard.nn.losses import bce_loss_and_grad, l1_penalty
 from latent_guard.nn.optim import Adadelta
 from latent_guard.trainer import (
@@ -26,54 +25,86 @@ from latent_guard.trainer import (
 from conftest import synthetic_digits
 
 
+def split_config(val_size, seed, inlier_class=0):
+    return TrainConfig(inlier_class=inlier_class, bottleneck_size=4, seed=seed,
+                       val_size=val_size)
+
+
 class TestSplit:
     def test_exact_sizes_disjoint_union(self):
-        ds = synthetic_digits(60, seed=0)
-        train_set, val_set = split_dataset(ds, 10, seed=1)
-        assert len(train_set) == 50 and len(val_set) == 10
-        combined = np.vstack([train_set.images, val_set.images])
-        assert combined.shape[0] == 60
-        # every original image appears exactly once
-        original = {ds.images[i].tobytes() for i in range(60)}
-        recombined = {combined[i].tobytes() for i in range(60)}
-        assert original == recombined
+        labels = np.zeros(60, dtype=np.int64)
+        train_rows, val_rows = inlier_indices(split_config(10, seed=1), labels)
+        assert len(train_rows) == 50 and len(val_rows) == 10
+        # every row lands in exactly one part
+        assert sorted(np.concatenate([train_rows, val_rows])) == list(range(60))
 
     def test_deterministic(self):
-        ds = synthetic_digits(40, seed=2)
-        a_train, a_val = split_dataset(ds, 8, seed=3)
-        b_train, b_val = split_dataset(ds, 8, seed=3)
-        np.testing.assert_array_equal(a_train.images, b_train.images)
-        np.testing.assert_array_equal(a_val.labels, b_val.labels)
+        labels = synthetic_digits(40, seed=2, n_classes=3).labels
+        a_train, a_val = inlier_indices(split_config(8, seed=3), labels)
+        b_train, b_val = inlier_indices(split_config(8, seed=3), labels)
+        np.testing.assert_array_equal(a_train, b_train)
+        np.testing.assert_array_equal(a_val, b_val)
 
     def test_full_scale_split_sizes(self):
         # the real procedure: 60000 samples -> 50000 train / 10000 validation
-        ds = ImageDataset(
-            images=np.zeros((60000, 1, 1, 1)), labels=np.zeros(60000, dtype=int)
-        )
-        train_set, val_set = split_dataset(ds, 10000, seed=0)
-        assert len(train_set) == 50000 and len(val_set) == 10000
+        train_rows, val_rows = inlier_indices(split_config(10000, seed=0),
+                                              np.zeros(60000, dtype=np.int64))
+        assert len(train_rows) == 50000 and len(val_rows) == 10000
 
     def test_zero_val_size_rejected(self):
-        ds = synthetic_digits(10, seed=4)
         with pytest.raises(ValueError, match="val_size"):
-            split_dataset(ds, 0, seed=0)
+            inlier_indices(split_config(0, seed=0), np.zeros(10, dtype=np.int64))
 
     def test_val_size_must_leave_training_data(self):
-        ds = synthetic_digits(10, seed=5)
         with pytest.raises(ValueError, match="val_size"):
-            split_dataset(ds, 10, seed=0)
+            inlier_indices(split_config(10, seed=0), np.zeros(10, dtype=np.int64))
 
-    def test_inlier_split_splits_before_filtering(self):
+    def test_split_is_drawn_before_filtering(self):
         # the split draws from the full set, so the class filter cannot
-        # change which images land in validation
-        ds = synthetic_digits(80, seed=6, n_classes=3)
-        config = TrainConfig(inlier_class=2, bottleneck_size=4, seed=7, val_size=20)
-        train_inliers, val_inliers = inlier_split(config, ds)
-        train_set, val_set = split_dataset(ds, 20, seed=7)
-        for got, part in ((train_inliers, train_set), (val_inliers, val_set)):
-            expected = filter_class(part, 2)
-            np.testing.assert_array_equal(got.images, expected.images)
-            assert set(got.labels) == {2}
+        # change which rows land in validation: over all classes, the
+        # inliers of each part make up the whole part
+        labels = synthetic_digits(80, seed=6, n_classes=3).labels
+        parts = [inlier_indices(split_config(20, seed=7, inlier_class=c), labels)
+                 for c in range(3)]
+        for c, (train_rows, val_rows) in enumerate(parts):
+            assert set(labels[train_rows]) == {c} and set(labels[val_rows]) == {c}
+        val_union = np.concatenate([val_rows for _, val_rows in parts])
+        assert len(val_union) == 20
+        train_union = np.concatenate([train_rows for train_rows, _ in parts])
+        assert sorted(np.concatenate([train_union, val_union])) == list(range(80))
+
+    @pytest.mark.parametrize("n, val_size, seed, inlier_class", [
+        (57, 19, 5, 1), (600, 100, 17, 2), (60000, 10000, 0, 9),
+    ])
+    def test_matches_permute_then_filter_reference(self, n, val_size, seed, inlier_class):
+        labels = np.random.default_rng(n).integers(0, 10, n)
+        perm = np.random.default_rng(seed).permutation(n)
+        expected = ([i for i in perm[val_size:] if labels[i] == inlier_class],
+                    [i for i in perm[:val_size] if labels[i] == inlier_class])
+        got = inlier_indices(split_config(val_size, seed, inlier_class), labels)
+        for rows, reference in zip(got, expected):
+            assert rows.dtype == np.intp
+            assert rows.tolist() == reference
+
+    def test_missing_class_errors(self):
+        labels = np.array([1, 2] * 10)
+        with pytest.raises(ValueError, match="no samples of class 0"):
+            inlier_indices(split_config(5, seed=0), labels)
+
+    @pytest.mark.parametrize("part, size", [("validation", 3), ("training", 597)])
+    def test_empty_part_is_named_with_its_size(self, part, size):
+        # 600 rows of two classes, with class 0 only in the other part
+        config = split_config(3, seed=8)
+        perm = np.random.default_rng(config.seed).permutation(600)
+        labels = np.zeros(600, dtype=np.int64)
+        if part == "validation":
+            labels[perm[:3]] = 1
+            labels[perm[3::2]] = 1
+        else:
+            labels[perm[3:]] = 1
+        with pytest.raises(ValueError, match=(
+                rf"^no samples of class 0 in the {part} part of the split \({size} rows\)$")):
+            inlier_indices(config, labels)
 
 
 class TestEarlyStoppingRule:
@@ -112,6 +143,21 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="inlier_class"):
             TrainConfig(inlier_class=10, bottleneck_size=4, seed=0)
 
+    def test_numpy_integers_are_stored_as_python_ints(self):
+        config = TrainConfig(inlier_class=np.uint8(3), bottleneck_size=np.int64(4),
+                             seed=np.int32(5), val_size=np.intp(100))
+        assert config == TrainConfig(inlier_class=3, bottleneck_size=4, seed=5, val_size=100)
+        assert all(type(value) is int for value in dataclasses.asdict(config).values())
+
+    @pytest.mark.parametrize("key, value", [
+        ("seed", True), ("bottleneck_size", 4.0), ("inlier_class", "0"),
+        ("batch_size", np.float64(2)), ("patience", None), ("val_size", np.bool_(True)),
+    ])
+    def test_non_integers_refused(self, key, value):
+        fields = {"inlier_class": 0, "bottleneck_size": 4, "seed": 0, key: value}
+        with pytest.raises(ValueError, match=rf"^config '{key}' must be an integer, got "):
+            TrainConfig(**fields)
+
 
 SMOKE_CONFIG = dict(
     inlier_class=0, bottleneck_size=4, seed=13,
@@ -146,8 +192,8 @@ class TestTrainLoop:
 
     def test_returned_model_is_best_snapshot(self, run, tiny_train_set):
         (model, record), config = run
-        _, val_inliers = inlier_split(config, tiny_train_set)
-        z, errs = model.encode_and_reconstruction_errors(val_inliers.images)
+        _, val_rows = inlier_indices(config, tiny_train_set.labels)
+        z, errs = model.encode_and_reconstruction_errors(tiny_train_set.images[val_rows])
         recomputed = errs.mean() + L1_LAMBDA * np.abs(z).sum(axis=1).mean()
         np.testing.assert_allclose(recomputed, record.best_val_loss, rtol=1e-9)
 
@@ -263,12 +309,12 @@ class TestTrainingPixels:
 
     CONFIG = TrainConfig(**SMOKE_CONFIG)
 
-    def assert_refused_before_any_step(self, monkeypatch, labels, images, val_images, match):
+    def assert_refused_before_any_step(self, monkeypatch, labels, images, match):
         steps = []
         monkeypatch.setattr(Adadelta, "step", lambda optimizer, grads: steps.append(grads))
-        train_rows, _ = inlier_indices(self.CONFIG, labels)
+        train_rows, val_rows = inlier_indices(self.CONFIG, labels)
         with pytest.raises(ValueError, match=match):
-            train_on_rows(self.CONFIG, images, train_rows, val_images)
+            train_on_rows(self.CONFIG, images, train_rows, val_rows)
         assert steps == []
 
     def test_training_rows_scaled_to_255_are_refused(self, tiny_train_set, monkeypatch):
@@ -276,32 +322,39 @@ class TestTrainingPixels:
         images = tiny_train_set.images * 255.0
         images[val_rows] = tiny_train_set.images[val_rows]  # validation stays in range
         self.assert_refused_before_any_step(
-            monkeypatch, tiny_train_set.labels, images, tiny_train_set.images[val_rows],
+            monkeypatch, tiny_train_set.labels, images,
             r"image values must lie in \[0, 1\], got range \[0\.0, 2")
 
     def test_nan_training_pixel_is_refused(self, tiny_train_set, monkeypatch):
-        train_rows, val_rows = inlier_indices(self.CONFIG, tiny_train_set.labels)
+        train_rows, _ = inlier_indices(self.CONFIG, tiny_train_set.labels)
         images = tiny_train_set.images.copy()
         images[train_rows[0], 0, 3, 4] = np.nan
         self.assert_refused_before_any_step(
-            monkeypatch, tiny_train_set.labels, images, tiny_train_set.images[val_rows],
+            monkeypatch, tiny_train_set.labels, images,
+            r"image values must lie in \[0, 1\], got range \[nan, nan\]")
+
+    def test_nan_validation_pixel_is_refused(self, tiny_train_set, monkeypatch):
+        _, val_rows = inlier_indices(self.CONFIG, tiny_train_set.labels)
+        images = tiny_train_set.images.copy()
+        images[val_rows[0], 0, 3, 4] = np.nan
+        self.assert_refused_before_any_step(
+            monkeypatch, tiny_train_set.labels, images,
             r"image values must lie in \[0, 1\], got range \[nan, nan\]")
 
     def test_32x32_images_are_refused(self, tiny_train_set, monkeypatch):
-        _, val_rows = inlier_indices(self.CONFIG, tiny_train_set.labels)
         images = np.pad(tiny_train_set.images, ((0, 0), (0, 0), (2, 2), (2, 2)))
         self.assert_refused_before_any_step(
-            monkeypatch, tiny_train_set.labels, images, images[val_rows],
+            monkeypatch, tiny_train_set.labels, images,
             r"autoencoder input: expected shape \(1, 28, 28\), got \(1, 32, 32\)")
 
 
 def whole_batch_reference(config, dataset):
     """The training loop with each batch in one forward/backward pass:
     (final model, per-epoch training losses)."""
-    train_inliers, _ = inlier_split(config, dataset)
+    train_rows, _ = inlier_indices(config, dataset.labels)
     model = Autoencoder(config.bottleneck_size, config.seed)
     optimizer = Adadelta(model.named_parameters())
-    x = np.ascontiguousarray(train_inliers.images.transpose(0, 2, 3, 1))
+    x = np.ascontiguousarray(dataset.images[train_rows].transpose(0, 2, 3, 1))
     losses = []
     for epoch in range(1, config.max_epochs + 1):
         order = np.random.default_rng([config.seed, epoch]).permutation(len(x))
@@ -386,8 +439,8 @@ class TestSubBatches:
         """Makes the reconstruction NaN for the sub-batch that holds exactly
         training ``rows`` of ``epoch``'s shuffle; returns the list the
         patched ``forward_training`` appends each sub-batch's size to."""
-        train_inliers, _ = inlier_split(config, dataset)
-        x = train_inliers.images.transpose(0, 2, 3, 1)
+        train_rows, _ = inlier_indices(config, dataset.labels)
+        x = dataset.images[train_rows].transpose(0, 2, 3, 1)
         order = np.random.default_rng([config.seed, epoch]).permutation(len(x))
         marked = x[order[rows]]
         real = Autoencoder.forward_training
