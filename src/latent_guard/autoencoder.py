@@ -29,7 +29,11 @@ from a seeded generator: the same (bottleneck_size, seed) pair always
 yields bit-identical parameters.
 
 Public array convention is channels-first ([1, 28, 28] single sample,
-[N, 1, 28, 28] batch); layers run channels-last internally.
+[N, 1, 28, 28] batch); layers run channels-last internally.  Images are
+floats in [0, 1] or uint8 bytes, byte b standing for b / 255; a uint8
+batch stays uint8 until each chunk is scaled as it is taken
+(``scaled_pixels``), so a loaded split is never widened to float64, and
+the outputs are the bits of the same pixels passed as ``bytes / 255.0``.
 
 Inference and training both split a batch into fixed ``_CHUNK``-row
 chunks and run them on one thread per CPU the process may use, the
@@ -176,14 +180,22 @@ def map_chunks(fn, n):
 
 
 def check_images(x):
-    """Raises unless ``x`` is an [N,1,28,28] batch with every value in [0, 1]."""
+    """Raises unless ``x`` is an [N,1,28,28] batch of uint8 pixels, or of
+    floats with every value in [0, 1]."""
     if x.ndim != 4 or x.shape[1:] != IMAGE_SHAPE:
         raise ShapeError("autoencoder input", IMAGE_SHAPE, x.shape[1:] if x.ndim == 4 else x.shape)
     # written so that NaN, for which every comparison is False, fails it too
-    if x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
+    if x.dtype != np.uint8 and x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
         raise ValueError(
             f"image values must lie in [0, 1], got range [{x.min()}, {x.max()}]"
         )
+
+
+def scaled_pixels(x):
+    """``x`` as float64 pixels in [0, 1]: uint8 bytes divided by 255.0, so
+    byte b gives the float b / 255, and float input as it is.  Every chunk
+    and training batch passes through here as it is taken."""
+    return np.divide(x, 255.0) if x.dtype == np.uint8 else x
 
 
 class Autoencoder:
@@ -237,7 +249,12 @@ class Autoencoder:
     # -- inference ----------------------------------------------------------
 
     def _to_nhwc_batch(self, x):
-        x = np.asarray(x, dtype=np.float64)
+        """``x`` [N,1,28,28] or [1,28,28] as an NHWC batch, uint8 kept as it
+        is (``scaled_pixels`` scales each chunk), and whether it was one
+        image."""
+        x = np.asarray(x)
+        if x.dtype != np.uint8:
+            x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 3
         if single:
             x = x[None]
@@ -258,7 +275,7 @@ class Autoencoder:
         chunk's rows of ``out``; returns ``out``."""
 
         def chunk(rows):
-            out[rows] = self._run(stack, x[rows])
+            out[rows] = self._run(stack, scaled_pixels(x[rows]))
 
         map_chunks(chunk, len(x))
         return out
@@ -297,8 +314,9 @@ class Autoencoder:
         re = np.empty(n)
 
         def chunk(rows):
-            z = self._run(self.encoder_layers, xb[rows])
-            re[rows] = bce_loss_per_sample(self._run(self.decoder_layers, z), xb[rows])
+            x = scaled_pixels(xb[rows])
+            z = self._run(self.encoder_layers, x)
+            re[rows] = bce_loss_per_sample(self._run(self.decoder_layers, z), x)
             zs[rows] = z if latent is None else latent(z)
 
         map_chunks(chunk, n)

@@ -2,8 +2,11 @@
 
 IDX loading follows the MNIST distribution format: big-endian magic
 0x00000803 for image files (dims [count, rows, cols]) and 0x00000801 for
-label files, pixel bytes scaled by 1/255 into [0, 1].  Gzip-compressed
-files are detected by their leading bytes and decompressed transparently.
+label files.  The pixels stay the file's bytes, uint8 in 0..255; the
+autoencoder scales each chunk or batch it takes by 1/255 into [0, 1]
+(``autoencoder.scaled_pixels``), so no float copy of a whole split is made.
+Gzip-compressed files are detected by their leading bytes and decompressed
+transparently.
 
 The synthetic manifold generator reproduces the geometry behind the
 reconstruction-error failure mode: training inliers occupy a bounded
@@ -43,7 +46,11 @@ OFF_OFFSET = 5.0
 
 @dataclass(frozen=True)
 class ImageDataset:
-    """Images [n, 1, H, W] with values in [0, 1] and digit labels [n]."""
+    """Images [n, 1, H, W] and digit labels [n].
+
+    The images are either uint8 bytes, where byte b stands for b / 255 (as
+    ``load_idx`` returns them), or floats in [0, 1]; the autoencoder and the
+    trainer take both."""
 
     images: np.ndarray
     labels: np.ndarray
@@ -95,11 +102,11 @@ def _read_idx(path, expected_magic, what):
 
 
 def load_idx(images_path, labels_path) -> ImageDataset:
-    """Loads an IDX image/label file pair into a normalized dataset.
+    """Loads an IDX image/label file pair into a dataset.
 
-    The pixels are divided by 255 straight into one float64 array
-    [n, 1, rows, cols], so the decode holds the file's bytes and that
-    array and nothing else of their size."""
+    The images are the file's uint8 pixels [n, 1, rows, cols], a read-only
+    view over the decoded file bytes: the decode holds those bytes and
+    nothing else of their size."""
     raw_images = _read_idx(images_path, IDX_IMAGE_MAGIC, "image")
     raw_labels = _read_idx(labels_path, IDX_LABEL_MAGIC, "label")
     if raw_images.shape[0] != raw_labels.shape[0]:
@@ -107,14 +114,27 @@ def load_idx(images_path, labels_path) -> ImageDataset:
             f"count mismatch: {raw_images.shape[0]} images vs "
             f"{raw_labels.shape[0]} labels"
         )
-    images = np.empty((raw_images.shape[0], 1, *raw_images.shape[1:]))
-    np.divide(raw_images[:, None], 255.0, out=images)
-    return ImageDataset(images=images, labels=raw_labels.astype(np.int64))
+    return ImageDataset(images=raw_images[:, None], labels=raw_labels.astype(np.int64))
+
+
+def _idx_bytes(values, what) -> np.ndarray:
+    """``values`` as uint8; raises if the cast would change any value."""
+    values = np.asarray(values)
+    if values.dtype == np.uint8:
+        return values
+    # written so that NaN, for which every comparison is False, fails it too
+    with np.errstate(invalid="ignore"):
+        exact = (values >= 0) & (values <= 255) & (values % 1 == 0)
+    if not np.all(exact):
+        raise ValueError(f"IDX {what} must be integers in the range 0-255, "
+                         f"got {values[~exact].flat[0].item()!r}")
+    return values.astype(np.uint8)
 
 
 def write_idx_images(path, images_u8) -> None:
-    """Writes uint8 images [n, rows, cols] in IDX format (for tests/tools)."""
-    images_u8 = np.asarray(images_u8, dtype=np.uint8)
+    """Writes images [n, rows, cols] of integers 0..255 in IDX format (for
+    tests/tools)."""
+    images_u8 = _idx_bytes(images_u8, "pixels")
     n, rows, cols = images_u8.shape
     with open(path, "wb") as f:
         f.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols))
@@ -122,7 +142,8 @@ def write_idx_images(path, images_u8) -> None:
 
 
 def write_idx_labels(path, labels) -> None:
-    labels = np.asarray(labels, dtype=np.uint8)
+    """Writes labels [n] of integers 0..255 in IDX format."""
+    labels = _idx_bytes(labels, "labels")
     with open(path, "wb") as f:
         f.write(struct.pack(">II", IDX_LABEL_MAGIC, len(labels)))
         f.write(labels.tobytes())

@@ -65,15 +65,18 @@ def conv3x3_fwd_nhwc(x, weights, bias=None):
         cache = ("cols", cols)
     else:
         # one batched GEMM per row offset on a zero-copy view of the padded
-        # input, then three shifted adds per offset
+        # input, then three shifted adds per offset into channel-planar
+        # [C_out, N, H, W] planes, whose innermost runs are image rows
+        # rather than C_out values; the same adds, in the same order
         wp = w + 2
-        out = np.zeros((n, h, w, c_out))
+        planes = np.zeros((c_out, n, h, w))
         for u in range(3):
             block = xp[:, u:u + h, :, :].reshape(n, h * wp, c_in)
             wu = weights[:, :, u, :].transpose(1, 2, 0).reshape(c_in, 3 * c_out)
-            yu = (block @ wu).reshape(n, h, wp, 3, c_out)
+            yu = (block @ wu).reshape(n, h, wp, 3, c_out).transpose(3, 4, 0, 1, 2)
             for v in range(3):
-                out += yu[:, :, v:v + w, v, :]
+                planes += yu[v, :, :, :, v:v + w]
+        out = np.ascontiguousarray(planes.transpose(1, 2, 3, 0))
         cache = ("padded", xp)
     if bias is not None:
         out += bias

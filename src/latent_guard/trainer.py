@@ -29,7 +29,13 @@ from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
-from latent_guard.autoencoder import Autoencoder, check_images, map_chunks, tune_allocator
+from latent_guard.autoencoder import (
+    Autoencoder,
+    check_images,
+    map_chunks,
+    scaled_pixels,
+    tune_allocator,
+)
 from latent_guard.data import ImageDataset
 from latent_guard.nn.losses import bce_loss_and_grad, l1_penalty
 from latent_guard.nn.optim import Adadelta
@@ -193,7 +199,10 @@ def train_on_rows(config: TrainConfig, images, train_rows, val_rows):
     whole part, and validates on ``images[val_rows]``, gathered once;
     returns (best-epoch model, TrainRecord).  ``images`` must pass
     inference's shape and range check (``check_images``), which runs once,
-    before the first step, and so covers the validation rows too."""
+    before the first step, and so covers the validation rows too.  uint8
+    pixels stay uint8: each gathered batch is scaled by 1/255 as it is
+    taken (``scaled_pixels``), and gives the bits of the same pixels
+    passed as ``bytes / 255.0`` floats."""
     check_images(images)
     val_images = images[val_rows]
     tune_allocator()
@@ -210,7 +219,7 @@ def train_on_rows(config: TrainConfig, images, train_rows, val_rows):
         total_loss = 0.0
         for start in range(0, n, config.batch_size):
             rows = train_rows[order[start:start + config.batch_size]]
-            batch = np.ascontiguousarray(images[rows].transpose(0, 2, 3, 1))
+            batch = np.ascontiguousarray(scaled_pixels(images[rows]).transpose(0, 2, 3, 1))
             loss, grads = _batch_loss_and_grads(
                 model, batch, f"epoch {epoch}, batch {start // config.batch_size}")
             optimizer.step(grads)

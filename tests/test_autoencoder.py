@@ -9,7 +9,7 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from latent_guard import Autoencoder, autoencoder, serialization
+from latent_guard import Autoencoder, autoencoder, fit_gaussian, serialization
 from latent_guard.autoencoder import _CHUNK
 from latent_guard.errors import ShapeError
 from latent_guard.nn import (
@@ -24,6 +24,7 @@ from latent_guard.nn import (
     bce_loss,
 )
 from latent_guard.nn.losses import bce_loss_per_sample
+from latent_guard.novelty import features
 
 RNG = np.random.default_rng(42)
 X_SINGLE = RNG.uniform(0.0, 1.0, (1, 28, 28))
@@ -396,6 +397,38 @@ class TestChunkedForward:
         model.encode_and_reconstruction_errors(self.X_MULTI)
         assert mallopt == tuned and len(tuned) == 4
         assert 0 not in tuned_before_chunk
+
+
+class TestUint8Pixels:
+    """uint8 pixels give the bits of the same pixels as ``bytes / 255.0``
+    floats: each chunk is scaled as it is taken."""
+
+    # three full chunks and a ragged tail
+    BYTES = np.random.default_rng(17).integers(0, 256, (3 * _CHUNK + 5, 1, 28, 28), dtype=np.uint8)
+
+    @pytest.mark.parametrize("rows", [slice(None), slice(0, 1)])
+    def test_encode_re_and_ld_are_byte_identical(self, rows):
+        model = Autoencoder(8, seed=12)
+        as_bytes = self.BYTES[rows]
+        as_floats = as_bytes / 255.0
+        stats = fit_gaussian(model.encode(self.BYTES / 255.0))
+        assert model.encode(as_bytes).tobytes() == model.encode(as_floats).tobytes()
+        for part_u8, part_f in zip(features(model, stats, as_bytes),
+                                   features(model, stats, as_floats), strict=True):
+            assert part_u8.tobytes() == part_f.tobytes()
+
+    def test_single_image_is_byte_identical(self):
+        model = Autoencoder(8, seed=12)
+        image = self.BYTES[7, 0][None]  # [1, 28, 28]
+        assert model.encode(image).shape == (8,)
+        assert model.encode(image).tobytes() == model.encode(image / 255.0).tobytes()
+        z_u8, re_u8 = model.encode_and_reconstruction_errors(image)
+        z_f, re_f = model.encode_and_reconstruction_errors(image / 255.0)
+        assert (z_u8.tobytes(), re_u8.tobytes()) == (z_f.tobytes(), re_f.tobytes())
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ShapeError):
+            Autoencoder(4, seed=0).encode(np.zeros((1, 27, 28), dtype=np.uint8))
 
 
 class TestMatchesUnfusedStack:

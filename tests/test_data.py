@@ -15,6 +15,7 @@ from latent_guard import (
     load_idx,
     make_manifold_set,
 )
+from latent_guard.autoencoder import scaled_pixels
 from latent_guard.data import (
     load_mnist_split,
     write_idx_images,
@@ -56,14 +57,18 @@ class TestIdxLoading:
         write_idx_images(tmp_path / "i", img)
         write_idx_labels(tmp_path / "l", [0])
         ds = load_idx(tmp_path / "i", tmp_path / "l")
-        assert ds.images[0, 0, 0, 0] == 1.0
-        assert ds.images[0, 0, 0, 1] == 0.0
+        assert ds.images.dtype == np.uint8
+        assert ds.images[0, 0, 0, 0] == 255 and ds.images[0, 0, 0, 1] == 0
+        scaled = scaled_pixels(ds.images)
+        assert scaled.dtype == np.float64
+        assert scaled[0, 0, 0, 0] == 1.0
+        assert scaled[0, 0, 0, 1] == 0.0
 
     def test_round_trip_bit_equal(self, idx_pair, tmp_path):
         img_path, lbl_path, images, labels = idx_pair
         ds = load_idx(img_path, lbl_path)
-        back = np.round(ds.images[:, 0] * 255.0).astype(np.uint8)
-        np.testing.assert_array_equal(back, images)
+        assert ds.images.dtype == np.uint8 and ds.images.shape == (7, 1, 28, 28)
+        assert ds.images[:, 0].tobytes() == images.tobytes()
         np.testing.assert_array_equal(ds.labels, labels)
 
     def test_gzip_transparent(self, idx_pair, tmp_path):
@@ -73,9 +78,8 @@ class TestIdxLoading:
         gz_img.write_bytes(gzip.compress(img_path.read_bytes()))
         gz_lbl.write_bytes(gzip.compress(lbl_path.read_bytes()))
         ds = load_idx(gz_img, gz_lbl)
-        np.testing.assert_array_equal(
-            np.round(ds.images[:, 0] * 255.0).astype(np.uint8), images
-        )
+        assert ds.images.dtype == np.uint8 and ds.images.shape == (7, 1, 28, 28)
+        assert ds.images[:, 0].tobytes() == images.tobytes()
 
     def test_bad_magic(self, idx_pair, tmp_path):
         img_path, lbl_path, _, _ = idx_pair
@@ -127,13 +131,17 @@ class TestIdxLoading:
         write_idx_images(tmp_path / "i", raw)
         write_idx_labels(tmp_path / "l", [0])
         ds = load_idx(tmp_path / "i", tmp_path / "l")
-        expected = raw.astype(np.float64)[:, None] / 255.0
-        assert ds.images.dtype == np.float64
-        np.testing.assert_array_equal(ds.images.view(np.int64), expected.view(np.int64))
+        assert ds.images.dtype == np.uint8
+        assert ds.images.tobytes() == raw.tobytes()
+        # byte b scales to the float b / 255, bit for bit
+        expected = np.array([b / 255.0 for b in range(256)]).reshape(1, 1, 16, 16)
+        scaled = scaled_pixels(ds.images)
+        assert scaled.dtype == np.float64
+        np.testing.assert_array_equal(scaled.view(np.int64), expected.view(np.int64))
 
-    def test_decode_holds_one_float_copy(self, tmp_path):
-        # the file's bytes and the float64 images; a float temporary of the
-        # same size would add another 1.0x
+    def test_decode_holds_only_the_file_bytes(self, tmp_path):
+        # the file's bytes and the labels; no copy of the pixels, in floats
+        # or in bytes
         n = 2000
         pixels = np.random.default_rng(1).integers(0, 256, (n, 28, 28), dtype=np.uint8)
         write_idx_images(tmp_path / "i", pixels)
@@ -145,7 +153,28 @@ class TestIdxLoading:
         finally:
             tracemalloc.stop()
         raw_bytes = (tmp_path / "i").stat().st_size
-        assert peak < raw_bytes + 1.5 * ds.images.nbytes, peak / ds.images.nbytes
+        assert ds.images.base is not None  # a view, not a copy
+        assert peak < raw_bytes + 64 * 1024, peak - raw_bytes
+
+    @pytest.mark.parametrize("write, values", [
+        (write_idx_images, np.full((1, 28, 28), 0.7)),
+        (write_idx_images, np.full((1, 28, 28), 256)),
+        (write_idx_images, np.full((1, 28, 28), np.nan)),
+        (write_idx_labels, np.array([3, 256], dtype=np.int64)),
+        (write_idx_labels, [-1]),
+        (write_idx_labels, [2.5]),
+    ])
+    def test_writers_refuse_values_the_uint8_cast_would_change(self, tmp_path, write, values):
+        with pytest.raises(ValueError, match="must be integers in the range 0-255"):
+            write(tmp_path / "f", values)
+        assert not (tmp_path / "f").exists()
+
+    def test_writers_take_integral_values_of_any_dtype(self, tmp_path):
+        write_idx_images(tmp_path / "i", np.full((2, 28, 28), 255.0))
+        write_idx_labels(tmp_path / "l", np.array([0, 9], dtype=np.int64))
+        ds = load_idx(tmp_path / "i", tmp_path / "l")
+        assert np.all(ds.images == 255)
+        assert ds.labels.tolist() == [0, 9]
 
 
 class TestLinearManifold:

@@ -119,6 +119,30 @@ class TestConvForward:
                 expected[:, i, j, :] = np.einsum("nuvc,ocuv->no", window, w) + b
         np.testing.assert_allclose(conv(x, w, b), expected, atol=1e-12)
 
+    @pytest.mark.parametrize("n, h, w, c_in, c_out", [
+        (64, 14, 14, 32, 2),  # the encoder's 32->2 conv and dec5's input gradient
+        (3, 5, 7, 6, 5),
+        (1, 1, 1, 9, 1),
+    ])
+    def test_strided_path_adds_taps_in_row_offset_order(self, n, h, w, c_in, c_out):
+        # the nine tap products are added to zeros in (u, v) order, so the
+        # bits equal the same per-offset GEMMs summed straight into NHWC
+        rng = np.random.default_rng(n + c_in)
+        x = rng.standard_normal((n, h, w, c_in))
+        weights = rng.standard_normal((c_out, c_in, 3, 3))
+        b = rng.standard_normal(c_out)
+        xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+        expected = np.zeros((n, h, w, c_out))
+        for u in range(3):
+            wu = weights[:, :, u, :].transpose(1, 2, 0).reshape(c_in, 3 * c_out)
+            yu = (xp[:, u:u + h].reshape(n, h * (w + 2), c_in) @ wu).reshape(n, h, w + 2, 3, c_out)
+            for v in range(3):
+                expected += yu[:, :, v:v + w, v, :]
+        expected += b
+        out = conv(x, weights, b)
+        assert out.flags.c_contiguous
+        assert out.tobytes() == expected.tobytes()
+
 
 class TestConvBackward:
     def test_zero_upstream_gives_zero_grads(self):

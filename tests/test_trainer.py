@@ -303,6 +303,18 @@ class TestTrainLoop:
         assert peaks[1] - peaks[0] < 0.5 * extra_rows_bytes, (peaks, extra_rows_bytes)
 
 
+def test_uint8_pixels_train_the_bytes_of_their_floats(tiny_train_set):
+    # each batch and the validation pass scale the bytes as they take them,
+    # so the checkpoint and the log equal a run on ``bytes / 255.0``
+    config = TrainConfig(**{**SMOKE_CONFIG, "max_epochs": 2, "patience": 1})
+    as_bytes = np.round(tiny_train_set.images * 255.0).astype(np.uint8)
+    rows = inlier_indices(config, tiny_train_set.labels)
+    runs = [train_on_rows(config, images, *rows) for images in (as_bytes, as_bytes / 255.0)]
+    (model_u8, record_u8), (model_f, record_f) = runs
+    assert model_u8.to_bytes() == model_f.to_bytes()
+    assert record_u8.to_jsonl().encode() == record_f.to_jsonl().encode()
+
+
 class TestTrainingPixels:
     """Training refuses the pixels that inference refuses, before its first
     step: the whole image array passes inference's shape and range check."""
