@@ -4,22 +4,12 @@ A convolutional autoencoder is trained on a single inlier class; novelty
 of a test sample combines its reconstruction error with the Mahalanobis
 distance of its latent embedding from the encoded training distribution.
 The package provides the model, training loop, latent statistics, scoring,
-standard OOD metrics, dataset/manifold utilities and a CLI.
+standard OOD metrics, IDX dataset loading and a CLI.
 """
 
 from latent_guard.autoencoder import Autoencoder
-from latent_guard.data import (
-    CircularManifold,
-    CircularProjectionCodec,
-    ImageDataset,
-    LinearManifold,
-    LinearProjectionCodec,
-    SyntheticManifoldSet,
-    load_idx,
-    load_mnist_split,
-    make_manifold_set,
-)
-from latent_guard.latent_stats import GaussianStats, fit_gaussian, mahalanobis, mahalanobis_many
+from latent_guard.data import ImageDataset, load_idx, load_mnist_split
+from latent_guard.latent_stats import GaussianStats, fit_gaussian, mahalanobis_many
 from latent_guard.metrics import EvalReport, ScoredSet, aupr, auroc, evaluate, fpr_at_tpr
 from latent_guard.novelty import (
     MODE_HYBRID,
@@ -43,18 +33,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Autoencoder",
-    "CircularManifold",
-    "CircularProjectionCodec",
     "ImageDataset",
-    "LinearManifold",
-    "LinearProjectionCodec",
-    "SyntheticManifoldSet",
     "load_idx",
     "load_mnist_split",
-    "make_manifold_set",
     "GaussianStats",
     "fit_gaussian",
-    "mahalanobis",
     "mahalanobis_many",
     "EvalReport",
     "ScoredSet",

@@ -25,6 +25,10 @@ from latent_guard import serialization
 
 JITTER = 1e-12
 
+# largest |V^T V - I| entry a stored basis may have; the fit's eigh bases
+# are within 3e-15 of orthonormal up to k = 784
+BASIS_ATOL = 1e-8
+
 STATS_VERSION = 2
 
 # the stored arrays, in field order; the jitter is stored as a scalar array
@@ -38,8 +42,9 @@ class GaussianStats:
     ``basis`` [k, r] and ``variances`` [r] are the eigenpairs of
     ``covariance`` that the fit kept.  Construction (by the fit or from
     bundle bytes) checks the shapes and finiteness of the arrays, that every
-    variance is positive and that the jitter is finite, >= 0 and > 0 below
-    full rank, so a damaged file fails at load and the queries trust them.
+    variance is positive, that the basis columns are orthonormal and that
+    the jitter is finite, >= 0 and > 0 below full rank, so a damaged file
+    fails at load and the queries trust them.
     """
 
     mean: np.ndarray
@@ -61,6 +66,10 @@ class GaussianStats:
                 raise ValueError(f"latent stats {name} contains non-finite values")
         if not np.all(self.variances > 0.0):
             raise ValueError("latent stats variances must be positive")
+        # a scaled or skewed basis would rescale every distance
+        if not np.all(np.abs(self.basis.T @ self.basis - np.eye(r)) <= BASIS_ATOL):
+            raise ValueError(f"latent stats basis columns must be orthonormal "
+                             f"(|V^T V - I| <= {BASIS_ATOL})")
         # below full rank the residual term divides by the jitter
         if not (np.isfinite(self.jitter) and self.jitter >= 0.0 and (self.jitter > 0.0 or r == k)):
             raise ValueError(f"latent stats jitter must be finite, >= 0 and > 0 below full "
@@ -108,16 +117,6 @@ def fit_gaussian(embeddings) -> GaussianStats:
     keep = variances > k * np.finfo(np.float64).eps * variances[-1]
     return GaussianStats(mean, cov, basis[:, keep], variances[keep],
                          jitter=0.0 if keep.all() else JITTER)
-
-
-def mahalanobis(stats: GaussianStats, x) -> float:
-    """Distance of a single vector from the fitted Gaussian; >= 0."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (stats.dim,):
-        raise ValueError(
-            f"expected vector of dim {stats.dim}, got shape {x.shape}"
-        )
-    return float(mahalanobis_many(stats, x[None, :])[0])
 
 
 def mahalanobis_many(stats: GaussianStats, xs) -> np.ndarray:

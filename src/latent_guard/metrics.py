@@ -50,17 +50,6 @@ class ScoredSet:
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "is_inlier", is_inlier)
 
-    @classmethod
-    def from_parts(cls, inlier_scores, ood_scores) -> "ScoredSet":
-        inlier_scores = np.asarray(inlier_scores, dtype=np.float64)
-        ood_scores = np.asarray(ood_scores, dtype=np.float64)
-        return cls(
-            scores=np.concatenate([inlier_scores, ood_scores]),
-            is_inlier=np.concatenate(
-                [np.ones(len(inlier_scores), bool), np.zeros(len(ood_scores), bool)]
-            ),
-        )
-
     def require_both_classes(self):
         if not self.is_inlier.any() or self.is_inlier.all():
             raise ValueError("metric requires at least one inlier and one OOD sample")

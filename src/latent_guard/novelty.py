@@ -12,12 +12,12 @@ score = more novel.
 
 Any model exposing ``encode_and_reconstruction_errors(x, latent) ->
 (latent(z) [N], err [N])`` works here, where ``latent`` maps embeddings
-z [c, k] to one value per row; the trained autoencoder and both analytic
-projection codecs do.  ``features`` passes the Mahalanobis distance as
-``latent``: the autoencoder computes it per inference chunk, on the thread
-that encoded the chunk, so no [N, k] embedding matrix is ever held, and
-the codecs apply it to their whole batch.  Distances are per-row, so the
-values equal those of one bulk call on all embeddings.
+z [c, k] to one value per row; the trained autoencoder does, and so do the
+analytic projection codecs the tests score the paper's Figure-2 geometry
+with.  ``features`` passes the Mahalanobis distance as ``latent``: the
+autoencoder computes it per inference chunk, on the thread that encoded
+the chunk, so no [N, k] embedding matrix is ever held.  Distances are
+per-row, so the values equal those of one bulk call on all embeddings.
 """
 
 from __future__ import annotations
@@ -152,15 +152,18 @@ def _score_row(row, path, line):
         bad = [name for name, v in zip(SCORES_CSV_HEADER[2:], scores) if not math.isfinite(v)]
         if bad:
             raise ValueError(f"non-finite {', '.join(bad)}: {row[2:]}")
-        return int(row[0]), bool(int(row[1])), *scores
+        label = int(row[1])
+        if label not in (0, 1):
+            raise ValueError(f"true_is_inlier must be 0 or 1, got {row[1]!r}")
+        return int(row[0]), bool(label), *scores
     except ValueError as exc:
         raise ValueError(f"{path}, line {line}: {exc}") from None
 
 
 def read_scores_csv(path):
     """Returns (sample_ids, is_inlier, re, ld, hybrid) arrays.  A row without
-    five fields, or with a non-integer id or label or a non-finite score,
-    raises ValueError naming its line."""
+    five fields, or with a non-integer id, a label other than 0 or 1 or a
+    non-finite score, raises ValueError naming its line."""
     with open(path, newline="") as f:
         reader = csv.reader(f)
         header = next(reader, None)

@@ -80,8 +80,9 @@ class TrainConfig:
                 f"patience must satisfy 0 < patience < max_epochs, got "
                 f"{self.patience} vs {self.max_epochs}"
             )
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name in ("batch_size", "val_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 @dataclass
@@ -113,11 +114,9 @@ def inlier_indices(config: TrainConfig, labels):
     order.  The split is one seeded permutation of every row; the class
     filter keeps each part's rows of ``config.inlier_class``."""
     n, val_size = len(labels), config.val_size
-    if not 0 < val_size < n:
-        raise ValueError(
-            f"val_size must be in (0, {n}), got {val_size}; early stopping "
-            "requires a non-empty validation set"
-        )
+    if val_size >= n:
+        raise ValueError(f"val_size must be below the {n} rows, got {val_size}; "
+                         "training requires a non-empty training part")
     perm = np.random.default_rng(config.seed).permutation(n)
     parts = []
     for name, rows in (("training", perm[val_size:]), ("validation", perm[:val_size])):

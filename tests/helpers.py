@@ -1,12 +1,29 @@
-"""Independent oracles used across the test suite.
+"""Independent oracles used across the test suite, and two shorthands.
 
-These deliberately use different computational structure than the library
-code they check: gradients come from central finite differences, AUROC
-from O(n^2) pairwise counting, AUPR and FPR@TPR from exhaustive
-per-threshold counting loops.
+The oracles deliberately use different computational structure than the
+library code they check: gradients come from central finite differences,
+AUROC from O(n^2) pairwise counting, AUPR and FPR@TPR from exhaustive
+per-threshold counting loops.  The shorthands build library inputs.
 """
 
 import numpy as np
+
+from latent_guard import ScoredSet, mahalanobis_many
+
+
+# ---------------------------------------------------------------------------
+# shorthands
+# ---------------------------------------------------------------------------
+
+def mahalanobis(stats, x):
+    """Latent distance of one vector ``x`` [k], as a one-row ``mahalanobis_many``."""
+    return mahalanobis_many(stats, np.asarray(x)[None])[0]
+
+
+def scored_set(inlier_scores, ood_scores):
+    """A ``ScoredSet`` of the inlier scores followed by the OOD scores."""
+    return ScoredSet(scores=np.concatenate([inlier_scores, ood_scores]),
+                     is_inlier=np.repeat([True, False], [len(inlier_scores), len(ood_scores)]))
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,6 @@ import pytest
 
 from latent_guard import (
     GaussianStats,
-    LinearManifold,
-    LinearProjectionCodec,
     ScoredSet,
     TrainConfig,
     aupr,
@@ -30,8 +28,6 @@ from latent_guard import (
     fit_gaussian,
     fpr_at_tpr,
     inlier_indices,
-    mahalanobis,
-    make_manifold_set,
     novelty_scores,
     train,
 )
@@ -46,8 +42,11 @@ from helpers import (
     aupr_exhaustive,
     auroc_pairwise,
     fpr_at_tpr_exhaustive,
+    mahalanobis,
     numeric_grad,
+    scored_set,
 )
+from manifolds import LinearProjectionCodec, linear_set
 
 
 def _mnist_dir():
@@ -212,7 +211,7 @@ def test_criterion_2_metric_oracle_equivalence():
         scores = rng.standard_normal(n_in + n_ood) * float(rng.uniform(0.5, 3.0))
         if trial % 3 == 0:
             scores = np.round(scores, 1)  # heavy ties
-        scored = ScoredSet.from_parts(scores[:n_in], scores[n_in:])
+        scored = scored_set(scores[:n_in], scores[n_in:])
         in_scores, ood_scores = scores[:n_in], scores[n_in:]
 
         assert abs(auroc(scored) - auroc_pairwise(in_scores, ood_scores)) < 1e-9
@@ -270,13 +269,13 @@ def test_criterion_3_mahalanobis_properties():
 # ---------------------------------------------------------------------------
 
 def test_criterion_4_linear_manifold_reproduction():
-    manifold = LinearManifold(basis=np.array([[1.0, 0.0]]))
-    ms = make_manifold_set(manifold, n_train=1000, seed=4, n_test=500)
-    codec = LinearProjectionCodec(manifold)
+    basis = np.array([[1.0, 0.0]])
+    ms = linear_set(basis, n_train=1000, seed=4, n_test=500)
+    codec = LinearProjectionCodec(basis)
 
     stats = fit_gaussian(codec.encode(ms.inlier_train))
     # separate validation draw for calibration (still inliers)
-    val = make_manifold_set(manifold, n_train=500, seed=5, n_test=1).inlier_train
+    val = linear_set(basis, n_train=500, seed=5, n_test=1).inlier_train
     cal = calibrate(codec, stats, val)
 
     far = ms.ood_on_manifold
@@ -293,13 +292,13 @@ def test_criterion_4_linear_manifold_reproduction():
     assert far_h > np.percentile(inlier_h, 99)
 
     # RE-mode detection misses the far point entirely, H-mode catches it
-    re_scored = ScoredSet.from_parts(inlier_re, [far_re])
+    re_scored = scored_set(inlier_re, [far_re])
     assert fpr_at_tpr(re_scored, 0.95) == 1.0
-    h_scored = ScoredSet.from_parts(inlier_h, [far_h])
+    h_scored = scored_set(inlier_h, [far_h])
     assert fpr_at_tpr(h_scored, 0.95) == 0.0
 
     # deterministic: regenerating everything reproduces identical scores
-    ms2 = make_manifold_set(manifold, n_train=1000, seed=4, n_test=500)
+    ms2 = linear_set(basis, n_train=1000, seed=4, n_test=500)
     stats2 = fit_gaussian(codec.encode(ms2.inlier_train))
     far_h2 = novelty_scores(codec, stats2, ms2.ood_on_manifold, MODE_HYBRID, cal)[0]
     assert far_h2 == far_h
@@ -409,7 +408,7 @@ def test_criterion_8_aupr_out_not_an_appendix_target():
     # spot-check that binding once more here.
     rng = np.random.default_rng(8)
     scores = np.round(rng.standard_normal(120), 1)
-    scored = ScoredSet.from_parts(scores[:40], scores[40:])
+    scored = scored_set(scores[:40], scores[40:])
     assert abs(
         aupr(scored, "ood") - aupr_exhaustive(scores, ~scored.is_inlier)
     ) < 1e-9

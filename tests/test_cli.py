@@ -251,8 +251,9 @@ class TestEval:
         ("checkpoint.lgar", lambda header, arrays: header.update(bottleneck_size=10**9)),
         ("latent_stats.lgar",
          lambda header, arrays: arrays.update(serialization.decode_arrays(stats_of_k8())[1])),
+        ("latent_stats.lgar", lambda header, arrays: arrays.update(basis=2.0 * arrays["basis"])),
     ], ids=["stats-without-jitter", "checkpoint-without-seed", "checkpoint-huge-k",
-            "stats-of-other-k"])
+            "stats-of-other-k", "stats-basis-scaled"])
     def test_inconsistent_bundle_file_is_bundle_error(self, data_dir, trained_bundle,
                                                       tmp_path, capsys, name, damage):
         damaged = tmp_path / "inconsistent"
@@ -369,7 +370,7 @@ class TestEval:
 
     @pytest.mark.parametrize("key, value, message", [
         ("seed", -1, "seed must be >= 0"), ("inlier_class", 10, "inlier_class must be 0-9"),
-        ("patience", 2, "patience must satisfy"),
+        ("patience", 2, "patience must satisfy"), ("val_size", 0, "val_size must be >= 1"),
     ])
     def test_manifest_config_out_of_range_is_bundle_error(self, data_dir, trained_bundle,
                                                           tmp_path, capsys, key, value,
@@ -760,6 +761,19 @@ class TestPlot:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error[plot]:") and "line 3" in err and "non-finite" in err
+        assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("label", ["2", "-1"])
+    def test_label_other_than_0_or_1_is_plot_error(self, tmp_path, capsys, label):
+        # taken as non-zero means inlier, such a row would be drawn green
+        bad = tmp_path / "label.csv"
+        bad.write_text(f"sample_id,true_is_inlier,re,ld,hybrid\n1,0,0.7,2.0,2.7\n"
+                       f"0,{label},0.5,1.0,1.5\n")
+        code = cli.main(["plot", "--scores-csv", str(bad),
+                         "--out-svg", str(tmp_path / "x.svg")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error[plot]:") and "line 3" in err and "true_is_inlier" in err
         assert not (tmp_path / "x.svg").exists()
 
 

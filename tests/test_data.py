@@ -1,4 +1,4 @@
-"""IDX parsing and the synthetic manifold harness."""
+"""IDX parsing, and the Figure-2 manifold fixture the novelty tests score."""
 
 import gzip
 import struct
@@ -7,14 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from latent_guard import (
-    CircularManifold,
-    CircularProjectionCodec,
-    LinearManifold,
-    LinearProjectionCodec,
-    load_idx,
-    make_manifold_set,
-)
+from latent_guard import load_idx
 from latent_guard.autoencoder import scaled_pixels
 from latent_guard.data import (
     load_mnist_split,
@@ -22,6 +15,9 @@ from latent_guard.data import (
     write_idx_labels,
 )
 from latent_guard.errors import IdxFormatError
+
+from helpers import scored_set
+from manifolds import CircularProjectionCodec, LinearProjectionCodec, circle_set, linear_set
 
 
 def recon_error(codec, x):
@@ -179,9 +175,9 @@ class TestIdxLoading:
 
 class TestLinearManifold:
     def test_far_point_on_manifold_with_zero_residual(self):
-        manifold = LinearManifold(basis=np.array([[1.0, 0.0]]))  # the x-axis
-        ms = make_manifold_set(manifold, n_train=500, seed=0)
-        codec = LinearProjectionCodec(manifold)
+        basis = np.array([[1.0, 0.0]])  # the x-axis
+        ms = linear_set(basis, n_train=500, seed=0)
+        codec = LinearProjectionCodec(basis)
         far = ms.ood_on_manifold[0]
         assert recon_error(codec, far) < 1e-12  # exactly on manifold
         centroid = ms.inlier_train.mean(axis=0)
@@ -189,14 +185,14 @@ class TestLinearManifold:
         assert np.linalg.norm(far - centroid) >= 10.0 * spread
 
     def test_off_manifold_orthogonal_offset(self):
-        manifold = LinearManifold(basis=np.array([[1.0, 0.0]]))
-        ms = make_manifold_set(manifold, n_train=200, seed=1)
+        basis = np.array([[1.0, 0.0]])
+        ms = linear_set(basis, n_train=200, seed=1)
         off = ms.ood_off_manifold[0]
-        codec = LinearProjectionCodec(manifold)
+        codec = LinearProjectionCodec(basis)
         np.testing.assert_allclose(recon_error(codec, off), 5.0, rtol=1e-12)
 
     def test_handmade_off_point_residual(self):
-        codec = LinearProjectionCodec(LinearManifold(basis=np.array([[1.0, 0.0]])))
+        codec = LinearProjectionCodec(np.array([[1.0, 0.0]]))
         np.testing.assert_allclose(
             recon_error(codec, np.array([0.0, 5.0])), 5.0, rtol=1e-15
         )
@@ -205,28 +201,20 @@ class TestLinearManifold:
         )
 
     def test_noise_free_inliers_sit_on_manifold(self):
-        manifold = LinearManifold(basis=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
-        ms = make_manifold_set(manifold, n_train=100, seed=2, noise_sigma=0.0)
-        codec = LinearProjectionCodec(manifold)
+        basis = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        ms = linear_set(basis, n_train=100, seed=2, noise_sigma=0.0)
+        codec = LinearProjectionCodec(basis)
         assert codec.encode_and_reconstruction_errors(ms.inlier_train)[1].max() < 1e-12
-
-    def test_invalid_basis_rejected(self):
-        with pytest.raises(ValueError, match="orthonormal"):
-            LinearManifold(basis=np.array([[2.0, 0.0]]))
-        with pytest.raises(ValueError, match="ambient"):
-            LinearManifold(basis=np.array([[1.0, 0.0], [0.0, 1.0]]))
 
 
 class TestCircularManifold:
     def test_noise_free_inliers_satisfy_circle_equation(self):
-        manifold = CircularManifold(center=np.zeros(2), radius=1.0)
-        ms = make_manifold_set(manifold, n_train=300, seed=3, noise_sigma=0.0)
+        ms = circle_set(np.zeros(2), 1.0, n_train=300, seed=3, noise_sigma=0.0)
         radii = np.linalg.norm(ms.inlier_train, axis=1)
         np.testing.assert_allclose(radii, 1.0, atol=1e-12)
 
     def test_far_point_on_circle_far_from_training_arc(self):
-        manifold = CircularManifold(center=np.zeros(2), radius=1.0)
-        ms = make_manifold_set(manifold, n_train=300, seed=4, noise_sigma=0.0)
+        ms = circle_set(np.zeros(2), 1.0, n_train=300, seed=4, noise_sigma=0.0)
         far = ms.ood_on_manifold[0]
         np.testing.assert_allclose(np.linalg.norm(far), 1.0, atol=1e-12)
         centroid = ms.inlier_train.mean(axis=0)
@@ -234,43 +222,33 @@ class TestCircularManifold:
         assert np.linalg.norm(far - centroid) >= 10.0 * spread
 
     def test_off_point_radial_offset(self):
-        manifold = CircularManifold(center=np.array([2.0, -1.0]), radius=1.5)
-        ms = make_manifold_set(manifold, n_train=100, seed=5)
+        center, radius = np.array([2.0, -1.0]), 1.5
+        ms = circle_set(center, radius, n_train=100, seed=5)
         off = ms.ood_off_manifold[0]
         np.testing.assert_allclose(
-            abs(np.linalg.norm(off - manifold.center) - manifold.radius), 5.0, rtol=1e-12
+            abs(np.linalg.norm(off - center) - radius), 5.0, rtol=1e-12
         )
 
-    def test_bad_specs(self):
-        with pytest.raises(ValueError, match="d = 2"):
-            CircularManifold(center=np.zeros(3), radius=1.0)
-        with pytest.raises(ValueError, match="positive"):
-            CircularManifold(center=np.zeros(2), radius=0.0)
-        with pytest.raises(TypeError):
-            make_manifold_set(object(), n_train=10, seed=0)
-
     def test_codec_radial_residual(self):
-        manifold = CircularManifold(center=np.array([1.0, 0.0]), radius=2.0)
-        codec = CircularProjectionCodec(manifold)
+        codec = CircularProjectionCodec(np.array([1.0, 0.0]), 2.0)
         # a point 0.5 outside the circle reconstructs onto it
         x = np.array([1.0 + 2.5, 0.0])
         np.testing.assert_allclose(recon_error(codec, x), 0.5, rtol=1e-12)
         # its embedding is the radial projection, relative to the center
-        np.testing.assert_allclose(manifold.center + codec.encode(x), [3.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(codec.center + codec.encode(x), [3.0, 0.0], atol=1e-12)
         # on-circle points have zero residual wherever they sit
-        on = manifold.center + 2.0 * np.array([np.cos(2.2), np.sin(2.2)])
+        on = codec.center + 2.0 * np.array([np.cos(2.2), np.sin(2.2)])
         assert recon_error(codec, on) < 1e-12
 
     def test_far_on_circle_point_caught_by_hybrid_only(self):
         # the non-linear analog of the linear-manifold failure mode
-        from latent_guard import ScoredSet, calibrate, fit_gaussian, fpr_at_tpr
+        from latent_guard import calibrate, fit_gaussian, fpr_at_tpr
         from latent_guard.novelty import MODE_HYBRID, MODE_RECONSTRUCTION, novelty_scores
 
-        manifold = CircularManifold(center=np.zeros(2), radius=1.0)
-        ms = make_manifold_set(manifold, n_train=500, seed=21, n_test=300)
-        codec = CircularProjectionCodec(manifold)
+        ms = circle_set(np.zeros(2), 1.0, n_train=500, seed=21, n_test=300)
+        codec = CircularProjectionCodec(np.zeros(2), 1.0)
         stats = fit_gaussian(codec.encode(ms.inlier_train))
-        val = make_manifold_set(manifold, n_train=300, seed=22, n_test=1).inlier_train
+        val = circle_set(np.zeros(2), 1.0, n_train=300, seed=22, n_test=1).inlier_train
         cal = calibrate(codec, stats, val)
 
         far = ms.ood_on_manifold
@@ -278,26 +256,23 @@ class TestCircularManifold:
         inlier_re = novelty_scores(codec, stats, ms.inlier_test, MODE_RECONSTRUCTION)
         assert far_re < np.median(inlier_re)
 
-        re_scored = ScoredSet.from_parts(inlier_re, [far_re])
+        re_scored = scored_set(inlier_re, [far_re])
         assert fpr_at_tpr(re_scored, 0.95) == 1.0  # reconstruction misses it
         far_h = novelty_scores(codec, stats, far, MODE_HYBRID, cal)[0]
         inlier_h = novelty_scores(codec, stats, ms.inlier_test, MODE_HYBRID, cal)
-        h_scored = ScoredSet.from_parts(inlier_h, [far_h])
+        h_scored = scored_set(inlier_h, [far_h])
         assert fpr_at_tpr(h_scored, 0.95) == 0.0   # hybrid catches it
 
 
 class TestManifoldSetStructure:
     def test_roles_partition_points(self):
-        manifold = LinearManifold(basis=np.array([[1.0, 0.0]]))
-        ms = make_manifold_set(manifold, n_train=50, seed=6, n_test=20)
+        ms = linear_set(np.array([[1.0, 0.0]]), n_train=50, seed=6, n_test=20)
         assert len(ms.inlier_train) == 50
         assert len(ms.inlier_test) == 20
         assert len(ms.ood_on_manifold) == 1
         assert len(ms.ood_off_manifold) == 1
-        assert len(ms.points) == 72
 
     def test_deterministic(self):
-        manifold = CircularManifold(center=np.zeros(2), radius=1.0)
-        a = make_manifold_set(manifold, n_train=30, seed=7)
-        b = make_manifold_set(manifold, n_train=30, seed=7)
-        np.testing.assert_array_equal(a.points, b.points)
+        a = circle_set(np.zeros(2), 1.0, n_train=30, seed=7)
+        b = circle_set(np.zeros(2), 1.0, n_train=30, seed=7)
+        np.testing.assert_array_equal(np.vstack(a), np.vstack(b))

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
-from latent_guard import GaussianStats, fit_gaussian, mahalanobis, mahalanobis_many, serialization
+from latent_guard import GaussianStats, fit_gaussian, mahalanobis_many, serialization
 from latent_guard.latent_stats import JITTER
+
+from helpers import mahalanobis
 
 
 def _with_dead_units(rng, n, k, live):
@@ -302,6 +304,20 @@ class TestFiniteness:
         arrays[name] = np.zeros(shape)
         with pytest.raises(ValueError, match=f"{name} must have shape"):
             GaussianStats(**arrays, jitter=0.0)
+
+    @pytest.mark.parametrize("damage", [
+        lambda v: 2.0 * v, lambda v: v * (1.0 + 1e-6), lambda v: v + 0.01 * np.roll(v, 1, axis=1),
+    ], ids=["scaled-by-2", "scaled-by-1+1e-6", "skewed"])
+    def test_non_orthonormal_basis_rejected_at_construction_and_load(self, damage):
+        # a scaled basis would scale every distance (2x here) without a word
+        arrays = self._arrays()
+        arrays["basis"] = damage(arrays["basis"])
+        with pytest.raises(ValueError, match="basis columns must be orthonormal"):
+            GaussianStats(**arrays, jitter=0.0)
+        raw = serialization.encode_arrays(
+            {"kind": "latent-stats", "format_version": 2}, {**arrays, "jitter": np.array(0.0)})
+        with pytest.raises(ValueError, match="basis columns must be orthonormal"):
+            GaussianStats.from_bytes(raw)
 
     def test_non_positive_variance_rejected(self):
         for value in (0.0, -1.0):

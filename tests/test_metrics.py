@@ -6,7 +6,7 @@ import pytest
 from latent_guard import ScoredSet, aupr, auroc, evaluate, fpr_at_tpr
 from latent_guard.metrics import EvalReport
 
-from helpers import aupr_exhaustive, auroc_pairwise, fpr_at_tpr_exhaustive
+from helpers import aupr_exhaustive, auroc_pairwise, fpr_at_tpr_exhaustive, scored_set
 
 
 def random_scored_set(rng, max_n=200, with_ties=False):
@@ -15,20 +15,20 @@ def random_scored_set(rng, max_n=200, with_ties=False):
     scores = rng.standard_normal(n_in + n_ood)
     if with_ties:
         scores = np.round(scores, 1)  # forces heavy tie structure
-    return ScoredSet.from_parts(scores[:n_in], scores[n_in:])
+    return scored_set(scores[:n_in], scores[n_in:])
 
 
 class TestAuroc:
     def test_perfect_separation(self):
-        scored = ScoredSet.from_parts([0.1, 0.2, 0.3], [1.0, 2.0])
+        scored = scored_set([0.1, 0.2, 0.3], [1.0, 2.0])
         assert auroc(scored) == 1.0
 
     def test_all_ties_is_half(self):
-        scored = ScoredSet.from_parts([1.0, 1.0], [1.0, 1.0, 1.0])
+        scored = scored_set([1.0, 1.0], [1.0, 1.0, 1.0])
         assert auroc(scored) == 0.5
 
     def test_pairwise_example(self):
-        scored = ScoredSet.from_parts([0.1, 0.4], [0.3, 0.9])
+        scored = scored_set([0.1, 0.4], [0.3, 0.9])
         assert auroc(scored) == 0.75
         assert auroc_pairwise([0.1, 0.4], [0.3, 0.9]) == 0.75
 
@@ -56,19 +56,19 @@ class TestAuroc:
 
 class TestAupr:
     def test_perfect_separation_both_conventions(self):
-        scored = ScoredSet.from_parts([0.0, 0.1], [5.0, 6.0])
+        scored = scored_set([0.0, 0.1], [5.0, 6.0])
         assert aupr(scored, "ood") == 1.0
         assert aupr(scored, "inlier") == 1.0
 
     def test_small_example_against_oracle(self):
-        scored = ScoredSet.from_parts([1.0, 2.0], [3.0])
+        scored = scored_set([1.0, 2.0], [3.0])
         assert aupr(scored, "ood") == 1.0
-        interleaved = ScoredSet.from_parts([1.0, 2.0], [1.5])
+        interleaved = scored_set([1.0, 2.0], [1.5])
         expected = aupr_exhaustive(interleaved.scores, ~interleaved.is_inlier, descending=True)
         np.testing.assert_allclose(aupr(interleaved, "ood"), expected, atol=1e-12)
 
     def test_invalid_positive_class(self):
-        scored = ScoredSet.from_parts([1.0], [2.0])
+        scored = scored_set([1.0], [2.0])
         with pytest.raises(ValueError, match="positive"):
             aupr(scored, "both")
 
@@ -97,16 +97,16 @@ class TestAupr:
 
 class TestFprAtTpr:
     def test_perfect_separation_with_margin(self):
-        scored = ScoredSet.from_parts(np.linspace(0, 1, 40), [5.0, 6.0, 7.0])
+        scored = scored_set(np.linspace(0, 1, 40), [5.0, 6.0, 7.0])
         assert fpr_at_tpr(scored) == 0.0
 
     def test_threshold_sweep_example(self):
         inliers = np.arange(1.0, 21.0)
         oods = np.array([5.0, 25.0, 30.0, 35.0])
-        assert fpr_at_tpr(ScoredSet.from_parts(inliers, oods), 0.95) == 0.25
+        assert fpr_at_tpr(scored_set(inliers, oods), 0.95) == 0.25
 
     def test_all_identical_scores(self):
-        scored = ScoredSet.from_parts([2.0, 2.0, 2.0], [2.0, 2.0])
+        scored = scored_set([2.0, 2.0, 2.0], [2.0, 2.0])
         assert fpr_at_tpr(scored) == 1.0
 
     def test_matches_sweep_oracle(self):
@@ -140,7 +140,7 @@ class TestInvariances:
 
 class TestEvalReport:
     def test_evaluate_fills_all_fields(self):
-        scored = ScoredSet.from_parts([0.1, 0.2], [0.9, 1.1])
+        scored = scored_set([0.1, 0.2], [0.9, 1.1])
         report = evaluate(scored, inlier_class=3, bottleneck_size=8, mode="H", seed=7)
         assert report.auroc == 1.0
         assert report.fpr_at_95_tpr == 0.0
@@ -148,7 +148,7 @@ class TestEvalReport:
         assert (report.inlier_class, report.bottleneck_size, report.mode, report.seed) == (3, 8, "H", 7)
 
     def test_json_round_trip(self):
-        scored = ScoredSet.from_parts([0.1, 0.5, 0.2], [0.3, 0.9])
+        scored = scored_set([0.1, 0.5, 0.2], [0.3, 0.9])
         report = evaluate(scored, inlier_class=0, bottleneck_size=16, mode="RE", seed=1)
         assert EvalReport.from_json(report.to_json()) == report
 

@@ -9,15 +9,10 @@ import pytest
 
 from latent_guard import (
     Autoencoder,
-    CircularManifold,
-    CircularProjectionCodec,
-    LinearManifold,
-    LinearProjectionCodec,
     NoveltyCalibration,
     calibrate,
     classify,
     fit_gaussian,
-    make_manifold_set,
     mahalanobis_many,
     novelty_scores,
 )
@@ -33,14 +28,15 @@ from latent_guard.novelty import (
 )
 
 from conftest import synthetic_digits
+from manifolds import CircularProjectionCodec, LinearProjectionCodec, linear_set
 
 
 @pytest.fixture(scope="module")
 def manifold_setup():
     """Analytic projection codec over a 1-D manifold in the plane."""
-    manifold = LinearManifold(basis=np.array([[1.0, 0.0]]))
-    ms = make_manifold_set(manifold, n_train=400, seed=0, n_test=200)
-    codec = LinearProjectionCodec(manifold)
+    basis = np.array([[1.0, 0.0]])
+    ms = linear_set(basis, n_train=400, seed=0, n_test=200)
+    codec = LinearProjectionCodec(basis)
     stats = fit_gaussian(codec.encode(ms.inlier_train))
     return codec, stats, ms
 
@@ -182,13 +178,13 @@ class TestScoring:
         codec, stats, ms = manifold_setup
         cal = calibrate(codec, stats, ms.inlier_test)
         for mode in (MODE_RECONSTRUCTION, MODE_LATENT_DISTANCE, MODE_HYBRID):
-            s = novelty_scores(codec, stats, ms.points, mode, cal)
+            s = novelty_scores(codec, stats, np.vstack(ms), mode, cal)
             assert np.all(np.isfinite(s))
 
 
 CODECS = {
-    "linear": (LinearProjectionCodec(LinearManifold(basis=np.array([[0.6, 0.8, 0.0]]))), 3),
-    "circular": (CircularProjectionCodec(CircularManifold(np.array([1.0, -2.0]), 1.5)), 2),
+    "linear": (LinearProjectionCodec(np.array([[0.6, 0.8, 0.0]])), 3),
+    "circular": (CircularProjectionCodec(np.array([1.0, -2.0]), 1.5), 2),
 }
 
 
