@@ -15,11 +15,12 @@ The layer stacks fuse the two ends that work on 28x28x32 tensors:
 ``UpsampleConv3x3`` for the last upsample + conv, so neither tensor is ever
 built.  The stem runs four GEMMs, one per pool-window corner, on the 4x4
 input patch behind each pooled pixel, in fixed blocks of patch rows, and
-caches those patches for training.  Both give bit-identical inference
-results, and checkpoints keep the unfused stack's parameter names
-(``PARAM_LAYER_NAMES``).  Both fused layers sum their training gradients
-in their own order (the stem per pool-window corner), so every training
-gradient agrees with the unfused stack to rounding.
+caches those patches for training.  Both fused layers give bit-identical
+inference results, and checkpoints keep the unfused stack's parameter
+names (``PARAM_LAYER_NAMES``).  Both sum their training gradients in their
+own order (the stem per pool-window corner), so every training gradient
+agrees with the unfused stack to rounding.  Every other convolution
+caches its zero-padded input for training.
 
 Training puts an L1 activity penalty on the bottleneck dense layer (weight
 ``trainer.L1_LAMBDA``); the penalty never enters the reconstruction-error
@@ -31,9 +32,10 @@ yields bit-identical parameters.
 Public array convention is channels-first ([1, 28, 28] single sample,
 [N, 1, 28, 28] batch); layers run channels-last internally.  Images are
 floats in [0, 1] or uint8 bytes, byte b standing for b / 255; a uint8
-batch stays uint8 until each chunk is scaled as it is taken
-(``scaled_pixels``), so a loaded split is never widened to float64, and
-the outputs are the bits of the same pixels passed as ``bytes / 255.0``.
+(or float32) batch keeps its dtype until each chunk is converted as it is
+taken (``scaled_pixels``), so a loaded split is never widened to float64,
+and the outputs are the bits of the same pixels passed as
+``bytes / 255.0``.
 
 Inference and training both split a batch into fixed ``_CHUNK``-row
 chunks and run them on one thread per CPU the process may use, the
@@ -41,13 +43,16 @@ caller's thread among them (``map_chunks``).  Each inference chunk writes
 its own rows of outputs sized up front; a scoring pass may reduce each
 chunk's embeddings to one value per row on the chunk's thread (the
 ``latent`` callable of ``encode_and_reconstruction_errors``), so no [N, k]
-embedding matrix is held.  Each training sub-batch runs forward and
-backward on this model's layers, which hold only parameters, with caches
-and gradients of its own, and the caller sums the sub-batch results in
-sub-batch order.  Neither the output bytes nor the gradients depend on the
-core count or on the order the threads finish in.  The first chunked call
-tunes glibc's allocator for these threads (``tune_allocator``), so library
-callers that never enter the CLI or the trainer get the same hot heap.
+embedding matrix is held.  A pass over selected rows of a larger array
+(its ``rows`` argument; training's validation pass) gathers each chunk's
+rows as the chunk is taken, so no copy of the selection is held.  Each
+training sub-batch runs forward and backward on this model's layers, which
+hold only parameters, with caches and gradients of its own, and the caller
+sums the sub-batch results in sub-batch order.  Neither the output bytes
+nor the gradients depend on the core count or on the order the threads
+finish in.  The first chunked call tunes glibc's allocator for these
+threads (``tune_allocator``), so library callers that never enter the CLI
+or the trainer get the same hot heap.
 """
 
 from __future__ import annotations
@@ -193,9 +198,10 @@ def check_images(x):
 
 def scaled_pixels(x):
     """``x`` as float64 pixels in [0, 1]: uint8 bytes divided by 255.0, so
-    byte b gives the float b / 255, and float input as it is.  Every chunk
-    and training batch passes through here as it is taken."""
-    return np.divide(x, 255.0) if x.dtype == np.uint8 else x
+    byte b gives the float b / 255, and other input as float64, float64
+    input without a copy.  Every chunk and training batch passes through
+    here as it is taken."""
+    return np.divide(x, 255.0) if x.dtype == np.uint8 else np.asarray(x, dtype=np.float64)
 
 
 class Autoencoder:
@@ -249,11 +255,12 @@ class Autoencoder:
     # -- inference ----------------------------------------------------------
 
     def _to_nhwc_batch(self, x):
-        """``x`` [N,1,28,28] or [1,28,28] as an NHWC batch, uint8 kept as it
-        is (``scaled_pixels`` scales each chunk), and whether it was one
-        image."""
+        """``x`` [N,1,28,28] or [1,28,28] as an NHWC batch, and whether it
+        was one image.  uint8 and float arrays are kept as they are
+        (``scaled_pixels`` converts each chunk), so a pass over some rows
+        of a float32 array never converts the whole array."""
         x = np.asarray(x)
-        if x.dtype != np.uint8:
+        if x.dtype != np.uint8 and x.dtype.kind != "f":
             x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 3
         if single:
@@ -301,23 +308,28 @@ class Autoencoder:
     def reconstruct(self, x):
         return self.decode(self.encode(x))
 
-    def encode_and_reconstruction_errors(self, x, latent=None):
+    def encode_and_reconstruction_errors(self, x, latent=None, rows=None):
         """Single forward pass yielding (embeddings [N,k], per-sample BCE
         reconstruction errors [N]); the L1 activity penalty is excluded.
 
         ``latent``, if given, maps one chunk's embeddings [c, k] to one value
         per row [c]; it runs on the chunk's thread, and the first result is
-        then those values [N] instead of the embeddings."""
+        then those values [N] instead of the embeddings.
+
+        ``rows``, if given, is an index array, and the pass runs on
+        ``x[rows]``: each chunk gathers its own rows as it is taken, so the
+        selected rows are never copied out together.  ``x`` is checked
+        whole."""
         xb = self._to_nhwc_batch(x)[0]
-        n = len(xb)
+        n = len(xb) if rows is None else len(rows)
         zs = np.empty((n, self.bottleneck_size) if latent is None else n)
         re = np.empty(n)
 
-        def chunk(rows):
-            x = scaled_pixels(xb[rows])
+        def chunk(span):
+            x = scaled_pixels(xb[span] if rows is None else xb[rows[span]])
             z = self._run(self.encoder_layers, x)
-            re[rows] = bce_loss_per_sample(self._run(self.decoder_layers, z), x)
-            zs[rows] = z if latent is None else latent(z)
+            re[span] = bce_loss_per_sample(self._run(self.decoder_layers, z), x)
+            zs[span] = z if latent is None else latent(z)
 
         map_chunks(chunk, n)
         return zs, re

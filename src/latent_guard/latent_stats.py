@@ -29,6 +29,10 @@ JITTER = 1e-12
 # are within 3e-15 of orthonormal up to k = 784
 BASIS_ATOL = 1e-8
 
+# largest |V^T C V - diag(variances)| entry a stored fit may have, relative
+# to its largest variance; the fit's eigenpairs are within 3e-15 of it
+VARIANCE_RTOL = 1e-8
+
 STATS_VERSION = 2
 
 # the stored arrays, in field order; the jitter is stored as a scalar array
@@ -42,9 +46,12 @@ class GaussianStats:
     ``basis`` [k, r] and ``variances`` [r] are the eigenpairs of
     ``covariance`` that the fit kept.  Construction (by the fit or from
     bundle bytes) checks the shapes and finiteness of the arrays, that every
-    variance is positive, that the basis columns are orthonormal and that
-    the jitter is finite, >= 0 and > 0 below full rank, so a damaged file
-    fails at load and the queries trust them.
+    variance is positive, that the basis columns are orthonormal, that the
+    jitter is finite, >= 0 and > 0 below full rank, and that the variances
+    are the covariance's along their basis columns, so a damaged file fails
+    at load and the queries trust them.  The last check reads the stored
+    ``covariance``; a format that drops that array needs another witness
+    for the variances.
     """
 
     mean: np.ndarray
@@ -74,6 +81,11 @@ class GaussianStats:
         if not (np.isfinite(self.jitter) and self.jitter >= 0.0 and (self.jitter > 0.0 or r == k)):
             raise ValueError(f"latent stats jitter must be finite, >= 0 and > 0 below full "
                              f"rank, got {self.jitter} at rank {r} of {k}")
+        # permuted or rescaled variances would weight each direction wrongly
+        spread = self.basis.T @ self.covariance @ self.basis - np.diag(self.variances)
+        if not np.all(np.abs(spread) <= VARIANCE_RTOL * self.variances.max(initial=0.0)):
+            raise ValueError(f"latent stats variances must be the covariance's along the basis "
+                             f"columns (|V^T C V - diag| <= {VARIANCE_RTOL} * max variance)")
 
     @property
     def dim(self) -> int:

@@ -13,10 +13,12 @@ can share one layer stack.
 ends of the autoencoder, where the unfused chains would build 28x28x32
 tensors; each has the single forward/backward pair of every layer, and
 its forward output is bit-identical to the chain it replaces (see
-``ops``).  The stem's training cache is its 4x4 input patches, 16 values
-per pooled pixel and input channel, from which backward copies each
-corner's nine im2col columns; the gradient itself is copied once per
-corner, routed and ReLU-masked in one pass into a reused buffer.  The
+``ops``).  ``Conv3x3`` and ``UpsampleConv3x3`` cache their zero-padded
+input, from which backward takes the windows it needs.  The stem's
+training cache is its 4x4 input patches, 16 values per pooled pixel and
+input channel, from which backward copies each corner's nine im2col
+columns; the gradient itself is copied once per corner, routed and
+ReLU-masked in one pass into a reused buffer.  The
 encoder's 32->2 conv + relu + maxpool and the decoder's 2->32 upsample +
 conv stay unfused: with 32 input channels the first's patch GEMMs would
 do 16/9 of the unfused GEMM's multiply-adds, and the phase form of the
@@ -69,8 +71,8 @@ class Conv3x3(Layer):
         self.params = conv3x3_params(rng, in_channels, out_channels)
 
     def forward(self, x, train=False):
-        out, cache = ops.conv3x3_fwd_nhwc(x, self.params["weight"], self.params["bias"])
-        return out, (cache if train else None)
+        out, padded = ops.conv3x3_fwd_nhwc(x, self.params["weight"], self.params["bias"])
+        return out, (padded if train else None)
 
     def backward(self, dout, cache):
         dw, db = ops.conv3x3_param_grads_nhwc(dout, cache, self.params["weight"].shape)

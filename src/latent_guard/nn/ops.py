@@ -3,13 +3,18 @@
 Activations are channels-last batches ``[N, H, W, C]``, so the im2col/shift
 buffers copy in long contiguous runs; on a single core the hot loop is
 memory traffic, not FLOPs.  Conv weights keep the canonical
-``[C_out, C_in, 3, 3]`` shape.  Max pooling and the upsample gradient work
-on the four strided views ``x[:, i::2, j::2]`` of the 2x2 window corners,
-with no 5-D transpose copy; pooling computes its uint8 first-max-wins
-routing indices only when asked to (training), from the tournament's
-boolean comparisons, and the backward routes a gradient to a corner by
-ANDing its bits with a boolean selection.  Dense and ReLU are one-liners
-and live in layers.py.
+``[C_out, C_in, 3, 3]`` shape.  A convolution's training cache is its
+zero-padded input: with few input channels the backward rebuilds the
+forward's im2col columns from it, the same bytes, rather than keeping
+columns nine times the input's size alive between the passes (the
+store-versus-recompute trade of Chen et al. 2016, arXiv 1604.06174).
+
+Max pooling and the upsample gradient work on the four strided views
+``x[:, i::2, j::2]`` of the 2x2 window corners, with no 5-D transpose copy;
+pooling computes its uint8 first-max-wins routing indices only when asked
+to (training), from the tournament's boolean comparisons, and the backward
+routes a gradient to a corner by ANDing its bits with a boolean selection.
+Dense and ReLU are one-liners and live in layers.py.
 
 Two fused kernels keep the autoencoder's 28x28x32 tensors out of memory.
 The stem, Conv3x3 -> ReLU -> MaxPool2x2, reads the 4x4 input patch behind
@@ -37,8 +42,9 @@ from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import expit
 
 # Up to this many input channels a single [N*H*W, 9*C_in] im2col block is
-# cheap to materialize; above it the kernels run batched matmuls directly
-# on strided views of the padded input, which avoids any window copy.
+# cheap to materialize, in the forward and again in the weight gradient;
+# above it the kernels run batched matmuls directly on strided views of the
+# padded input, which avoids any window copy.
 _IM2COL_MAX_CIN = 4
 
 # Rows of 4x4 patches per block of the fused stem: the four corner GEMM
@@ -47,22 +53,26 @@ _IM2COL_MAX_CIN = 4
 _STEM_ROWS = 784
 
 
+def _im2col(xp):
+    """The [N*H*W, 9*C_in] im2col block of a padded input [N, H+2, W+2,
+    C_in], columns in (row, column, channel) tap order."""
+    n, hp, wp, c_in = xp.shape
+    win = sliding_window_view(xp, (3, 3), axis=(1, 2))  # [N,H,W,Ci,3,3]
+    return win.transpose(0, 1, 2, 4, 5, 3).reshape(n * (hp - 2) * (wp - 2), 9 * c_in)
+
+
 def conv3x3_fwd_nhwc(x, weights, bias=None):
     """Same-padding 3x3 convolution on [N, H, W, C_in].
 
-    Returns ``(out, cache)``; the cache (tagged im2col block or padded
-    input) lets backward compute the weight gradient without refetching
-    windows.
+    Returns ``(out, padded input)``; backward computes the weight gradient
+    from the padded input, so no window copy outlives the forward.
     """
     n, h, w, c_in = x.shape
     c_out = weights.shape[0]
     xp = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
     if c_in <= _IM2COL_MAX_CIN:
-        win = sliding_window_view(xp, (3, 3), axis=(1, 2))  # [N,H,W,Ci,3,3]
-        cols = win.transpose(0, 1, 2, 4, 5, 3).reshape(n * h * w, 9 * c_in)
         wmat = weights.transpose(2, 3, 1, 0).reshape(9 * c_in, c_out)
-        out = (cols @ wmat).reshape(n, h, w, c_out)
-        cache = ("cols", cols)
+        out = (_im2col(xp) @ wmat).reshape(n, h, w, c_out)
     else:
         # one batched GEMM per row offset on a zero-copy view of the padded
         # input, then three shifted adds per offset into channel-planar
@@ -77,34 +87,42 @@ def conv3x3_fwd_nhwc(x, weights, bias=None):
             for v in range(3):
                 planes += yu[v, :, :, :, v:v + w]
         out = np.ascontiguousarray(planes.transpose(1, 2, 3, 0))
-        cache = ("padded", xp)
     if bias is not None:
         out += bias
-    return out, cache
+    return out, xp
 
 
-def conv3x3_param_grads_nhwc(dout, cache, weight_shape):
-    """Weight/bias gradients from the upstream grad and the forward cache."""
+def im2col_param_grads(dout, cols, weight_shape):
+    """Weight/bias gradients from the upstream grad [..., C_out] and the
+    im2col columns [M, 9*C_in] of its M output pixels: one GEMM."""
     c_out, c_in = weight_shape[:2]
-    kind, data = cache
-    if kind == "cols":
-        dwmat = data.T @ dout.reshape(-1, c_out)  # [9*Ci, Co]
-        dw = dwmat.reshape(3, 3, c_in, c_out).transpose(3, 2, 0, 1).copy()
-    else:
-        xp = data
-        n, hp, wp, _ = xp.shape
-        h, w = hp - 2, wp - 2
-        # place dout at each column shift, then one batched GEMM per row
-        # offset against the padded-input view
-        dpad3 = np.zeros((n, h, wp, 3, c_out))
-        for v in range(3):
-            dpad3[:, :, v:v + w, v, :] = dout
-        dpad3 = dpad3.reshape(n, h * wp, 3 * c_out)
-        dw = np.empty(weight_shape)
-        for u in range(3):
-            block = xp[:, u:u + h, :, :].reshape(n, h * wp, c_in)
-            gu = np.matmul(block.transpose(0, 2, 1), dpad3).sum(axis=0)
-            dw[:, :, u, :] = gu.reshape(c_in, 3, c_out).transpose(2, 0, 1)
+    dout = dout.reshape(-1, c_out)
+    dw = (cols.T @ dout).reshape(3, 3, c_in, c_out).transpose(3, 2, 0, 1).copy()
+    return dw, dout.sum(axis=0)
+
+
+def conv3x3_param_grads_nhwc(dout, xp, weight_shape):
+    """Weight/bias gradients from the upstream grad and the padded input
+    the forward returned.  Up to ``_IM2COL_MAX_CIN`` input channels it
+    rebuilds the forward's im2col columns, the same bytes in the same
+    layout, for one GEMM; above it, batched GEMMs run on views of the
+    padded input."""
+    c_out, c_in = weight_shape[:2]
+    if c_in <= _IM2COL_MAX_CIN:
+        return im2col_param_grads(dout, _im2col(xp), weight_shape)
+    n, hp, wp, _ = xp.shape
+    h, w = hp - 2, wp - 2
+    # place dout at each column shift, then one batched GEMM per row
+    # offset against the padded-input view
+    dpad3 = np.zeros((n, h, wp, 3, c_out))
+    for v in range(3):
+        dpad3[:, :, v:v + w, v, :] = dout
+    dpad3 = dpad3.reshape(n, h * wp, 3 * c_out)
+    dw = np.empty(weight_shape)
+    for u in range(3):
+        block = xp[:, u:u + h, :, :].reshape(n, h * wp, c_in)
+        gu = np.matmul(block.transpose(0, 2, 1), dpad3).sum(axis=0)
+        dw[:, :, u, :] = gu.reshape(c_in, 3, c_out).transpose(2, 0, 1)
     db = dout.reshape(-1, c_out).sum(axis=0)
     return dw, db
 
@@ -261,7 +279,7 @@ def conv3x3_relu_pool_param_grads_nhwc(dout, cache, weight_shape):
         a, b = divmod(k, 2)
         cols = taps[:, a:a + 3, b:b + 3].reshape(len(taps), -1)
         _route(dout, (idx == k) & mask, out=routed)
-        per_corner.append(conv3x3_param_grads_nhwc(routed, ("cols", cols), weight_shape))
+        per_corner.append(im2col_param_grads(routed, cols, weight_shape))
     return tuple(g0 + g1 + g2 + g3 for g0, g1, g2, g3 in zip(*per_corner))
 
 

@@ -6,8 +6,8 @@ Procedure for one (inlier class, bottleneck size) configuration:
    train/validation parts of exact sizes.
 2. Filter both parts to the inlier class.  Steps 1-2 are ``inlier_indices``,
    the one place rows are chosen: they yield row indices into the full set,
-   from whose images training gathers each batch, and only the validation
-   inliers are copied out.
+   from whose images each training batch and each validation chunk gathers
+   its own rows, so no part of the split is copied out.
 3. Minimize BCE(x, reconstruction) + L1_LAMBDA * mean_per_sample |bottleneck|
    with adadelta over shuffled mini-batches; the shuffle order is derived
    from (seed, epoch), so a fixed config is bit-reproducible.  Each batch
@@ -151,11 +151,12 @@ class EarlyStopping:
         return epoch - self.best_epoch > self.patience
 
 
-def _objective_forward(model, val_images):
-    """Validation objective on [N,1,28,28] images: mean BCE plus the L1 term.
-    Each chunk reduces its embeddings to their L1 norms on its own thread."""
+def _objective_forward(model, images, rows):
+    """Validation objective on ``images[rows]`` of [N,1,28,28] images: mean
+    BCE plus the L1 term.  Each chunk gathers its own rows and reduces its
+    embeddings to their L1 norms on its own thread."""
     l1, re = model.encode_and_reconstruction_errors(
-        val_images, latent=lambda z: np.abs(z).sum(axis=1))
+        images, latent=lambda z: np.abs(z).sum(axis=1), rows=rows)
     return re.mean() + L1_LAMBDA * l1.mean()
 
 
@@ -193,17 +194,16 @@ def train(config: TrainConfig, dataset: ImageDataset):
 
 
 def train_on_rows(config: TrainConfig, images, train_rows, val_rows):
-    """Steps 3-4 of the procedure: trains on ``images[train_rows]``, which
-    each batch gathers from ``images`` [N,1,28,28] without a copy of the
-    whole part, and validates on ``images[val_rows]``, gathered once;
-    returns (best-epoch model, TrainRecord).  ``images`` must pass
-    inference's shape and range check (``check_images``), which runs once,
-    before the first step, and so covers the validation rows too.  uint8
-    pixels stay uint8: each gathered batch is scaled by 1/255 as it is
-    taken (``scaled_pixels``), and gives the bits of the same pixels
-    passed as ``bytes / 255.0`` floats."""
+    """Steps 3-4 of the procedure: trains on ``images[train_rows]`` and
+    validates on ``images[val_rows]``, where each training batch and each
+    64-row validation chunk gathers its rows from ``images`` [N,1,28,28] as
+    it is taken, so neither part is ever copied whole; returns (best-epoch
+    model, TrainRecord).  ``images`` must pass inference's shape and range
+    check (``check_images``), which runs before the first step and again
+    in each validation pass.  uint8 pixels stay uint8: each gathered batch
+    or chunk is scaled by 1/255 as it is taken (``scaled_pixels``), and
+    gives the bits of the same pixels passed as ``bytes / 255.0`` floats."""
     check_images(images)
-    val_images = images[val_rows]
     tune_allocator()
     model = Autoencoder(config.bottleneck_size, config.seed)
     optimizer = Adadelta(model.named_parameters())
@@ -224,7 +224,7 @@ def train_on_rows(config: TrainConfig, images, train_rows, val_rows):
             optimizer.step(grads)
             total_loss += loss * len(batch)
 
-        val_loss = _objective_forward(model, val_images)
+        val_loss = _objective_forward(model, images, val_rows)
         if not np.isfinite(val_loss):
             raise FloatingPointError(
                 f"non-finite validation loss {val_loss} at epoch {epoch}"

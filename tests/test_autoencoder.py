@@ -510,6 +510,18 @@ class TestTrainingHooks:
         for name, p in model.named_parameters().items():
             assert p.tobytes() == values[name].tobytes(), name
 
+    def test_sub_batch_caches_hold_no_window_copies(self):
+        # one 64-row sub-batch at k=16: the convolutions cache their padded
+        # inputs, not their im2col columns, which are nine times larger
+        # (12.04 MB of cache arrays; 13.95 MB with the columns)
+        model = Autoencoder(16, seed=35)
+        x = np.random.default_rng(36).uniform(0.0, 1.0, (_CHUNK, 28, 28, 1))
+        caches = model.forward_training(x)[2]
+        held = sum(a.nbytes for cache in caches
+                   for a in (cache if isinstance(cache, tuple) else (cache,))
+                   if isinstance(a, np.ndarray))
+        assert held <= 12.1e6, held
+
     def test_concurrent_training_passes_match_serial_ones_bit_for_bit(self):
         # more threads than most runners have cores, on one model's layers
         model = Autoencoder(8, seed=33)

@@ -252,8 +252,10 @@ class TestEval:
         ("latent_stats.lgar",
          lambda header, arrays: arrays.update(serialization.decode_arrays(stats_of_k8())[1])),
         ("latent_stats.lgar", lambda header, arrays: arrays.update(basis=2.0 * arrays["basis"])),
+        ("latent_stats.lgar",
+         lambda header, arrays: arrays.update(variances=arrays["variances"][::-1].copy())),
     ], ids=["stats-without-jitter", "checkpoint-without-seed", "checkpoint-huge-k",
-            "stats-of-other-k", "stats-basis-scaled"])
+            "stats-of-other-k", "stats-basis-scaled", "stats-variances-reversed"])
     def test_inconsistent_bundle_file_is_bundle_error(self, data_dir, trained_bundle,
                                                       tmp_path, capsys, name, damage):
         damaged = tmp_path / "inconsistent"

@@ -319,6 +319,20 @@ class TestFiniteness:
         with pytest.raises(ValueError, match="basis columns must be orthonormal"):
             GaussianStats.from_bytes(raw)
 
+    @pytest.mark.parametrize("damage", [
+        lambda v: v[::-1].copy(), lambda v: 2.0 * v, lambda v: v * (1.0 + 1e-6),
+    ], ids=["reversed", "scaled-by-2", "scaled-by-1+1e-6"])
+    def test_variances_off_their_basis_rejected_at_construction_and_load(self, damage):
+        # variances moved off their columns would weight each direction wrongly
+        arrays = self._arrays()
+        arrays["variances"] = damage(arrays["variances"])
+        with pytest.raises(ValueError, match="variances must be the covariance's"):
+            GaussianStats(**arrays, jitter=0.0)
+        raw = serialization.encode_arrays(
+            {"kind": "latent-stats", "format_version": 2}, {**arrays, "jitter": np.array(0.0)})
+        with pytest.raises(ValueError, match="variances must be the covariance's"):
+            GaussianStats.from_bytes(raw)
+
     def test_non_positive_variance_rejected(self):
         for value in (0.0, -1.0):
             arrays = self._arrays()

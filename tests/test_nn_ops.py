@@ -512,7 +512,7 @@ def ref_stem_param_grads(dout, cache, weight_shape):
         a, b = divmod(k, 2)
         cols = taps[:, a:a + 3, b:b + 3].reshape(len(taps), -1)
         routed = np.bitwise_and(dout.view(np.int64), -(idx == k).astype(np.int64)).view(np.float64)
-        per_corner.append(ops.conv3x3_param_grads_nhwc(routed, ("cols", cols), weight_shape))
+        per_corner.append(ops.im2col_param_grads(routed, cols, weight_shape))
     return tuple(g0 + g1 + g2 + g3 for g0, g1, g2, g3 in zip(*per_corner))
 
 

@@ -229,7 +229,7 @@ class TestTrainLoop:
         def scripted(values):
             it = iter(values)
 
-            def fake(model, x):
+            def fake(model, images, rows):
                 return next(it)
 
             return fake
@@ -285,8 +285,7 @@ class TestTrainLoop:
 
     def test_training_rows_are_not_copied(self, monkeypatch):
         # batches are gathered from the full set by index, so the peak does
-        # not grow with the number of training rows; only the validation
-        # inliers (about 100 rows, so full chunks, at both sizes) are copied
+        # not grow with the number of training rows
         monkeypatch.setattr(autoencoder, "_workers", lambda: 1)
         config = TrainConfig(inlier_class=0, bottleneck_size=4, seed=31, max_epochs=2,
                              patience=1, batch_size=16, val_size=300)
@@ -301,6 +300,28 @@ class TestTrainLoop:
                 tracemalloc.stop()
         extra_rows_bytes = (2400 - 600) * data.images[0].nbytes
         assert peaks[1] - peaks[0] < 0.5 * extra_rows_bytes, (peaks, extra_rows_bytes)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_validation_rows_are_not_copied(self, dtype, monkeypatch):
+        # each validation chunk gathers and converts its own rows as it is
+        # taken, so the peak grows neither with the number of validation
+        # rows (repeats allowed) nor with rows no pass takes; a float64 copy
+        # of the 15 extra chunks of either would add 6 MB
+        monkeypatch.setattr(autoencoder, "_workers", lambda: 1)
+        config = TrainConfig(inlier_class=0, bottleneck_size=4, seed=37, max_epochs=2,
+                             patience=1, batch_size=16, val_size=1)
+        images = synthetic_digits(200, seed=38, n_classes=1).images.astype(dtype)
+        padded = np.concatenate([images, np.zeros((15 * _CHUNK, *images.shape[1:]), dtype)])
+        peaks = []
+        for data, n_val in ((images, _CHUNK), (padded, 16 * _CHUNK)):
+            tracemalloc.start()
+            try:
+                train_on_rows(config, data, np.arange(100, 200), np.arange(n_val) % 100)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        extra_rows_bytes = 15 * _CHUNK * 28 * 28 * 8
+        assert peaks[1] - peaks[0] < 0.1 * extra_rows_bytes, (peaks, extra_rows_bytes)
 
 
 def test_uint8_pixels_train_the_bytes_of_their_floats(tiny_train_set):
