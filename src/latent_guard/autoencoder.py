@@ -12,15 +12,18 @@ Architecture (bottleneck size k is configurable):
 
 The layer stacks fuse the two ends that work on 28x28x32 tensors:
 ``Conv3x3ReLUPool`` stands for the first conv + relu + maxpool and
-``UpsampleConv3x3`` for the last upsample + conv, so neither tensor is ever
-built.  The stem runs four GEMMs, one per pool-window corner, on the 4x4
-input patch behind each pooled pixel, in fixed blocks of patch rows, and
-caches those patches for training.  Both fused layers give bit-identical
-inference results, and checkpoints keep the unfused stack's parameter
-names (``PARAM_LAYER_NAMES``).  Both sum their training gradients in their
-own order (the stem per pool-window corner), so every training gradient
-agrees with the unfused stack to rounding.  Every other convolution
-caches its zero-padded input for training.
+``ReLUUpsampleConv3x3`` for the last relu + upsample + conv, so neither
+tensor is ever built.  The stem runs four GEMMs, one per pool-window
+corner, on the 4x4 input patch behind each pooled pixel, in fixed blocks
+of patch rows, and caches those patches for training.  The tail caches
+only its zero-padded ``relu(x)`` and builds its input gradient in that
+buffer, so the 14x14x32 end holds one such buffer at a time.  Both fused
+layers give bit-identical inference results, and checkpoints keep the
+unfused stack's parameter names (``PARAM_LAYER_NAMES``).  Both sum their
+training gradients in their own order (the stem per pool-window corner),
+so every training gradient agrees with the unfused stack to rounding.
+Every other convolution caches its zero-padded input for training, and
+the 2->32 conv pads its upstream gradient a band of images at a time.
 
 Training puts an L1 activity penalty on the bottleneck dense layer (weight
 ``trainer.L1_LAMBDA``); the penalty never enters the reconstruction-error
@@ -73,10 +76,10 @@ from latent_guard.nn.layers import (
     Flatten,
     MaxPool2x2,
     ReLU,
+    ReLUUpsampleConv3x3,
     Reshape,
     Sigmoid,
     Upsample2x2,
-    UpsampleConv3x3,
 )
 from latent_guard.nn.losses import bce_loss_per_sample
 
@@ -184,11 +187,18 @@ def map_chunks(fn, n):
     return results
 
 
-def check_images(x):
+def check_images(x, values=True):
     """Raises unless ``x`` is an [N,1,28,28] batch of uint8 pixels, or of
-    floats with every value in [0, 1]."""
+    floats with every value in [0, 1]; the values are checked only if
+    ``values`` is true."""
     if x.ndim != 4 or x.shape[1:] != IMAGE_SHAPE:
         raise ShapeError("autoencoder input", IMAGE_SHAPE, x.shape[1:] if x.ndim == 4 else x.shape)
+    if values:
+        check_pixel_values(x)
+
+
+def check_pixel_values(x):
+    """Raises unless ``x`` holds uint8 pixels or floats in [0, 1]."""
     # written so that NaN, for which every comparison is False, fails it too
     if x.dtype != np.uint8 and x.size and not (x.min() >= 0.0 and x.max() <= 1.0):
         raise ValueError(
@@ -233,8 +243,7 @@ class Autoencoder:
             ReLU(),
             Upsample2x2(),
             Conv3x3(2, 32, rng),
-            ReLU(),
-            UpsampleConv3x3(32, 1, rng),
+            ReLUUpsampleConv3x3(32, 1, rng),
             Sigmoid(),
         ]
 
@@ -254,18 +263,19 @@ class Autoencoder:
 
     # -- inference ----------------------------------------------------------
 
-    def _to_nhwc_batch(self, x):
+    def _to_nhwc_batch(self, x, values=True):
         """``x`` [N,1,28,28] or [1,28,28] as an NHWC batch, and whether it
-        was one image.  uint8 and float arrays are kept as they are
-        (``scaled_pixels`` converts each chunk), so a pass over some rows
-        of a float32 array never converts the whole array."""
+        was one image; ``values`` as in ``check_images``.  uint8 and float
+        arrays are kept as they are (``scaled_pixels`` converts each
+        chunk), so a pass over some rows of a float32 array never converts
+        the whole array."""
         x = np.asarray(x)
         if x.dtype != np.uint8 and x.dtype.kind != "f":
             x = np.asarray(x, dtype=np.float64)
         single = x.ndim == 3
         if single:
             x = x[None]
-        check_images(x)
+        check_images(x, values)
         return x.transpose(0, 2, 3, 1), single
 
     def _run(self, stack, x, caches=None):
@@ -318,15 +328,23 @@ class Autoencoder:
 
         ``rows``, if given, is an index array, and the pass runs on
         ``x[rows]``: each chunk gathers its own rows as it is taken, so the
-        selected rows are never copied out together.  ``x`` is checked
-        whole."""
-        xb = self._to_nhwc_batch(x)[0]
+        selected rows are never copied out together.  The shape of ``x``
+        is checked up front, and the values of each gathered chunk as it
+        is taken, with ``check_images``'s message, so rows the pass does
+        not read are never checked; without ``rows``, ``x`` is checked
+        whole before any chunk runs."""
+        xb = self._to_nhwc_batch(x, values=rows is None)[0]
         n = len(xb) if rows is None else len(rows)
         zs = np.empty((n, self.bottleneck_size) if latent is None else n)
         re = np.empty(n)
 
         def chunk(span):
-            x = scaled_pixels(xb[span] if rows is None else xb[rows[span]])
+            if rows is None:
+                x = xb[span]
+            else:
+                x = xb[rows[span]]
+                check_pixel_values(x)
+            x = scaled_pixels(x)
             z = self._run(self.encoder_layers, x)
             re[span] = bce_loss_per_sample(self._run(self.decoder_layers, z), x)
             zs[span] = z if latent is None else latent(z)

@@ -18,10 +18,10 @@ from latent_guard.nn.layers import (
     Flatten,
     MaxPool2x2,
     ReLU,
+    ReLUUpsampleConv3x3,
     Reshape,
     Sigmoid,
     Upsample2x2,
-    UpsampleConv3x3,
     glorot_uniform,
 )
 
@@ -36,9 +36,9 @@ __all__ = [
     "Flatten",
     "MaxPool2x2",
     "ReLU",
+    "ReLUUpsampleConv3x3",
     "Reshape",
     "Sigmoid",
     "Upsample2x2",
-    "UpsampleConv3x3",
     "glorot_uniform",
 ]

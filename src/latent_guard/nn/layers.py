@@ -9,21 +9,23 @@ returns ``(dx, grads)``, the gradients keyed like ``params``.  A layer
 never changes during a pass, so concurrent passes, training ones included,
 can share one layer stack.
 
-``Conv3x3ReLUPool`` and ``UpsampleConv3x3`` are fused layers for the two
-ends of the autoencoder, where the unfused chains would build 28x28x32
+``Conv3x3ReLUPool`` and ``ReLUUpsampleConv3x3`` are fused layers for the
+two ends of the autoencoder, where the unfused chains would build 28x28x32
 tensors; each has the single forward/backward pair of every layer, and
 its forward output is bit-identical to the chain it replaces (see
-``ops``).  ``Conv3x3`` and ``UpsampleConv3x3`` cache their zero-padded
-input, from which backward takes the windows it needs.  The stem's
-training cache is its 4x4 input patches, 16 values per pooled pixel and
-input channel, from which backward copies each corner's nine im2col
-columns; the gradient itself is copied once per corner, routed and
-ReLU-masked in one pass into a reused buffer.  The
-encoder's 32->2 conv + relu + maxpool and the decoder's 2->32 upsample +
-conv stay unfused: with 32 input channels the first's patch GEMMs would
-do 16/9 of the unfused GEMM's multiply-adds, and the phase form of the
-second is slower than the unfused pair and not bit-identical to its
-im2col GEMM.
+``ops``).  ``Conv3x3`` caches its zero-padded input, from which backward
+takes the windows it needs.  The tail, named for the chain it stands
+for, absorbs the ReLU before it: its cache is the zero-padded
+``relu(x)``, from which backward takes the ReLU mask and in whose buffer
+it builds the input gradient, so a tail cache serves one backward.  The
+stem's training cache is its 4x4 input patches, 16 values per pooled
+pixel and input channel, from which backward copies each corner's nine
+im2col columns; the gradient itself is copied once per corner, routed
+and ReLU-masked in one pass into a reused buffer.  The encoder's 32->2
+conv + relu + maxpool and the decoder's 2->32 upsample + conv stay
+unfused: with 32 input channels the first's patch GEMMs would do 16/9 of
+the unfused GEMM's multiply-adds, and the phase form of the second is
+slower than the unfused pair and not bit-identical to its im2col GEMM.
 """
 
 from __future__ import annotations
@@ -100,20 +102,25 @@ class Conv3x3ReLUPool(Layer):
         return None, {"weight": dw, "bias": db}
 
 
-class UpsampleConv3x3(Layer):
-    """Upsample2x2 -> Conv3x3 as one layer, run as four phase convolutions
-    on the half-resolution input."""
+class ReLUUpsampleConv3x3(Layer):
+    """ReLU -> Upsample2x2 -> Conv3x3 as one layer, run as four phase
+    convolutions on the half-resolution input.  It caches the padded
+    ``relu(x)``, from which backward takes the ReLU mask, and whose buffer
+    backward reuses for the input gradient, so a cache serves one
+    backward."""
 
     def __init__(self, in_channels, out_channels, rng):
         super().__init__()
         self.params = conv3x3_params(rng, in_channels, out_channels)
 
     def forward(self, x, train=False):
-        out, padded = ops.upsample2x2_conv3x3_fwd_nhwc(x, self.params["weight"], self.params["bias"])
+        out, padded = ops.relu_upsample2x2_conv3x3_fwd_nhwc(
+            x, self.params["weight"], self.params["bias"]
+        )
         return out, (padded if train else None)
 
     def backward(self, dout, cache):
-        dx, dw, db = ops.upsample2x2_conv3x3_bwd_nhwc(dout, cache, self.params["weight"])
+        dx, dw, db = ops.relu_upsample2x2_conv3x3_bwd_nhwc(dout, cache, self.params["weight"])
         return dx, {"weight": dw, "bias": db}
 
 

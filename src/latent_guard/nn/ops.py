@@ -7,7 +7,11 @@ memory traffic, not FLOPs.  Conv weights keep the canonical
 zero-padded input: with few input channels the backward rebuilds the
 forward's im2col columns from it, the same bytes, rather than keeping
 columns nine times the input's size alive between the passes (the
-store-versus-recompute trade of Chen et al. 2016, arXiv 1604.06174).
+store-versus-recompute trade of Chen et al. 2016, arXiv 1604.06174).  An
+input gradient with more than ``_IM2COL_MAX_CIN`` upstream channels (the
+decoder's 2->32 conv) runs ``_GRAD_BAND`` images at a time, so only one
+band's upstream gradient is padded at once; its GEMMs are per image, so
+the band changes no bit.
 
 Max pooling and the upsample gradient work on the four strided views
 ``x[:, i::2, j::2]`` of the 2x2 window corners, with no 5-D transpose copy;
@@ -21,18 +25,25 @@ The stem, Conv3x3 -> ReLU -> MaxPool2x2, reads the 4x4 input patch behind
 each pooled pixel once and runs one GEMM per pool-window corner on it, with
 that corner's 3x3 kernel placed in a 4x4 weight grid of exact zeros; it
 pools the four results, block by block of patch rows, before the bias and
-ReLU.  The tail, Upsample2x2 -> Conv3x3, runs as four phase convolutions on
-the half-resolution input (the sub-pixel identity of Shi et al. 2016, arXiv
-1609.05158, in reverse).  Both forwards give the unfused chains' bits: the
-stem's zero taps add exact zeros to finite sums, and the tail keeps the
-unfused GEMM shape and tap order, since pre-summed taps or one merged GEMM
-change the rounding (4e-15 on a 128-image chunk).  Both backwards sum in
-their own order (the stem's per window corner), so their dW and db match
-the unfused chains' to rounding.  The stem's backward folds the ReLU mask
-into each corner's routing, with no separate masked copy of the gradient,
-and keeps one 9-column GEMM per corner: a single 16-column GEMM over the
-patches, cut down to each corner's taps, rounds differently on some
-OpenBLAS kernels.
+ReLU.  The tail, ReLU -> Upsample2x2 -> Conv3x3, writes ``relu(x)`` once
+into a zero-bordered buffer and runs four phase convolutions on it at half
+resolution (the sub-pixel identity of Shi et al. 2016, arXiv 1609.05158,
+in reverse).  That buffer is its training cache: the backward takes the
+ReLU mask from it, since ``relu(x) > 0`` exactly where ``x > 0`` (as
+In-Place Activated BatchNorm recovers what its activation needs from the
+output it stores, Rota Bulo et al. 2017, arXiv 1712.02616), and then
+builds the input gradient in it, so the 14x14x32 end holds one
+padded-size buffer at a time.  Both forwards give the unfused chains'
+bits: the stem's zero taps add exact zeros to finite sums, and the tail
+keeps the unfused GEMM shape and tap order, since pre-summed taps or one
+merged GEMM change the rounding (4e-15 on a 128-image chunk).  Both
+backwards sum in their own order (the stem's per window corner), so their
+dW and db match the unfused chains' to rounding; the tail's input
+gradient keeps the bits it had with a separate ReLU layer before it.  The
+stem's backward folds the ReLU mask into each corner's routing, with no
+separate masked copy of the gradient, and keeps one 9-column GEMM per
+corner: a single 16-column GEMM over the patches, cut down to each
+corner's taps, rounds differently on some OpenBLAS kernels.
 """
 
 from __future__ import annotations
@@ -46,6 +57,10 @@ from scipy.special import expit
 # above it the kernels run batched matmuls directly on strided views of the
 # padded input, which avoids any window copy.
 _IM2COL_MAX_CIN = 4
+
+# Images per band of a many-channel input gradient (``conv3x3_input_grad_nhwc``):
+# a band's padded upstream gradient is a quarter of a 64-row chunk's.
+_GRAD_BAND = 16
 
 # Rows of 4x4 patches per block of the fused stem: the four corner GEMM
 # outputs of one block (4 x 784 x 32 float64, 0.8 MB) stay in a core's L2
@@ -128,9 +143,17 @@ def conv3x3_param_grads_nhwc(dout, xp, weight_shape):
 
 
 def conv3x3_input_grad_nhwc(dout, weights):
-    """Input gradient: full correlation with the 180-degree-rotated kernel."""
+    """Input gradient: full correlation with the 180-degree-rotated kernel.
+    Above ``_IM2COL_MAX_CIN`` upstream channels it runs ``_GRAD_BAND``
+    images at a time, so only one band's upstream gradient is padded at
+    once; that path's GEMMs are per image and its adds elementwise, so the
+    bits are those of one call over the whole batch."""
     w_swap = np.ascontiguousarray(weights.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
-    dx, _ = conv3x3_fwd_nhwc(dout, w_swap)
+    if dout.shape[3] <= _IM2COL_MAX_CIN:
+        return conv3x3_fwd_nhwc(dout, w_swap)[0]
+    dx = np.empty((*dout.shape[:3], w_swap.shape[0]))
+    for i in range(0, len(dout), _GRAD_BAND):
+        dx[i:i + _GRAD_BAND] = conv3x3_fwd_nhwc(dout[i:i + _GRAD_BAND], w_swap)[0]
     return dx
 
 
@@ -283,65 +306,90 @@ def conv3x3_relu_pool_param_grads_nhwc(dout, cache, weight_shape):
     return tuple(g0 + g1 + g2 + g3 for g0, g1, g2, g3 in zip(*per_corner))
 
 
-def _phase_taps():
-    """(u, v, a, b, r, s) for every 3x3 tap (u, v) in the unfused summation
-    order and every output phase (a, b): the tap reads the zero-padded
-    half-resolution input at offset (r, s) from the phase pixel's origin."""
-    for u in range(3):
-        for v in range(3):
-            for a in range(2):
-                for b in range(2):
-                    yield u, v, a, b, (a + u - 1) // 2 + 1, (b + v - 1) // 2 + 1
+def _phase_taps(u):
+    """(v, a, b, r, s) for every tap (u, v) of row offset ``u``, in the
+    unfused summation order, and every output phase (a, b): the tap reads
+    the zero-padded half-resolution input at offset (r, s) from the phase
+    pixel's origin."""
+    for v in range(3):
+        for a in range(2):
+            for b in range(2):
+                yield v, a, b, (a + u - 1) // 2 + 1, (b + v - 1) // 2 + 1
 
 
-def upsample2x2_conv3x3_fwd_nhwc(x, weights, bias):
-    """Upsample2x2 -> same-padding Conv3x3, computed on the [N, H, W, C_in]
-    input without materializing the 2x-upsampled tensor.
+def relu_upsample2x2_conv3x3_fwd_nhwc(x, weights, bias):
+    """ReLU -> Upsample2x2 -> same-padding Conv3x3, computed on the
+    [N, H, W, C_in] input without materializing the 2x-upsampled tensor.
 
-    Output pixel (2p + a, 2q + b) is the phase (a, b) pixel (p, q); its tap
-    (u, v) reads padded input pixel (p + r, q + s) (see ``_phase_taps``).
-    Per row offset u this runs the batched GEMM the unfused padded path
-    runs, of shape [N, (H+2)(W+2), C_in] @ [C_in, 3 C_out], and adds the
-    nine tap terms into each phase in the unfused (u, v) order, so every
-    output is bit-identical to the unfused chain with C_in > 4.  Pre-summing
-    the taps that share a source pixel, or one [C_in, 9 C_out] GEMM, would
-    change the rounding.  Returns ``(out, padded input)``.
+    ``relu(x)`` is written once, into the interior of a zero-bordered
+    buffer, which stands for both the ReLU's output and the unfused conv's
+    padded input.  Output pixel (2p + a, 2q + b) is the phase (a, b) pixel
+    (p, q); its tap (u, v) reads padded input pixel (p + r, q + s) (see
+    ``_phase_taps``).  Per row offset u this runs the batched GEMM the
+    unfused padded path runs, of shape [N, (H+2)(W+2), C_in] @
+    [C_in, 3 C_out], and adds its nine tap terms into each phase before
+    the next offset's GEMM, in the unfused (u, v) order, so every output
+    is bit-identical to the unfused chain with C_in > 4.  Pre-summing the
+    taps that share a source pixel, or one [C_in, 9 C_out] GEMM, would
+    change the rounding.  Returns ``(out, padded relu(x))``.
     """
     n, h, w, c_in = x.shape
     c_out = weights.shape[0]
-    xq = np.pad(x, ((0, 0), (1, 1), (1, 1), (0, 0)))
+    xq = np.zeros((n, h + 2, w + 2, c_in))
+    np.maximum(x, 0.0, out=xq[:, 1:-1, 1:-1])
     rows = xq.reshape(n, (h + 2) * (w + 2), c_in)
-    zs = [
-        (rows @ weights[:, :, u, :].transpose(1, 2, 0).reshape(c_in, 3 * c_out))
-        .reshape(n, h + 2, w + 2, 3, c_out)
-        for u in range(3)
-    ]
     out = np.zeros((2, 2, n, h, w, c_out))  # phase-major: contiguous adds
-    for u, v, a, b, r, s in _phase_taps():
-        out[a, b] += zs[u][:, r:r + h, s:s + w, v, :]
+    for u in range(3):
+        wu = weights[:, :, u, :].transpose(1, 2, 0).reshape(c_in, 3 * c_out)
+        zu = (rows @ wu).reshape(n, h + 2, w + 2, 3, c_out)
+        for v, a, b, r, s in _phase_taps(u):
+            out[a, b] += zu[:, r:r + h, s:s + w, v, :]
     out += bias
     return out.transpose(2, 3, 0, 4, 1, 5).reshape(n, 2 * h, 2 * w, c_out), xq
 
 
-def upsample2x2_conv3x3_bwd_nhwc(dout, xq, weights):
+def relu_upsample2x2_conv3x3_bwd_nhwc(dout, xq, weights):
     """(dx, dw, db) of the fused tail from the upstream grad and the padded
-    input: the adjoints of the phase convolutions.  ``g[u, v]`` sums, at
-    each padded input pixel, the upstream gradient of every output whose
-    tap (u, v) reads that pixel; one GEMM against it gives the weight
-    gradient and one the input gradient.  Both sum in a different order
-    from the unfused chain, so they agree with it to rounding only."""
+    ``relu(x)`` its forward returned, the adjoints of the phase
+    convolutions.  ``g[u, v]`` sums, at each padded input pixel, the
+    upstream gradient of every output whose tap (u, v) reads that pixel;
+    one GEMM against it gives the weight gradient and one the input
+    gradient.  Both sum in a different order from the unfused chain, so
+    they agree with it to rounding only.
+
+    The input gradient's GEMM runs over every padded pixel, and its
+    interior is multiplied by the ReLU mask ``relu(x) > 0``, which holds
+    exactly where ``x > 0``, as a separate ReLU's ``dout * mask`` would
+    (-0.0 under a negative gradient).  It is built in ``xq``'s own
+    buffer, which is dead once the weight gradient and the mask are
+    taken: the GEMM writes into it, and each image's masked interior then
+    moves to the front, so ``dx`` is a contiguous view of that buffer and
+    the pass holds one padded-size array.  ``xq`` is spent.  A GEMM over
+    the interior rows alone would round some rows differently on some
+    OpenBLAS kernels, where its row count leaves a remainder for the edge
+    micro-kernels."""
     n, hp, wp, c_in = xq.shape
     h, w = hp - 2, wp - 2
     c_out = weights.shape[0]
     d_phase = np.ascontiguousarray(dout.reshape(n, h, 2, w, 2, c_out).transpose(2, 4, 0, 1, 3, 5))
     g = np.zeros((3, 3, n, hp, wp, c_out))
-    for u, v, a, b, r, s in _phase_taps():
-        g[u, v, :, r:r + h, s:s + w] += d_phase[a, b]
+    for u in range(3):
+        for v, a, b, r, s in _phase_taps(u):
+            g[u, v, :, r:r + h, s:s + w] += d_phase[a, b]
     g = g.reshape(9, -1, c_out).transpose(1, 0, 2).reshape(-1, 9 * c_out)  # [N*Hp*Wp, 9*Co]
     dw = (xq.reshape(-1, c_in).T @ g).reshape(c_in, 3, 3, c_out).transpose(3, 0, 1, 2).copy()
-    dxp = (g @ weights.transpose(2, 3, 0, 1).reshape(9 * c_out, c_in)).reshape(n, hp, wp, c_in)
     db = dout.reshape(-1, c_out).sum(axis=0)
-    return dxp[:, 1:-1, 1:-1], dw, db
+    mask = xq[:, 1:-1, 1:-1] > 0
+    buf = xq.reshape(-1)  # a view: the forward's buffer is contiguous
+    w9 = weights.transpose(2, 3, 0, 1).reshape(9 * c_out, c_in)
+    dxp = np.matmul(g, w9, out=buf.reshape(-1, c_in)).reshape(n, hp, wp, c_in)
+    # image i's interior moves to [i, i + 1) * H*W*C_in, which ends before
+    # any later image's interior starts, so no source is overwritten before
+    # it is read; numpy buffers an image's overlap with its own source
+    dx = buf[:n * h * w * c_in].reshape(n, h, w, c_in)
+    for i in range(n):
+        np.multiply(dxp[i, 1:-1, 1:-1], mask[i], out=dx[i])
+    return dx, dw, db
 
 
 def sigmoid(x):

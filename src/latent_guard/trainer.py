@@ -199,10 +199,11 @@ def train_on_rows(config: TrainConfig, images, train_rows, val_rows):
     64-row validation chunk gathers its rows from ``images`` [N,1,28,28] as
     it is taken, so neither part is ever copied whole; returns (best-epoch
     model, TrainRecord).  ``images`` must pass inference's shape and range
-    check (``check_images``), which runs before the first step and again
-    in each validation pass.  uint8 pixels stay uint8: each gathered batch
-    or chunk is scaled by 1/255 as it is taken (``scaled_pixels``), and
-    gives the bits of the same pixels passed as ``bytes / 255.0`` floats."""
+    check (``check_images``), which runs once, before the first step; a
+    validation pass checks again only the rows it gathers.  uint8 pixels
+    stay uint8: each gathered batch or chunk is scaled by 1/255 as it is
+    taken (``scaled_pixels``), and gives the bits of the same pixels
+    passed as ``bytes / 255.0`` floats."""
     check_images(images)
     tune_allocator()
     model = Autoencoder(config.bottleneck_size, config.seed)

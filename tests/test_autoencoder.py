@@ -3,6 +3,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 import types
 from concurrent.futures import Future
 
@@ -23,7 +24,7 @@ from latent_guard.nn import (
     Upsample2x2,
     bce_loss,
 )
-from latent_guard.nn.losses import bce_loss_per_sample
+from latent_guard.nn.losses import bce_loss_and_grad, bce_loss_per_sample, l1_penalty
 from latent_guard.novelty import features
 
 RNG = np.random.default_rng(42)
@@ -255,6 +256,22 @@ class TestChunkedForward:
         assert np.array_equal(z, z_ref)
         assert np.array_equal(errs, errs_ref)
         assert np.array_equal(model.encode(x), z_ref)
+
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_rows_pass_checks_only_the_rows_it_reads(self, workers, monkeypatch):
+        # a NaN in a row outside ``rows`` is never read, so it passes; in a
+        # row of the last chunk it fails that chunk, on a helper thread
+        # when one takes it
+        monkeypatch.setattr(autoencoder, "_workers", lambda: workers)
+        model = Autoencoder(8, seed=11)
+        x = self.X_MULTI.copy()
+        x[0, 0, 14, 14] = np.nan
+        rows = np.arange(1, len(x))
+        z, errs = model.encode_and_reconstruction_errors(x, rows=rows)
+        z_ref, errs_ref = model.encode_and_reconstruction_errors(x[rows])
+        assert np.array_equal(z, z_ref) and np.array_equal(errs, errs_ref)
+        with pytest.raises(ValueError, match=r"image values must lie in \[0, 1\]"):
+            model.encode_and_reconstruction_errors(x, rows=np.r_[rows, 0])
 
     @pytest.mark.parametrize("workers", [1, 4])
     def test_latent_reduces_each_chunk_in_place_of_embeddings(self, workers, monkeypatch):
@@ -521,6 +538,30 @@ class TestTrainingHooks:
                    for a in (cache if isinstance(cache, tuple) else (cache,))
                    if isinstance(a, np.ndarray))
         assert held <= 12.1e6, held
+
+    def test_sub_batch_peak_holds_one_32_channel_buffer_at_a_time(self):
+        # one 64-row sub-batch at k=16, forward, loss and backward, as the
+        # trainer runs it: 15.65 MB at its traced peak, 18.64 MB when the
+        # tail's padded input, its padded input gradient and that gradient's
+        # masked copy were alive at once, and dec5's input gradient padded
+        # the whole sub-batch
+        model = Autoencoder(16, seed=35)
+        x = np.random.default_rng(36).uniform(0.0, 1.0, (_CHUNK, 28, 28, 1))
+
+        def sub_batch():
+            recon, bottleneck, caches = model.forward_training(x)
+            d_recon = bce_loss_and_grad(recon, x)[1]
+            d_bottleneck = l1_penalty(bottleneck, 1e-5)[1]
+            return model.backward_training(caches, d_recon, d_bottleneck)
+
+        sub_batch()  # first-call allocations stay out of the peak
+        tracemalloc.start()
+        try:
+            sub_batch()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16.0e6, peak
 
     def test_concurrent_training_passes_match_serial_ones_bit_for_bit(self):
         # more threads than most runners have cores, on one model's layers

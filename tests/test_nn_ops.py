@@ -18,9 +18,9 @@ from latent_guard.nn import (
     Flatten,
     MaxPool2x2,
     ReLU,
+    ReLUUpsampleConv3x3,
     Sigmoid,
     Upsample2x2,
-    UpsampleConv3x3,
 )
 from latent_guard.nn import ops
 
@@ -399,9 +399,9 @@ def backprop_chain(chain, dout, caches):
 
 class TestFusedLayersMatchChains:
     """``Conv3x3ReLUPool`` against Conv3x3 -> ReLU -> MaxPool2x2 and
-    ``UpsampleConv3x3`` against Upsample2x2 -> Conv3x3.  Outputs compare with
-    array_equal, so a window that mixes -0.0 and +0.0 may pool to either
-    sign of zero, as in the pooling kernels above."""
+    ``ReLUUpsampleConv3x3`` against ReLU -> Upsample2x2 -> Conv3x3.  Outputs
+    compare with array_equal, so a window that mixes -0.0 and +0.0 may pool
+    to either sign of zero, as in the pooling kernels above."""
 
     @EQUIV
     @given(data=st.data(), shape=SHAPES, c_in=st.integers(1, ops._IM2COL_MAX_CIN))
@@ -447,7 +447,7 @@ class TestFusedLayersMatchChains:
     def test_tail_forward(self, data, shape, c_in):
         n, h, w, c_out = shape
         tail, chain = fused_and_chain(
-            UpsampleConv3x3, (Upsample2x2, Conv3x3), data, c_in, c_out, weights=FLOATS
+            ReLUUpsampleConv3x3, (ReLU, Upsample2x2, Conv3x3), data, c_in, c_out, weights=FLOATS
         )
         x = data.draw(arrays(np.float64, (n, h, w, c_in), elements=FLOATS))
         ref = run_chain(chain, x)
@@ -470,8 +470,12 @@ class TestFusedLayersMatchChains:
         h, _ = stem.forward(x)
         assert same_bytes(h, run_chain([conv_layer(w1, b1), ReLU(), MaxPool2x2()], x))
         w2, b2 = rng.uniform(-0.3, 0.3, (1, 32, 3, 3)), rng.uniform(-0.1, 0.1, 1)
-        tail = with_params(UpsampleConv3x3(32, 1, rng), w2, b2)
+        tail = with_params(ReLUUpsampleConv3x3(32, 1, rng), w2, b2)
         assert same_bytes(tail.forward(h)[0], run_chain([Upsample2x2(), conv_layer(w2, b2)], h))
+        # the model feeds the tail dec5's signed conv output, pre-ReLU
+        signed = rng.normal(0.0, 0.2, h.shape)
+        chain = [ReLU(), Upsample2x2(), conv_layer(w2, b2)]
+        assert same_bytes(tail.forward(signed)[0], run_chain(chain, signed))
 
         # a training backward on the values of TIES, WEIGHTS and FINITE_GRADS:
         # every sum is exact, so the stem's per-corner dW and db must equal the
@@ -545,6 +549,63 @@ class TestStemTrainingBits:
             assert same_bytes(g.view(np.int64), r.view(np.int64))
 
 
+def ref_tail_bwd(dout, xq, weights):
+    """The tail's backward as a new padded-size input gradient, then the
+    unfused ReLU backward's multiply: the formulas the in-buffer kernel
+    replaced."""
+    n, hp, wp, c_in = xq.shape
+    h, w = hp - 2, wp - 2
+    c_out = weights.shape[0]
+    d_phase = np.ascontiguousarray(dout.reshape(n, h, 2, w, 2, c_out).transpose(2, 4, 0, 1, 3, 5))
+    g = np.zeros((3, 3, n, hp, wp, c_out))
+    for u in range(3):
+        for v, a, b, r, s in ops._phase_taps(u):
+            g[u, v, :, r:r + h, s:s + w] += d_phase[a, b]
+    g = g.reshape(9, -1, c_out).transpose(1, 0, 2).reshape(-1, 9 * c_out)
+    dw = (xq.reshape(-1, c_in).T @ g).reshape(c_in, 3, 3, c_out).transpose(3, 0, 1, 2).copy()
+    dxp = (g @ weights.transpose(2, 3, 0, 1).reshape(9 * c_out, c_in)).reshape(n, hp, wp, c_in)
+    db = dout.reshape(-1, c_out).sum(axis=0)
+    return dxp[:, 1:-1, 1:-1] * (xq[:, 1:-1, 1:-1] > 0), dw, db
+
+
+class TestTailAndBandedGradBits:
+    """The tail's input gradient, built in its spent cache's buffer, and the
+    banded many-channel input gradient, pinned to the bits of the
+    whole-array computations."""
+
+    @pytest.mark.parametrize("n, h, w, c_in, c_out", [
+        (64, 14, 14, 32, 1),  # the model's tail on one chunk
+        (37, 14, 14, 32, 1),  # a ragged sub-batch
+        (3, 5, 7, 6, 5),
+        (1, 1, 1, 9, 2),
+        (2, 3, 4, 2, 3),
+    ])
+    def test_tail_backward_is_padded_gemm_interior_masked(self, n, h, w, c_in, c_out):
+        rng = np.random.default_rng([n, c_in, c_out])
+        x = rng.standard_normal((n, h, w, c_in))
+        x[:, :, 0] = 0.0  # ReLU's edge: the mask must be false at exact zeros
+        weights = rng.standard_normal((c_out, c_in, 3, 3))
+        tail = with_params(ReLUUpsampleConv3x3(c_in, c_out, rng), weights, np.zeros(c_out))
+        _, xq = tail.forward(x, train=True)
+        dout = rng.choice([-1.5, -0.0, 0.0, 0.25, 3.0], (n, 2 * h, 2 * w, c_out))
+        ref_dx, ref_dw, ref_db = ref_tail_bwd(dout, xq, weights)
+        assert np.any((x <= 0) & (ref_dx.view(np.int64) < 0))  # a masked -0.0
+        dx, grads = tail.backward(dout, xq)
+        assert dx.flags.c_contiguous and np.shares_memory(dx, xq)
+        assert same_bytes(dx, ref_dx)
+        assert same_bytes(grads["weight"], ref_dw) and same_bytes(grads["bias"], ref_db)
+
+    @pytest.mark.parametrize("n", [1, ops._GRAD_BAND, ops._GRAD_BAND + 1, 2 * ops._GRAD_BAND + 5])
+    def test_banded_input_grad_equals_one_call(self, n):
+        # dec5's input gradient: 32 upstream channels, 2 input channels
+        rng = np.random.default_rng(n)
+        dout = rng.standard_normal((n, 14, 14, 32))
+        weights = rng.standard_normal((32, 2, 3, 3))
+        w_swap = np.ascontiguousarray(weights.transpose(1, 0, 2, 3)[:, :, ::-1, ::-1])
+        ref = ops.conv3x3_fwd_nhwc(dout, w_swap)[0]
+        assert same_bytes(ops.conv3x3_input_grad_nhwc(dout, weights), ref)
+
+
 def fused_fd_check(layer, x, proj, input_grad):
     """The layer's backward against central differences of sum(out * proj)."""
     _, cache = layer.forward(x, train=True)
@@ -581,7 +642,7 @@ class TestFusedLayersFiniteDifferences:
     @pytest.mark.parametrize("c_in", [2, ops._IM2COL_MAX_CIN + 3])
     def test_tail_input_and_param_grads(self, c_in):
         rng = np.random.default_rng(17)
-        tail = UpsampleConv3x3(c_in, 3, rng)
+        tail = ReLUUpsampleConv3x3(c_in, 3, rng)
         tail.params["bias"][...] = rng.uniform(-0.2, 0.2, 3)
         x = rng.standard_normal((2, 3, 2, c_in))
         fused_fd_check(tail, x, rng.standard_normal((2, 6, 4, 3)), input_grad=True)
