@@ -19,7 +19,7 @@ of patch rows, and caches those patches for training.  The tail caches
 only its zero-padded ``relu(x)`` and builds its input gradient in that
 buffer, so the 14x14x32 end holds one such buffer at a time.  Both fused
 layers give bit-identical inference results, and checkpoints keep the
-unfused stack's parameter names (``PARAM_LAYER_NAMES``).  Both sum their
+unfused stack's parameter names (``PARAM_WEIGHT_SHAPES``).  Both sum their
 training gradients in their own order (the stem per pool-window corner),
 so every training gradient agrees with the unfused stack to rounding.
 Every other convolution caches its zero-padded input for training, and
@@ -94,12 +94,19 @@ _CHUNK = 64
 
 CHECKPOINT_VERSION = 1
 
-# Checkpoint names of the parameterised layers, in stack order: their
-# positions in the unfused stack, so fusing layers changes no checkpoint.
-PARAM_LAYER_NAMES = (
-    "encoder.0", "encoder.3", "encoder.7",
-    "decoder.0", "decoder.2", "decoder.5", "decoder.8",
-)
+# The parameterised layers' checkpoint names (positions in the unfused stack, so
+# fusing changes no checkpoint) in stack order, with weight shapes at bottleneck k.
+PARAM_WEIGHT_SHAPES = {
+    "encoder.0": (32, 1, 3, 3), "encoder.3": (2, 32, 3, 3), "encoder.7": ("k", _FLAT_DIM),
+    "decoder.0": (_FLAT_DIM, "k"), "decoder.2": (2, 2, 3, 3), "decoder.5": (32, 2, 3, 3),
+    "decoder.8": (1, 32, 3, 3),
+}
+
+_HEADER = {"kind": serialization.one_of("autoencoder-checkpoint"),
+           "bottleneck_size": serialization.COUNT, "seed": serialization.COUNT,
+           "l1_lambda": serialization.RETIRED}
+_ARRAYS = {f"{layer}.{key}": shape if key == "weight" else shape[:1]
+           for layer, shape in PARAM_WEIGHT_SHAPES.items() for key in ("weight", "bias")}
 
 
 def _workers() -> int:
@@ -253,7 +260,7 @@ class Autoencoder:
         layers = [layer for layer in self.encoder_layers + self.decoder_layers if layer.params]
         return {
             f"{name}.{key}": arr
-            for name, layer in zip(PARAM_LAYER_NAMES, layers, strict=True)
+            for name, layer in zip(PARAM_WEIGHT_SHAPES, layers, strict=True)
             for key, arr in of_layer(layer).items()
         }
 
@@ -394,35 +401,12 @@ class Autoencoder:
         return serialization.encode_arrays(header, self.named_parameters())
 
     @classmethod
-    def from_bytes(cls, raw: bytes) -> "Autoencoder":
+    def from_bytes(cls, raw: bytes, **bound) -> "Autoencoder":
         header, arrays = serialization.decode_arrays(raw)
-        if header.get("kind") != "autoencoder-checkpoint":
-            raise ValueError("not an autoencoder checkpoint")
-        serialization.check_format_version(header, CHECKPOINT_VERSION, "checkpoint")
-        # older checkpoints also carry an "l1_lambda" key, which is ignored
-        for key in ("bottleneck_size", "seed"):
-            if key not in header:
-                raise ValueError(f"checkpoint header has no {key!r}")
-            if type(header[key]) is not int:
-                raise ValueError(f"checkpoint header {key!r} must be an integer, got {header[key]!r}")
-        names = {f"{layer}.{key}" for layer in PARAM_LAYER_NAMES for key in ("weight", "bias")}
-        if set(arrays) != names:
-            raise ValueError(
-                f"checkpoint parameter names do not match: missing {sorted(names - set(arrays))}, "
-                f"unexpected {sorted(set(arrays) - names)}"
-            )
-        # the header's k sizes every layer built below, so it must agree with
-        # the file's own bottleneck weight first
-        k = header["bottleneck_size"]
-        if arrays["encoder.7.weight"].shape != (k, _FLAT_DIM):
-            raise ShapeError("checkpoint param encoder.7.weight", (k, _FLAT_DIM),
-                             arrays["encoder.7.weight"].shape)
-        model = cls(k, header["seed"])
-        params = model.named_parameters()
-        for name, arr in arrays.items():
-            if params[name].shape != arr.shape:
-                raise ShapeError(f"checkpoint param {name}", params[name].shape, arr.shape)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"checkpoint param {name} contains non-finite values")
-            params[name][...] = arr
+        serialization.check_record(header, _HEADER, "checkpoint", CHECKPOINT_VERSION, **bound)
+        # every array is checked before a layer of the header's k is built
+        serialization.check_record(arrays, _ARRAYS, "checkpoint", k=header["bottleneck_size"])
+        model = cls(header["bottleneck_size"], header["seed"])
+        for name, arr in model.named_parameters().items():
+            arr[...] = arrays[name]
         return model

@@ -3,8 +3,8 @@
 Layout:
 
     <bundle>/
-        manifest.json      config, seeds, format versions, train summary,
-                           sha256 digest of every other file, timestamp
+        manifest.json      config, format version, train summary, sha256
+                           digest of every other file, timestamp
         checkpoint.lgar    best-epoch autoencoder parameters
         latent_stats.lgar  Gaussian fit of the encoded training inliers
         calibration.json   hybrid mixing weights
@@ -18,7 +18,9 @@ function of (config, seed, data), so re-running a configuration reproduces
 identical digests.  Bundles are created atomically (temp dir + rename); eval
 files and the manifest are then replaced whole (temp file + rename) under
 an exclusive lock.  Only this module opens bundle files: digests are taken
-of the bytes written, and a loader parses the bytes whose digest it checked.
+of the bytes written, and a loader parses the bytes whose digest it checked
+against the table its codec declares (``_MANIFEST`` here), with the config's
+class, k and seed and a report's mode fixed wherever a file records them.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ from latent_guard.autoencoder import Autoencoder
 from latent_guard.latent_stats import GaussianStats
 from latent_guard.metrics import EvalReport
 from latent_guard.novelty import MODES, NoveltyCalibration
-from latent_guard.trainer import TrainConfig
+from latent_guard.serialization import (COUNT, DIGEST, INDEX, POSITIVE, RETIRED, TEXT,
+                                        check_record, one_of)
+from latent_guard.trainer import STOP_EARLY, STOP_MAX_EPOCHS, TrainConfig
 
 MANIFEST_VERSION = 1
 
@@ -46,6 +50,18 @@ CALIBRATION_FILE = "calibration.json"
 TRAIN_LOG_FILE = "train_log.jsonl"
 MANIFEST_FILE = "manifest.json"
 LOCK_FILE = ".lock"
+
+_MANIFEST = {
+    "kind": one_of("latent-guard-bundle"),
+    "config": {**{f.name: INDEX for f in fields(TrainConfig)}, "l1_lambda": RETIRED},
+    "train": {"best_epoch": COUNT, "stop_reason": one_of(STOP_EARLY, STOP_MAX_EPOCHS),
+              "epochs_run": COUNT, "best_val_loss": POSITIVE},
+    "files": {**dict.fromkeys((CHECKPOINT_FILE, STATS_FILE, CALIBRATION_FILE, TRAIN_LOG_FILE),
+                              DIGEST),
+              **{f"{stem}_{mode}.{ext}": DIGEST._replace(optional=True)
+                 for mode in MODES for stem, ext in (("eval", "json"), ("scores", "csv"))}},
+    "created_at": TEXT,
+}
 
 
 def _sha256(data: bytes) -> str:
@@ -116,15 +132,11 @@ class ExperimentBundle:
     # -- reading --------------------------------------------------------------
 
     def manifest(self) -> dict:
-        """The parsed manifest; ValueError unless it holds the ``config`` and
-        ``files`` objects every reader indexes, with the ``TrainConfig``
-        fields of ``config`` a valid ``TrainConfig``."""
+        """The parsed manifest, checked against ``_MANIFEST`` and ``TrainConfig``."""
         manifest = json.loads((self.path / MANIFEST_FILE).read_text())
-        for key in ("config", "files"):
-            if not isinstance(manifest, dict) or not isinstance(manifest.get(key), dict):
-                raise ValueError(f"{MANIFEST_FILE} has no {key!r} object")
+        check_record(manifest, _MANIFEST, MANIFEST_FILE, MANIFEST_VERSION)
         try:
-            TrainConfig(**{f.name: manifest["config"].get(f.name) for f in fields(TrainConfig)})
+            TrainConfig(**{f.name: manifest["config"][f.name] for f in fields(TrainConfig)})
         except ValueError as exc:
             raise ValueError(f"{MANIFEST_FILE} {exc}") from exc
         return manifest
@@ -132,11 +144,9 @@ class ExperimentBundle:
     def config(self) -> dict:
         return self.manifest()["config"]
 
-    def _verified(self, name: str, manifest=None) -> bytes:
+    def _verified(self, name: str, manifest: dict) -> bytes:
         """The bytes of ``name``, read once and checked against the manifest digest."""
-        digest = (manifest or self.manifest())["files"].get(name)
-        if digest is None:
-            raise ValueError(f"{name} has no digest in the bundle manifest")
+        digest = manifest["files"][name]
         data = (self.path / name).read_bytes()
         actual = _sha256(data)
         if actual != digest:
@@ -146,39 +156,25 @@ class ExperimentBundle:
             )
         return data
 
-    def _load(self, name: str, parse, manifest=None):
-        """``parse`` applied to the verified bytes of ``name``; a ValueError
-        it raises (a bad container, non-finite arrays) names the file."""
-        data = self._verified(name, manifest)
+    def _load(self, name: str, parse, manifest=None, **fixed):
+        """``parse`` of the verified bytes of ``name``, bound to the config's
+        class, k and seed and to ``fixed``; a ValueError it raises names the file."""
+        manifest = manifest or self.manifest()
+        config, data = manifest["config"], self._verified(name, manifest)
+        bound = {key: config[key] for key in ("inlier_class", "bottleneck_size", "seed")}
         try:
-            return parse(data)
+            return parse(data, k=config["bottleneck_size"], **bound, **fixed)
         except ValueError as exc:
             raise ValueError(f"{name}: {exc}") from exc
 
-    def _load_of_k(self, name: str, parse, k_of):
-        """``_load`` of a file whose bottleneck size, ``k_of`` of what
-        ``parse`` returns, must be the manifest config's."""
-        manifest = self.manifest()
-        k = manifest["config"]["bottleneck_size"]
-
-        def parse_of_k(data):
-            parsed = parse(data)
-            if k_of(parsed) != k:
-                raise ValueError(f"bottleneck size {k_of(parsed)} does not match the config's {k}")
-            return parsed
-
-        return self._load(name, parse_of_k, manifest)
-
     def load_model(self) -> Autoencoder:
-        return self._load_of_k(CHECKPOINT_FILE, Autoencoder.from_bytes,
-                               lambda model: model.bottleneck_size)
+        return self._load(CHECKPOINT_FILE, Autoencoder.from_bytes)
 
     def load_stats(self) -> GaussianStats:
-        return self._load_of_k(STATS_FILE, GaussianStats.from_bytes, lambda stats: stats.dim)
+        return self._load(STATS_FILE, GaussianStats.from_bytes)
 
     def load_calibration(self) -> NoveltyCalibration:
-        return self._load(CALIBRATION_FILE,
-                          lambda data: NoveltyCalibration.from_json(data.decode()))
+        return self._load(CALIBRATION_FILE, NoveltyCalibration.from_json)
 
     def verify(self) -> None:
         """Checks every manifest digest against the file contents."""
@@ -197,8 +193,7 @@ class ExperimentBundle:
         digest; it is left out here, to be evaluated again."""
         manifest = self.manifest()
         names = {mode: f"eval_{mode}.json" for mode in MODES}
-        return {mode: self._load(name, lambda data: EvalReport.from_json(data.decode()),
-                                 manifest)
+        return {mode: self._load(name, EvalReport.from_json, manifest, mode=mode)
                 for mode, name in names.items()
                 if name in manifest["files"] and (self.path / name).exists()}
 
@@ -218,7 +213,9 @@ class ExperimentBundle:
         with open(self.path / LOCK_FILE, "a") as lock:
             fcntl.flock(lock, fcntl.LOCK_EX)
             manifest = self.manifest()
+            manifest["files"].update((name, _sha256(data)) for name, data in files.items())
+            # a name outside the layout is refused before anything is written
+            check_record(manifest["files"], _MANIFEST["files"], f"{MANIFEST_FILE} files")
             for name, data in files.items():
                 _replace_file(self.path / name, data)
-                manifest["files"][name] = _sha256(data)
             _replace_file(self.path / MANIFEST_FILE, _manifest_text(manifest).encode())

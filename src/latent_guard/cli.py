@@ -23,7 +23,7 @@ import numpy as np
 
 from latent_guard import novelty
 from latent_guard.autoencoder import tune_allocator
-from latent_guard.bundle import ExperimentBundle
+from latent_guard.bundle import CALIBRATION_FILE, ExperimentBundle
 from latent_guard.data import load_mnist_split
 from latent_guard.latent_stats import fit_gaussian
 from latent_guard.metrics import ScoredSet, evaluate
@@ -148,7 +148,10 @@ def _evaluate_bundle(bundle: ExperimentBundle, test_set, modes) -> dict:
 
     re, ld = novelty.features(model, stats, test_set.images)
     is_inlier = test_set.labels == config["inlier_class"]
-    scores = {mode: novelty._combine(re, ld, mode, calibration) for mode in MODES}
+    with np.errstate(over="ignore"):  # an overflow is refused below, by name
+        scores = {mode: novelty._combine(re, ld, mode, calibration) for mode in MODES}
+    if not np.isfinite(scores[novelty.MODE_HYBRID]).all():
+        raise ValueError(f"{CALIBRATION_FILE}: its weights overflow the hybrid scores")
     scores_csv = io.StringIO()
     novelty.write_scores_csv(scores_csv, np.arange(len(re)), is_inlier, re, ld,
                              scores[novelty.MODE_HYBRID])

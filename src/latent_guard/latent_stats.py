@@ -35,8 +35,9 @@ VARIANCE_RTOL = 1e-8
 
 STATS_VERSION = 2
 
-# the stored arrays, in field order; the jitter is stored as a scalar array
-_ARRAYS = ("mean", "covariance", "basis", "variances")
+# the file's declared tables: its header, and its arrays at bottleneck size k and rank r
+_HEADER = {"kind": serialization.one_of("latent-stats")}
+_ARRAYS = {"mean": ("k",), "covariance": ("k", "k"), "basis": ("k", "r"), "variances": ("r",)}
 
 
 @dataclass(frozen=True)
@@ -61,16 +62,8 @@ class GaussianStats:
     jitter: float
 
     def __post_init__(self):
-        k = self.mean.shape[-1] if self.mean.ndim else 0
-        r = self.basis.shape[-1] if self.basis.ndim else 0
-        for name, shape in zip(_ARRAYS, ((k,), (k, k), (k, r), (r,))):
-            value = getattr(self, name)
-            if value.shape != shape:
-                raise ValueError(
-                    f"latent stats {name} must have shape {shape}, got {value.shape}"
-                )
-            if not np.all(np.isfinite(value)):
-                raise ValueError(f"latent stats {name} contains non-finite values")
+        serialization.check_record({a: getattr(self, a) for a in _ARRAYS}, _ARRAYS, "latent stats")
+        k, r = self.basis.shape
         if not np.all(self.variances > 0.0):
             raise ValueError("latent stats variances must be positive")
         # a scaled or skewed basis would rescale every distance
@@ -97,16 +90,10 @@ class GaussianStats:
         return serialization.encode_arrays(header, {**arrays, "jitter": np.array(self.jitter)})
 
     @classmethod
-    def from_bytes(cls, raw: bytes) -> "GaussianStats":
+    def from_bytes(cls, raw: bytes, **bound) -> "GaussianStats":
         header, arrays = serialization.decode_arrays(raw)
-        if header.get("kind") != "latent-stats":
-            raise ValueError("not a latent-stats container")
-        serialization.check_format_version(header, STATS_VERSION, "latent stats")
-        for key in (*_ARRAYS, "jitter"):
-            if key not in arrays:
-                raise ValueError(f"latent stats have no {key!r} array")
-        if arrays["jitter"].shape != ():
-            raise ValueError(f"latent stats jitter must be a scalar, got shape {arrays['jitter'].shape}")
+        serialization.check_record(header, _HEADER, "latent stats", STATS_VERSION, **bound)
+        serialization.check_record(arrays, {**_ARRAYS, "jitter": ()}, "latent stats", **bound)
         return cls(*(arrays[name] for name in _ARRAYS), jitter=float(arrays["jitter"]))
 
 

@@ -105,6 +105,13 @@ def fpr_at_tpr(scored: ScoredSet, tpr_target: float = 0.95) -> float:
     return float(np.mean(ood_scores <= threshold))
 
 
+_EVAL_REPORT = {
+    **dict.fromkeys(("fpr_at_95_tpr", "auroc", "aupr_in", "aupr_out"), serialization.FRACTION),
+    **dict.fromkeys(("inlier_class", "bottleneck_size", "seed"), serialization.INTEGER),
+    "mode": serialization.one_of(*MODES),
+}
+
+
 @dataclass(frozen=True)
 class EvalReport:
     """One evaluation run: the four metrics plus identifying metadata."""
@@ -119,25 +126,16 @@ class EvalReport:
     seed: int
 
     def __post_init__(self):
-        # a bool is an int to Python, but no metric and no identifier
-        for name in ("fpr_at_95_tpr", "auroc", "aupr_in", "aupr_out"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not 0.0 <= value <= 1.0:
-                raise ValueError(f"eval report {name} must be a number in [0, 1], got {value!r}")
-        for name in ("inlier_class", "bottleneck_size", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"eval report {name} must be an integer, got {value!r}")
-        if self.mode not in MODES:
-            raise ValueError(f"eval report mode must be one of {MODES}, got {self.mode!r}")
+        serialization.check_record(vars(self), _EVAL_REPORT, "eval report")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        return cls(**serialization.json_fields(text, cls, "eval report"))
+    def from_json(cls, text, **bound) -> "EvalReport":
+        record = json.loads(text)
+        serialization.check_record(record, _EVAL_REPORT, "eval report", **bound)
+        return cls(**record)
 
 
 def evaluate(scored: ScoredSet, *, inlier_class: int, bottleneck_size: int,

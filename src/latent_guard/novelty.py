@@ -39,6 +39,9 @@ MODES = (MODE_RECONSTRUCTION, MODE_LATENT_DISTANCE, MODE_HYBRID)
 
 CALIBRATION_VERSION = 1
 
+# the calibration file's declared table, besides its format_version
+_CALIBRATION = dict.fromkeys(("alpha", "beta", "val_dm_std", "val_re_std"), serialization.POSITIVE)
+
 
 @dataclass(frozen=True)
 class NoveltyCalibration:
@@ -50,22 +53,18 @@ class NoveltyCalibration:
     val_re_std: float
 
     def __post_init__(self):
-        for name in ("alpha", "beta", "val_dm_std", "val_re_std"):
-            value = getattr(self, name)
-            # np.isfinite raises TypeError on a string; a bool is no weight
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"calibration {name} must be a number, got {value!r}")
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"calibration {name} must be positive and finite, got {value}")
+        serialization.check_record(vars(self), _CALIBRATION, "calibration")
 
     def to_json(self) -> str:
         payload = {"format_version": CALIBRATION_VERSION, **asdict(self)}
         return json.dumps(payload, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "NoveltyCalibration":
-        return cls(**serialization.json_fields(text, cls, "calibration",
-                                               version=CALIBRATION_VERSION))
+    def from_json(cls, text, **bound) -> "NoveltyCalibration":
+        record = json.loads(text)
+        serialization.check_record(record, _CALIBRATION, "calibration", CALIBRATION_VERSION,
+                                   **bound)
+        return cls(**{name: record[name] for name in _CALIBRATION})
 
 
 def features(model, stats: GaussianStats, images) -> tuple[np.ndarray, np.ndarray]:

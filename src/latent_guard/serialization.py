@@ -15,17 +15,18 @@ Layout (all integers little-endian):
 Used for model checkpoints and fitted latent statistics.  Round trips are
 bit-exact; a declared size is checked against the buffer before any allocation.
 
-The two checks every bundle file's loader shares live here too: a declared
-``format_version`` must be the one the loader writes, and a JSON record must
-hold exactly its dataclass's fields.
+Each bundle file's codec declares a table of its records' keys, field specs
+and array shapes, which ``check_record`` checks.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import struct
-from dataclasses import fields
+import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -85,30 +86,64 @@ def decode_arrays(raw: bytes):
     return header, arrays
 
 
-def check_format_version(header: dict, expected: int, what: str) -> None:
-    """ValueError when ``header`` declares a ``format_version`` other than
-    ``expected``; a header without one reads as ``expected``."""
-    version = header.get("format_version", expected)
-    if type(version) is not int or version != expected:
-        raise ValueError(f"{what} format_version {version!r} is not supported "
-                         f"(this version reads {expected})")
+class Field(NamedTuple):
+    """A field spec: ``test(value)`` holds for the values ``text`` names."""
+    test: Callable
+    text: str
+    optional: bool = False  # the key may be left out
 
 
-def json_fields(text: str, cls, what: str, version=None) -> dict:
-    """The JSON object ``text`` as keyword arguments of dataclass ``cls``;
-    ValueError for a value that is not an object and for keys other than
-    ``cls``'s fields.  With ``version`` set, the object may also declare
-    that ``format_version``."""
-    payload = json.loads(text)
-    if not isinstance(payload, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(payload).__name__}")
-    if version is not None:
-        check_format_version(payload, version, what)
-        payload.pop("format_version", None)
-    names = {f.name for f in fields(cls)}
-    if set(payload) != names:
-        raise ValueError(
-            f"{what} fields do not match: missing {sorted(names - set(payload))}, "
-            f"unexpected {sorted(set(payload) - names)}"
-        )
-    return payload
+NUMBER = Field(lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number")
+INTEGER = Field(lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer")
+# an integer of any type, such as numpy's, which its reader converts
+INDEX = Field(lambda v: hasattr(v, "__index__") and not isinstance(v, bool), "an integer")
+COUNT = Field(lambda v: INTEGER.test(v) and v >= 0, "an integer >= 0")
+POSITIVE = Field(lambda v: NUMBER.test(v) and 0 < v <= sys.float_info.max, "positive and finite")
+FRACTION = Field(lambda v: NUMBER.test(v) and 0 <= v <= 1, "a number in [0, 1]")
+DIGEST = Field(lambda v: isinstance(v, str) and re.fullmatch("[0-9a-f]{64}", v), "a 64-hex digest")
+TEXT = Field(lambda v: isinstance(v, str), "a string")
+RETIRED = Field(lambda v: True, "anything", optional=True)  # older writers' keys
+
+
+def one_of(*values) -> Field:
+    """Equal to one of ``values`` and of its type: neither 1.0 nor True is 1."""
+    return Field(lambda v: any(type(v) is type(c) and v == c for c in values),
+                 repr(values[0]) if len(values) == 1 else f"one of {values}")
+
+
+def check_record(record, table, what: str, version=None, **bound) -> None:
+    """ValueError, naming ``what`` and the key, unless ``record`` holds
+    ``table``'s keys, optional ones aside, and no others, each meeting its
+    spec: a ``Field``, a nested table, or a finite array's shape of sizes and
+    names such as ``"k"``, each name bound by ``bound`` or the first size it
+    meets (``bound`` fixes fields too).  No ``format_version`` reads as ``version``."""
+    if not isinstance(record, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(record).__name__}")
+    declared = record.get("format_version", version)
+    if version is not None and (type(declared) is not int or declared != version):
+        raise ValueError(f"{what} format_version {declared!r} is not supported "
+                         f"(this version reads {version})")
+    keys = set(record) - {"format_version"} if version is not None else set(record)
+    required = {key for key, spec in table.items() if not getattr(spec, "optional", False)}
+    if not required <= keys <= set(table):
+        raise ValueError(f"{what} fields do not match: missing {sorted(required - keys)}, "
+                         f"unexpected {sorted(keys - set(table))}")
+    names = dict(bound)
+    for key in [key for key in table if key in record]:
+        spec, value = table[key], record[key]
+        if isinstance(spec, dict):
+            check_record(value, spec, f"{what} {key}")
+        elif isinstance(spec, Field):
+            spec = one_of(bound[key]) if key in bound else spec
+            if not spec.test(value):
+                raise ValueError(f"{what} {key} must be {spec.text}, got {value!r}")
+        else:
+            shape = np.shape(value)
+            for dim, n in zip(spec, shape) if len(shape) == len(spec) else ():
+                if isinstance(dim, str):
+                    names.setdefault(dim, n)
+            expected = tuple(names.get(dim, dim) for dim in spec)
+            if shape != expected:
+                raise ValueError(f"{what} {key} must have shape {expected}, got {shape}")
+            if not np.isfinite(value).all():
+                raise ValueError(f"{what} {key} contains non-finite values")

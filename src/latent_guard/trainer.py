@@ -39,6 +39,7 @@ from latent_guard.autoencoder import (
 from latent_guard.data import ImageDataset
 from latent_guard.nn.losses import bce_loss_and_grad, l1_penalty
 from latent_guard.nn.optim import Adadelta
+from latent_guard.serialization import INDEX, check_record
 
 STOP_EARLY = "early"
 STOP_MAX_EPOCHS = "max_epochs"
@@ -60,15 +61,9 @@ class TrainConfig:
     def __post_init__(self):
         # every field is stored as a Python int, so configs compare and
         # serialize alike whatever integer type they were built from
+        check_record(vars(self), dict.fromkeys(vars(self), INDEX), "config")
         for f in fields(self):
-            value = getattr(self, f.name)
-            try:
-                if isinstance(value, bool):
-                    raise TypeError
-                object.__setattr__(self, f.name, operator.index(value))
-            except TypeError:
-                raise ValueError(
-                    f"config {f.name!r} must be an integer, got {value!r}") from None
+            object.__setattr__(self, f.name, operator.index(getattr(self, f.name)))
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 <= self.inlier_class <= 9:

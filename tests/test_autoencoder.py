@@ -638,7 +638,7 @@ class TestCheckpoint:
         header = {"kind": "autoencoder-checkpoint", "format_version": 1,
                   "bottleneck_size": 4, "seed": 0}
         del header[key]
-        with pytest.raises(ValueError, match=f"no '{key}'"):
+        with pytest.raises(ValueError, match=rf"checkpoint fields do not match: missing \['{key}'"):
             Autoencoder.from_bytes(serialization.encode_arrays(header, model.named_parameters()))
 
     @pytest.mark.parametrize("key, value", [("bottleneck_size", "4"), ("seed", None), ("seed", 1.5)])
@@ -646,7 +646,15 @@ class TestCheckpoint:
         model = Autoencoder(4, seed=0)
         header = {"kind": "autoencoder-checkpoint", "format_version": 1,
                   "bottleneck_size": 4, "seed": 0, key: value}
-        with pytest.raises(ValueError, match=f"'{key}' must be an integer"):
+        with pytest.raises(ValueError, match=f"checkpoint {key} must be an integer"):
+            Autoencoder.from_bytes(serialization.encode_arrays(header, model.named_parameters()))
+
+    @pytest.mark.parametrize("key", ["bottleneck_size", "seed"])
+    def test_negative_header_value_rejected_naming_the_field(self, key):
+        model = Autoencoder(4, seed=0)
+        header = {"kind": "autoencoder-checkpoint", "format_version": 1,
+                  "bottleneck_size": 4, "seed": 0, key: -1}
+        with pytest.raises(ValueError, match=f"checkpoint {key} must be an integer >= 0, got -1"):
             Autoencoder.from_bytes(serialization.encode_arrays(header, model.named_parameters()))
 
     def test_declared_format_version_must_be_the_written_one(self):

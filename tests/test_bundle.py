@@ -7,7 +7,9 @@ import hashlib
 import io
 import json
 import multiprocessing
+import re
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -86,10 +88,38 @@ def test_train_log_is_jsonl(tmp_path, parts):
 
 def test_record_file_updates_manifest(tmp_path, parts):
     bundle = ExperimentBundle.create(tmp_path / "b", *parts)
-    bundle.record_file({"extra.json": b"{}\n"})
-    assert (bundle.path / "extra.json").read_bytes() == b"{}\n"
-    assert "extra.json" in bundle.manifest()["files"]
+    bundle.record_file({"eval_RE.json": b"{}\n"})
+    assert (bundle.path / "eval_RE.json").read_bytes() == b"{}\n"
+    assert "eval_RE.json" in bundle.manifest()["files"]
     bundle.verify()
+
+
+@pytest.mark.parametrize("name", ["../outside.json", "extra.json", "eval_X.json"])
+def test_record_file_refuses_names_outside_the_layout(tmp_path, parts, name):
+    # the lock file record_file takes is the only file it leaves behind
+    bundle = ExperimentBundle.create(tmp_path / "b", *parts)
+    (bundle.path / ".lock").touch()
+    before = {p.name: p.read_bytes() for p in bundle.path.iterdir()}
+    with pytest.raises(ValueError, match=rf"files .*unexpected \['{re.escape(name)}'\]"):
+        bundle.record_file({"eval_RE.json": b"{}\n", name: b"{}\n"})
+    assert {p.name: p.read_bytes() for p in bundle.path.iterdir()} == before
+    assert not (tmp_path / "outside.json").exists()
+
+
+def test_verify_refuses_a_name_outside_the_bundle_before_opening_it(tmp_path, parts,
+                                                                    monkeypatch):
+    bundle = ExperimentBundle.create(tmp_path / "b", *parts)
+    (tmp_path / "x").write_bytes(b"outside\n")
+    manifest = json.loads((bundle.path / MANIFEST_FILE).read_text())
+    manifest["files"]["../x"] = hashlib.sha256(b"outside\n").hexdigest()
+    (bundle.path / MANIFEST_FILE).write_text(json.dumps(manifest))
+    opened = []
+    real_read_bytes = Path.read_bytes
+    monkeypatch.setattr(Path, "read_bytes",
+                        lambda path: opened.append(path) or real_read_bytes(path))
+    with pytest.raises(ValueError, match=r"manifest.json files .*unexpected \['\.\./x'\]"):
+        bundle.verify()
+    assert all(path.name != "x" for path in opened)
 
 
 def _record_slowly(path, manifest_read):
@@ -103,13 +133,13 @@ def _record_slowly(path, manifest_read):
         return manifest
 
     ExperimentBundle.manifest = slow_manifest
-    ExperimentBundle(path).record_file({"eval_A.json": b"a\n"})
+    ExperimentBundle(path).record_file({"eval_RE.json": b"a\n"})
 
 
 def _record_when_other_has_read(path, manifest_read):
     if not manifest_read.wait(timeout=60):
         raise TimeoutError("the other writer never read the manifest")
-    ExperimentBundle(path).record_file({"eval_B.json": b"b\n"})
+    ExperimentBundle(path).record_file({"eval_LD.json": b"b\n"})
 
 
 def test_concurrent_record_file_keeps_both_digests(tmp_path, parts):
@@ -126,7 +156,7 @@ def test_concurrent_record_file_keeps_both_digests(tmp_path, parts):
         w.join(timeout=120)
     assert [w.exitcode for w in writers] == [0, 0]
     files = bundle.manifest()["files"]
-    assert "eval_A.json" in files and "eval_B.json" in files
+    assert "eval_RE.json" in files and "eval_LD.json" in files
     bundle.verify()
 
 

@@ -6,6 +6,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -245,19 +246,29 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error[bundle]: ") and name in err and "non-finite" in err
 
-    @pytest.mark.parametrize("name, damage", [
-        ("latent_stats.lgar", lambda header, arrays: arrays.pop("jitter")),
-        ("checkpoint.lgar", lambda header, arrays: header.pop("seed")),
-        ("checkpoint.lgar", lambda header, arrays: header.update(bottleneck_size=10**9)),
+    @pytest.mark.parametrize("name, damage, field", [
+        ("latent_stats.lgar", lambda header, arrays: arrays.pop("jitter"), "jitter"),
+        ("checkpoint.lgar", lambda header, arrays: header.pop("seed"), "seed"),
+        ("checkpoint.lgar", lambda header, arrays: header.update(bottleneck_size=10**9),
+         "bottleneck_size"),
         ("latent_stats.lgar",
-         lambda header, arrays: arrays.update(serialization.decode_arrays(stats_of_k8())[1])),
-        ("latent_stats.lgar", lambda header, arrays: arrays.update(basis=2.0 * arrays["basis"])),
+         lambda header, arrays: arrays.update(serialization.decode_arrays(stats_of_k8())[1]),
+         "mean"),
+        ("latent_stats.lgar", lambda header, arrays: arrays.update(basis=2.0 * arrays["basis"]),
+         "basis"),
         ("latent_stats.lgar",
-         lambda header, arrays: arrays.update(variances=arrays["variances"][::-1].copy())),
+         lambda header, arrays: arrays.update(variances=arrays["variances"][::-1].copy()),
+         "variances"),
+        ("latent_stats.lgar", lambda header, arrays: arrays.update(extra=np.zeros(2)), "extra"),
+        ("checkpoint.lgar", lambda header, arrays: header.update(seed=-1), "seed"),
+        ("checkpoint.lgar", lambda header, arrays: header.update(seed=1.5), "seed"),
+        ("checkpoint.lgar", lambda header, arrays: header.update(seed=99), "seed"),
     ], ids=["stats-without-jitter", "checkpoint-without-seed", "checkpoint-huge-k",
-            "stats-of-other-k", "stats-basis-scaled", "stats-variances-reversed"])
+            "stats-of-other-k", "stats-basis-scaled", "stats-variances-reversed",
+            "stats-extra-array", "checkpoint-negative-seed", "checkpoint-non-integer-seed",
+            "checkpoint-of-other-seed"])
     def test_inconsistent_bundle_file_is_bundle_error(self, data_dir, trained_bundle,
-                                                      tmp_path, capsys, name, damage):
+                                                      tmp_path, capsys, name, damage, field):
         damaged = tmp_path / "inconsistent"
         shutil.copytree(trained_bundle, damaged)
         header, arrays = serialization.decode_arrays((damaged / name).read_bytes())
@@ -268,7 +279,7 @@ class TestEval:
                          "--data-dir", str(data_dir), "--mode", "LD"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error[bundle]: ") and name in err
+        assert err.startswith(f"error[bundle]: {name}: ") and field in err
 
     def test_files_of_other_k_are_bundle_error(self, data_dir, trained_bundle,
                                                tmp_path, capsys):
@@ -282,7 +293,8 @@ class TestEval:
                          "--data-dir", str(data_dir), "--mode", "LD"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error[bundle]: checkpoint.lgar: ") and "bottleneck size 8" in err
+        assert err.startswith(
+            "error[bundle]: checkpoint.lgar: checkpoint bottleneck_size must be 4, got 8")
 
     @pytest.mark.parametrize("damage, field", [
         (lambda cal: {k: v for k, v in cal.items() if k != "alpha"}, "alpha"),
@@ -353,6 +365,46 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error[bundle]: manifest.json ") and repr(key) in err
 
+    @pytest.mark.parametrize("key, value", [("kind", "x"), ("format_version", 9),
+                                            ("format_version", "1")])
+    def test_manifest_of_other_kind_or_version_is_bundle_error(self, data_dir, trained_bundle,
+                                                               tmp_path, capsys, key, value):
+        damaged = tmp_path / "other-kind"
+        shutil.copytree(trained_bundle, damaged)
+        manifest = json.loads((damaged / "manifest.json").read_text())
+        manifest[key] = value
+        (damaged / "manifest.json").write_text(json.dumps(manifest))
+        code = cli.main(["eval", "--bundle", str(damaged),
+                         "--data-dir", str(data_dir), "--mode", "RE"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[bundle]: manifest.json {key} ") and repr(value) in err
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda files: files.update({"checkpoint.lgar": 5}),
+         "files checkpoint.lgar must be a 64-hex digest, got 5"),
+        (lambda files: files.update({"calibration.json": "abc"}),
+         "files calibration.json must be a 64-hex digest, got 'abc'"),
+        (lambda files: files.update({"../x": files["checkpoint.lgar"]}),
+         "files fields do not match: missing [], unexpected ['../x']"),
+        (lambda files: files.update({"extra.json": files["checkpoint.lgar"]}),
+         "files fields do not match: missing [], unexpected ['extra.json']"),
+        (lambda files: files.pop("latent_stats.lgar"),
+         "files fields do not match: missing ['latent_stats.lgar'], unexpected []"),
+    ], ids=["int-digest", "short-digest", "name-outside-bundle", "name-outside-layout",
+            "core-file-without-digest"])
+    def test_manifest_files_must_map_layout_names_to_digests(self, data_dir, trained_bundle,
+                                                             tmp_path, capsys, damage, message):
+        damaged = tmp_path / "bad-files"
+        shutil.copytree(trained_bundle, damaged)
+        manifest = json.loads((damaged / "manifest.json").read_text())
+        damage(manifest["files"])
+        (damaged / "manifest.json").write_text(json.dumps(manifest))
+        code = cli.main(["eval", "--bundle", str(damaged),
+                         "--data-dir", str(data_dir), "--mode", "RE"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error[bundle]: manifest.json {message}\n"
+
     @pytest.mark.parametrize("key, value", [
         ("inlier_class", "0"), ("bottleneck_size", True), ("seed", 5.0),
         ("patience", "1"), ("val_size", None),
@@ -368,7 +420,7 @@ class TestEval:
                          "--data-dir", str(data_dir), "--mode", "RE"])
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error[bundle]: manifest.json config {key!r} must be an integer")
+        assert err.startswith(f"error[bundle]: manifest.json config {key} must be an integer")
 
     @pytest.mark.parametrize("key, value, message", [
         ("seed", -1, "seed must be >= 0"), ("inlier_class", 10, "inlier_class must be 0-9"),
@@ -386,6 +438,26 @@ class TestEval:
                          "--data-dir", str(data_dir), "--mode", "RE"])
         assert code == 1
         assert capsys.readouterr().err.startswith(f"error[bundle]: manifest.json {message}")
+
+    @pytest.mark.parametrize("mode", ["RE", "LD", "H"])
+    def test_overflowing_hybrid_fails_before_anything_is_written(self, data_dir, trained_bundle,
+                                                                 tmp_path, capsys, mode):
+        # a valid weight that overflows alpha * LD; every mode writes the
+        # hybrid column into the scores file, so every mode must refuse it
+        damaged = tmp_path / "huge-alpha"
+        shutil.copytree(trained_bundle, damaged)
+        cal = {**json.loads((damaged / "calibration.json").read_text()), "alpha": 1e308}
+        ExperimentBundle(damaged).record_file(
+            {"calibration.json": (json.dumps(cal) + "\n").encode()})
+        before = {p.name: p.read_bytes() for p in damaged.iterdir() if p.is_file()}
+        code = cli.main(["eval", "--bundle", str(damaged),
+                         "--data-dir", str(data_dir), "--mode", mode])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "error[eval]: calibration.json: its weights overflow the hybrid scores")
+        assert err.count("error[") == 1
+        assert {p.name: p.read_bytes() for p in damaged.iterdir() if p.is_file()} == before
 
     def test_incomplete_bundle_rejected(self, data_dir, tmp_path, capsys):
         code = cli.main(["eval", "--bundle", str(tmp_path / "nothing"),
@@ -509,8 +581,10 @@ class TestSweep:
     @pytest.mark.parametrize("field, value", [
         ("auroc", "0.99"), ("auroc", True), ("auroc", float("nan")), ("aupr_out", 1.5),
         ("inlier_class", "0"), ("seed", 5.0), ("mode", "X"),
+        ("mode", "H"), ("bottleneck_size", 8), ("seed", 99), ("inlier_class", 1),
     ], ids=["string-metric", "bool-metric", "nan-metric", "metric-above-1",
-            "string-class", "float-seed", "unknown-mode"])
+            "string-class", "float-seed", "unknown-mode",
+            "mode-of-other-file", "other-k", "other-seed", "other-class"])
     def test_resume_names_file_and_field_of_mistyped_report(self, data_dir, swept_bundles,
                                                            tmp_path, capsys, field, value):
         bundles = tmp_path / "bundles"
@@ -636,7 +710,7 @@ class TestSweep:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith("error[bundle]:")
-        assert f"manifest.json config {key!r} must be an integer" in err
+        assert f"manifest.json config {key} must be an integer" in err
         assert not (tmp_path / "c.csv").exists()
 
     @pytest.mark.parametrize("out_csv, bundles", [
@@ -680,6 +754,198 @@ class TestSweep:
         nan_rows = [l for l in lines if l.endswith("nan,nan,nan,nan")]
         assert len(nan_rows) == 3
         assert len(lines) == 7
+
+
+def _lgar_damage(damage):
+    """Bytes -> bytes: ``damage(header, arrays)`` applied to a container."""
+    def apply(data):
+        header, arrays = serialization.decode_arrays(data)
+        damage(header, arrays)
+        return serialization.encode_arrays(header, arrays)
+    return apply
+
+
+def _json_damage(damage):
+    """Bytes -> bytes: the JSON document ``damage(record)`` returns."""
+    return lambda data: (json.dumps(damage(json.loads(data))) + "\n").encode()
+
+
+def _set(key, value):
+    return lambda record: {**record, key: value}
+
+
+def _drop(key):
+    return lambda record: {k: v for k, v in record.items() if k != key}
+
+
+def _set_first(name, value):
+    """Container damage: the first entry of array ``name`` becomes ``value``."""
+    def damage(header, arrays):
+        arrays[name].flat[0] = value
+    return damage
+
+
+def _manifest_files(update):
+    return lambda manifest: {**manifest, "files": {**manifest["files"], **update}}
+
+
+def _manifest_config(key, value):
+    return lambda manifest: {**manifest, "config": {**manifest["config"], key: value}}
+
+
+_DIGEST = "0" * 64
+
+# (file, id, damage, the file the error names); a manifest case that changes
+# the config's k is blamed on the checkpoint, which no longer matches it
+MUTATIONS = [
+    ("manifest.json", "drop-key", _json_damage(_drop("created_at")), None),
+    ("manifest.json", "add-key", _json_damage(_set("extra", 1)), None),
+    ("manifest.json", "int-digest", _json_damage(_manifest_files({"checkpoint.lgar": 5})), None),
+    ("manifest.json", "name-outside-bundle", _json_damage(_manifest_files({"../x": _DIGEST})),
+     None),
+    ("manifest.json", "other-kind", _json_damage(_set("kind", "x")), None),
+    ("manifest.json", "other-version", _json_damage(_set("format_version", 9)), None),
+    ("manifest.json", "string-config", _json_damage(_manifest_config("seed", "5")), None),
+    ("manifest.json", "non-finite-loss",
+     _json_damage(lambda m: {**m, "train": {**m["train"], "best_val_loss": float("nan")}}), None),
+    ("manifest.json", "change-k", _json_damage(_manifest_config("bottleneck_size", 4)),
+     "checkpoint.lgar"),
+    ("manifest.json", "huge-k", _json_damage(_manifest_config("bottleneck_size", 10**9)),
+     "checkpoint.lgar"),
+    ("checkpoint.lgar", "drop-key", _lgar_damage(lambda h, a: h.pop("seed")), None),
+    ("checkpoint.lgar", "add-key", _lgar_damage(lambda h, a: h.update(extra=1)), None),
+    ("checkpoint.lgar", "drop-array", _lgar_damage(lambda h, a: a.pop("decoder.8.bias")), None),
+    ("checkpoint.lgar", "add-array", _lgar_damage(lambda h, a: a.update(extra=np.zeros(2))),
+     None),
+    ("checkpoint.lgar", "string-seed", _lgar_damage(lambda h, a: h.update(seed="5")), None),
+    ("checkpoint.lgar", "negative-seed", _lgar_damage(lambda h, a: h.update(seed=-1)), None),
+    ("checkpoint.lgar", "other-seed", _lgar_damage(lambda h, a: h.update(seed=99)), None),
+    ("checkpoint.lgar", "resize-array",
+     _lgar_damage(lambda h, a: a.update({"decoder.5.bias": a["decoder.5.bias"][:-1]})), None),
+    ("checkpoint.lgar", "change-k", _lgar_damage(lambda h, a: (
+        h.update(bottleneck_size=4), a.update(Autoencoder(4, seed=5).named_parameters()))), None),
+    ("checkpoint.lgar", "huge-k", _lgar_damage(lambda h, a: h.update(bottleneck_size=10**9)),
+     None),
+    ("checkpoint.lgar", "non-finite", _lgar_damage(_set_first("encoder.0.weight", np.inf)), None),
+    ("checkpoint.lgar", "other-kind", _lgar_damage(lambda h, a: h.update(kind="x")), None),
+    ("checkpoint.lgar", "other-version", _lgar_damage(lambda h, a: h.update(format_version=9)),
+     None),
+    ("latent_stats.lgar", "drop-array", _lgar_damage(lambda h, a: a.pop("jitter")), None),
+    ("latent_stats.lgar", "add-array", _lgar_damage(lambda h, a: a.update(extra=np.zeros(2))),
+     None),
+    ("latent_stats.lgar", "add-key", _lgar_damage(lambda h, a: h.update(extra=1)), None),
+    ("latent_stats.lgar", "vector-jitter",
+     _lgar_damage(lambda h, a: a.update(jitter=np.zeros(2))), None),
+    ("latent_stats.lgar", "resize-array",
+     _lgar_damage(lambda h, a: a.update(mean=a["mean"][:-1])), None),
+    ("latent_stats.lgar", "change-k",
+     _lgar_damage(lambda h, a: a.update(serialization.decode_arrays(stats_of_k8())[1])), None),
+    ("latent_stats.lgar", "scale-basis",
+     _lgar_damage(lambda h, a: a.update(basis=2.0 * a["basis"])), None),
+    ("latent_stats.lgar", "non-finite", _lgar_damage(_set_first("covariance", np.nan)), None),
+    ("latent_stats.lgar", "huge-variances",
+     _lgar_damage(lambda h, a: a.update(variances=1e300 * a["variances"])), None),
+    ("latent_stats.lgar", "other-kind", _lgar_damage(lambda h, a: h.update(kind="x")), None),
+    ("latent_stats.lgar", "other-version",
+     _lgar_damage(lambda h, a: h.update(format_version=9)), None),
+    ("calibration.json", "drop-key", _json_damage(_drop("alpha")), None),
+    ("calibration.json", "add-key", _json_damage(_set("gamma", 1.0)), None),
+    ("calibration.json", "string-weight", _json_damage(_set("beta", "2.0")), None),
+    ("calibration.json", "json-list", _json_damage(lambda cal: list(cal.values())), None),
+    ("calibration.json", "zero-weight", _json_damage(_set("alpha", 0.0)), None),
+    ("calibration.json", "non-finite", _json_damage(_set("alpha", float("nan"))), None),
+    ("calibration.json", "huge-weight", _json_damage(_set("alpha", 10**400)), None),
+    ("calibration.json", "other-version", _json_damage(_set("format_version", 9)), None),
+    ("eval_LD.json", "drop-key", _json_damage(_drop("auroc")), None),
+    ("eval_LD.json", "add-key", _json_damage(_set("tpr", 0.95)), None),
+    ("eval_LD.json", "string-metric", _json_damage(_set("auroc", "0.99")), None),
+    ("eval_LD.json", "json-list", _json_damage(lambda report: list(report.values())), None),
+    ("eval_LD.json", "non-finite", _json_damage(_set("auroc", float("nan"))), None),
+    ("eval_LD.json", "huge-metric", _json_damage(_set("fpr_at_95_tpr", 1e308)), None),
+    ("eval_LD.json", "other-mode", _json_damage(_set("mode", "H")), None),
+    ("eval_LD.json", "change-k", _json_damage(_set("bottleneck_size", 8)), None),
+    ("eval_LD.json", "other-seed", _json_damage(_set("seed", 99)), None),
+    ("eval_LD.json", "other-class", _json_damage(_set("inlier_class", 1)), None),
+]
+
+
+class TestMutationCatalogue:
+    """Each bundle file, damaged and its digest re-recorded, fails loudly.
+
+    ``sweep --resume`` reads the model files only to evaluate a report the
+    bundle lacks, so every case first drops ``eval_H.json``.  ``eval``
+    never reads the eval reports, so their cases run only the resume.
+    """
+
+    @staticmethod
+    def damaged_bundle(swept_bundles, root, name=None, damage=None):
+        """A copy of the swept bundle under ``root`` without ``eval_H.json``,
+        with ``damage`` applied to file ``name`` if one is given."""
+        bundles = root / "bundles"
+        shutil.copytree(swept_bundles, bundles)
+        bundle = bundles / "class0_k3_seed5"
+        (bundle / "eval_H.json").unlink()
+        if name == "manifest.json":
+            (bundle / name).write_bytes(damage((bundle / name).read_bytes()))
+        elif name is not None:
+            ExperimentBundle(bundle).record_file({name: damage((bundle / name).read_bytes())})
+        return bundle
+
+    @staticmethod
+    def traced(argv):
+        """(exit code, tracemalloc peak in bytes) of ``cli.main(argv)``."""
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            return code, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def eval_args(bundle, data_dir):
+        return ["eval", "--bundle", str(bundle), "--data-dir", str(data_dir), "--mode", "H"]
+
+    @staticmethod
+    def resume_args(bundle, data_dir, out_csv):
+        return ["sweep", "--class", "0", "--bottlenecks", "3", "--seeds", "5",
+                "--data-dir", str(data_dir), "--bundles-dir", str(bundle.parent),
+                "--out-csv", str(out_csv), *TRAIN_ARGS[:-2], "--resume"]
+
+    @pytest.fixture(scope="class")
+    def valid_peaks(self, data_dir, swept_bundles, tmp_path_factory):
+        """Peaks of ``eval`` and of ``sweep --resume`` on undamaged copies."""
+        eval_root, resume_root = (tmp_path_factory.mktemp(name) for name in ("eval", "resume"))
+        eval_bundle = self.damaged_bundle(swept_bundles, eval_root)
+        resume_bundle = self.damaged_bundle(swept_bundles, resume_root)
+        runs = [self.traced(self.eval_args(eval_bundle, data_dir)),
+                self.traced(self.resume_args(resume_bundle, data_dir, resume_root / "valid.csv"))]
+        assert [code for code, _ in runs] == [0, 0]
+        return [peak for _, peak in runs]
+
+    @pytest.mark.parametrize("name, damage, blamed",
+                             [(name, damage, blamed) for name, _, damage, blamed in MUTATIONS],
+                             ids=[f"{name}-{case}" for name, case, _, _ in MUTATIONS])
+    def test_damaged_file_fails_loudly(self, data_dir, swept_bundles, valid_peaks, tmp_path,
+                                       capsys, name, damage, blamed):
+        bundle = self.damaged_bundle(swept_bundles, tmp_path, name, damage)
+        blamed = blamed or name
+        capsys.readouterr()
+        if not name.startswith("eval_"):
+            code, peak = self.traced(self.eval_args(bundle, data_dir))
+            err = capsys.readouterr().err
+            assert code == 1 and err.startswith(f"error[bundle]: {blamed}"), err
+            assert err.count("error[") == 1
+            assert peak < valid_peaks[0], (peak, valid_peaks[0])
+
+        code, peak = self.traced(self.resume_args(bundle, data_dir, tmp_path / "resume.csv"))
+        err = capsys.readouterr().err
+        if name == "manifest.json":
+            assert code == 1 and err.startswith("error[bundle]: "), err
+            assert not (tmp_path / "resume.csv").exists()
+        else:
+            assert code == 0 and f"error[sweep]: class=0 k=3 seed=5: {name}: " in err, err
+            assert (tmp_path / "resume.csv").read_text().count("nan,nan,nan,nan") == 3
+        assert peak < valid_peaks[1], (peak, valid_peaks[1])
 
 
 class TestPlot:

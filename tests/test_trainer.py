@@ -155,7 +155,7 @@ class TestTrainConfig:
     ])
     def test_non_integers_refused(self, key, value):
         fields = {"inlier_class": 0, "bottleneck_size": 4, "seed": 0, key: value}
-        with pytest.raises(ValueError, match=rf"^config '{key}' must be an integer, got "):
+        with pytest.raises(ValueError, match=rf"^config {key} must be an integer, got "):
             TrainConfig(**fields)
 
 
