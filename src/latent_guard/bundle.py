@@ -39,7 +39,7 @@ from latent_guard.latent_stats import GaussianStats
 from latent_guard.metrics import EvalReport
 from latent_guard.novelty import MODES, NoveltyCalibration
 from latent_guard.serialization import (COUNT, DIGEST, INDEX, POSITIVE, RETIRED, TEXT,
-                                        check_record, one_of)
+                                        check_record, decode_json, one_of)
 from latent_guard.trainer import STOP_EARLY, STOP_MAX_EPOCHS, TrainConfig
 
 MANIFEST_VERSION = 1
@@ -133,7 +133,7 @@ class ExperimentBundle:
 
     def manifest(self) -> dict:
         """The parsed manifest, checked against ``_MANIFEST`` and ``TrainConfig``."""
-        manifest = json.loads((self.path / MANIFEST_FILE).read_text())
+        manifest = decode_json((self.path / MANIFEST_FILE).read_bytes(), MANIFEST_FILE)
         check_record(manifest, _MANIFEST, MANIFEST_FILE, MANIFEST_VERSION)
         try:
             TrainConfig(**{f.name: manifest["config"][f.name] for f in fields(TrainConfig)})

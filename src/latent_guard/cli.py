@@ -5,18 +5,25 @@ nonzero after printing a single machine-readable line to stderr of the
 form ``error[<code>]: message`` with code in {usage, data, train, bundle,
 eval, plot, internal}.  Seeds are mandatory so every run is reproducible;
 the --data-dir flag falls back to the LATENT_GUARD_DATA_DIR environment
-variable.
+variable, and the training recipe's flags default to ``TrainConfig``'s.
+
+``sweep`` runs each cell of its grid (k outer, seed inner) in this process,
+or with ``--jobs N`` in a pool of at most one process per cell.  A cell that
+fails writes nan rows and one ``error[sweep]`` line; the others still run.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import itertools
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +39,9 @@ from latent_guard.plot import write_scatter_svg
 from latent_guard.trainer import TrainConfig, inlier_indices, train_on_rows
 
 DATA_DIR_ENV = "LATENT_GUARD_DATA_DIR"
+
+# the training recipe's flags, each defaulting to its ``TrainConfig`` field
+_RECIPE_DEFAULTS = {f.name: f.default for f in fields(TrainConfig) if f.default is not MISSING}
 
 SWEEP_CSV_HEADER = ["class", "k", "seed", "mode", "fpr95", "auroc", "aupr_in", "aupr_out"]
 
@@ -95,23 +105,14 @@ def _add_common_train_flags(sub):
     sub.add_argument("--class", dest="inlier_class", type=_digit, required=True,
                      help="inlier digit class 0-9")
     sub.add_argument("--data-dir", help=f"MNIST IDX directory (default: ${DATA_DIR_ENV})")
-    sub.add_argument("--max-epochs", type=_positive_int, default=500)
-    sub.add_argument("--patience", type=_positive_int, default=20)
-    sub.add_argument("--batch-size", type=_positive_int, default=128)
-    sub.add_argument("--val-size", type=_positive_int, default=10000)
+    for name, default in _RECIPE_DEFAULTS.items():
+        sub.add_argument(f"--{name.replace('_', '-')}", type=_positive_int, default=default)
 
 
 def _train_config(args, bottleneck, seed) -> TrainConfig:
     try:
-        return TrainConfig(
-            inlier_class=args.inlier_class,
-            bottleneck_size=bottleneck,
-            seed=seed,
-            max_epochs=args.max_epochs,
-            patience=args.patience,
-            batch_size=args.batch_size,
-            val_size=args.val_size,
-        )
+        return TrainConfig(inlier_class=args.inlier_class, bottleneck_size=bottleneck, seed=seed,
+                           **{name: getattr(args, name) for name in _RECIPE_DEFAULTS})
     except ValueError as exc:
         raise CliError("usage", f"invalid configuration: {exc}") from exc
 
@@ -223,85 +224,61 @@ def _check_resumable(bundle: ExperimentBundle, config: TrainConfig) -> None:
         raise CliError("bundle", f"cannot resume {bundle.path}: config differs in {differing}")
 
 
-def _sweep_one(task: dict):
-    """Worker for one (class, bottleneck, seed) sweep cell; returns CSV rows."""
-    bundle_path = Path(task["bundle_path"])
-    config = task["config"]
-    data_dir = Path(task["data_dir"])
+def _sweep_one(config: TrainConfig, bundle_path: Path, data_dir: Path) -> dict:
+    """Runs one sweep cell, training its bundle unless one exists (under
+    --resume) and evaluating any mode it lacks; returns ``{mode: EvalReport}``."""
     if not bundle_path.exists():
         _train_bundle(config, data_dir, bundle_path)
     bundle = ExperimentBundle(bundle_path)
-    reports = bundle.eval_reports()  # a bundle exists before this run only under --resume
+    reports = bundle.eval_reports()
     missing = [mode for mode in MODES if mode not in reports]
     if missing:
         reports.update(_evaluate_bundle(bundle, _load_split(data_dir, "t10k"), missing))
-    return [
-        [config.inlier_class, config.bottleneck_size, config.seed, mode,
-         repr(reports[mode].fpr_at_95_tpr), repr(reports[mode].auroc),
-         repr(reports[mode].aupr_in), repr(reports[mode].aupr_out)]
-        for mode in MODES
-    ]
+    return reports
+
+
+def _sweep_rows(config: TrainConfig, reports) -> list:
+    """The cell's CSV rows, one per mode; a failed cell (``reports`` None) reads nan."""
+    return [[config.inlier_class, config.bottleneck_size, config.seed, mode,
+             *(repr(getattr(reports[mode], metric)) if reports else "nan"
+               for metric in ("fpr_at_95_tpr", "auroc", "aupr_in", "aupr_out"))]
+            for mode in MODES]
 
 
 def cmd_sweep(args) -> int:
     data_dir = _resolve_data_dir(args)
     bundles_dir = Path(args.bundles_dir)
     ks, seeds = _int_list("--bottlenecks", args.bottlenecks), _int_list("--seeds", args.seeds)
-    tasks = []
-    for k in ks:
-        for seed in seeds:
-            config = _train_config(args, k, seed)
-            name = f"class{config.inlier_class}_k{k}_seed{seed}"
-            if (bundles_dir / name).exists():
-                if not args.resume:
-                    raise CliError("bundle",
-                                   f"bundle already exists (use --resume): {bundles_dir / name}")
-                _check_resumable(ExperimentBundle(bundles_dir / name), config)
-            tasks.append({
-                "config": config,
-                "bundle_path": str(bundles_dir / name),
-                "data_dir": str(data_dir),
-            })
+    cells = []
+    for k, seed in itertools.product(ks, seeds):
+        config = _train_config(args, k, seed)
+        path = bundles_dir / f"class{config.inlier_class}_k{k}_seed{seed}"
+        if path.exists():
+            if not args.resume:
+                raise CliError("bundle", f"bundle already exists (use --resume): {path}")
+            _check_resumable(ExperimentBundle(path), config)
+        cells.append((config, path, data_dir))
     # the CSV is written after every cell has run, so its place is checked first
     out_csv = Path(args.out_csv)
     if out_csv.is_dir():
         raise CliError("usage", f"--out-csv is a directory: {out_csv}")
     _create_output_dirs(out_csv.parent, bundles_dir)
 
-    outcomes = []
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            futures = [pool.submit(_sweep_one, t) for t in tasks]
-            for future in futures:
-                try:
-                    outcomes.append(future.result())
-                except Exception as exc:  # partial failure: record, keep sweeping
-                    outcomes.append(exc)
-    else:
-        for task in tasks:
+    rows, failures = [], 0
+    workers = min(args.jobs, len(cells))  # a single worker is this process
+    with (ProcessPoolExecutor(workers) if workers > 1 else contextlib.nullcontext()) as pool:
+        # each cell's outcome, in grid order: a pool worker's result or a call here
+        outcomes = [pool.submit(_sweep_one, *cell).result if pool else partial(_sweep_one, *cell)
+                    for cell in cells]
+        for (config, _, _), outcome in zip(cells, outcomes):
             try:
-                outcomes.append(_sweep_one(task))
-            except Exception as exc:
-                outcomes.append(exc)
-
-    rows = []
-    failures = 0
-    for task, outcome in zip(tasks, outcomes):
-        cfg = task["config"]
-        if isinstance(outcome, Exception):
-            failures += 1
-            print(
-                f"error[sweep]: class={cfg.inlier_class} k={cfg.bottleneck_size} "
-                f"seed={cfg.seed}: {outcome}",
-                file=sys.stderr,
-            )
-            rows.extend(
-                [cfg.inlier_class, cfg.bottleneck_size, cfg.seed, mode,
-                 "nan", "nan", "nan", "nan"]
-                for mode in MODES
-            )
-        else:
-            rows.extend(outcome)
+                reports = outcome()
+            except Exception as exc:  # partial failure: record, keep sweeping
+                failures += 1
+                reports = None
+                print(f"error[sweep]: class={config.inlier_class} k={config.bottleneck_size} "
+                      f"seed={config.seed}: {exc}", file=sys.stderr)
+            rows += _sweep_rows(config, reports)
 
     with open(out_csv, "w", newline="") as f:
         writer = csv.writer(f)

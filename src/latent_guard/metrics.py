@@ -133,7 +133,7 @@ class EvalReport:
 
     @classmethod
     def from_json(cls, text, **bound) -> "EvalReport":
-        record = json.loads(text)
+        record = serialization.decode_json(text, "eval report")
         serialization.check_record(record, _EVAL_REPORT, "eval report", **bound)
         return cls(**record)
 

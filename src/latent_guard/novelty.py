@@ -61,7 +61,7 @@ class NoveltyCalibration:
 
     @classmethod
     def from_json(cls, text, **bound) -> "NoveltyCalibration":
-        record = json.loads(text)
+        record = serialization.decode_json(text, "calibration")
         serialization.check_record(record, _CALIBRATION, "calibration", CALIBRATION_VERSION,
                                    **bound)
         return cls(**{name: record[name] for name in _CALIBRATION})

@@ -16,7 +16,8 @@ Used for model checkpoints and fitted latent statistics.  Round trips are
 bit-exact; a declared size is checked against the buffer before any allocation.
 
 Each bundle file's codec declares a table of its records' keys, field specs
-and array shapes, which ``check_record`` checks.
+and array shapes, which ``check_record`` checks.  Every JSON document, a
+container header or a bundle's JSON file, is parsed by ``decode_json``.
 """
 
 from __future__ import annotations
@@ -50,6 +51,17 @@ def encode_arrays(header: dict, arrays: dict) -> bytes:
     return b"".join(parts)
 
 
+def decode_json(text, what: str):
+    """The value of JSON ``text``; input that is not JSON, or is nested too
+    deeply for the parser, is a ValueError naming ``what``."""
+    try:
+        return json.loads(text)
+    except RecursionError as exc:  # json raises it for deeply nested input
+        raise ValueError(f"{what} is nested too deeply") from exc
+    except ValueError as exc:
+        raise ValueError(f"{what} is not JSON: {exc}") from exc
+
+
 def decode_arrays(raw: bytes):
     """Returns ``(header, arrays)`` from bytes made by :func:`encode_arrays`."""
     view, pos = memoryview(raw), 0  # memoryview slices copy nothing
@@ -66,10 +78,7 @@ def decode_arrays(raw: bytes):
     version, header_len = struct.unpack("<II", take(8, "version"))
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported container version {version}")
-    try:
-        header = json.loads(str(take(header_len, "header"), "utf-8"))
-    except RecursionError as exc:  # json raises it for deeply nested input
-        raise ValueError("container header is nested too deeply") from exc
+    header = decode_json(str(take(header_len, "header"), "utf-8"), "container header")
     if not isinstance(header, dict):
         raise ValueError("container header is not a JSON object")
     (n_arrays,) = struct.unpack("<I", take(4, "array count"))

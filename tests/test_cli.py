@@ -1,5 +1,6 @@
 """End-to-end CLI runs against a small synthetic IDX data directory."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -535,25 +537,36 @@ class TestSweep:
         assert "max_epochs (bundle 2, requested 5)" in err
         assert (tmp_path / "sweep.csv").read_bytes() == before  # nothing ran
 
-    def test_resume_fails_cell_with_edited_report(self, data_dir, tmp_path, capsys):
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_resume_fails_cell_with_edited_report(self, data_dir, tmp_path, capsys, jobs):
+        # two cells, so that --jobs 2 runs them in a pool
         def args(csv_name, *extra):
-            return ["sweep", "--class", "0", "--bottlenecks", "3", "--seeds", "5",
+            return ["sweep", "--class", "0", "--bottlenecks", "3,4", "--seeds", "5",
                     "--data-dir", str(data_dir), "--bundles-dir", str(tmp_path / "bundles"),
-                    "--out-csv", str(tmp_path / csv_name), *TRAIN_ARGS[:-2], *extra]
+                    "--out-csv", str(tmp_path / csv_name), *TRAIN_ARGS[:-2], "--jobs", jobs,
+                    *extra]
 
         assert cli.main(args("a.csv")) == 0
-        report = tmp_path / "bundles" / "class0_k3_seed5" / "eval_RE.json"
+        bundle = tmp_path / "bundles" / "class0_k3_seed5"
+        report = bundle / "eval_RE.json"
         edited = json.loads(report.read_text())
         edited["auroc"] = 0.123
         report.write_text(json.dumps(edited))
+        recorded = json.loads((bundle / "manifest.json").read_text())["files"]["eval_RE.json"]
+        actual = hashlib.sha256(report.read_bytes()).hexdigest()
         capsys.readouterr()
 
         assert cli.main(args("b.csv", "--resume")) == 0
         err = capsys.readouterr().err
-        assert "error[sweep]:" in err and "digest mismatch for eval_RE.json" in err
+        assert err == (f"error[sweep]: class=0 k=3 seed=5: digest mismatch for eval_RE.json: "
+                       f"manifest {recorded[:12]}..., file {actual[:12]}...\n")
         rows = (tmp_path / "b.csv").read_text()
         assert "0.123" not in rows
         assert rows.count("nan,nan,nan,nan") == 3
+        # the failed cell's rows read nan, and the other cell's are those of the first run
+        expected = [",".join(line.split(",")[:4] + ["nan"] * 4) if line.startswith("0,3,5,")
+                    else line for line in (tmp_path / "a.csv").read_text().splitlines()]
+        assert rows.splitlines() == expected
 
     @pytest.mark.parametrize("damage, field", [
         (lambda report: {k: v for k, v in report.items() if k != "auroc"}, "auroc"),
@@ -653,6 +666,65 @@ class TestSweep:
                                   "--out-csv", str(tmp_path / "parallel.csv"),
                                   "--jobs", "2"]) == 0
         assert (tmp_path / "serial.csv").read_text() == (tmp_path / "parallel.csv").read_text()
+
+    def test_pool_has_no_more_workers_than_cells(self, data_dir, tmp_path, monkeypatch):
+        pools = []
+
+        class InlinePool:
+            """Records its ``max_workers`` and runs each call at once, here."""
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                try:
+                    future.set_result(fn(*args))
+                except Exception as exc:
+                    future.set_exception(exc)
+                return future
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", InlinePool)
+
+        def args(bottlenecks, csv_name, *extra):
+            return ["sweep", "--class", "0", "--bottlenecks", bottlenecks, "--seeds", "5",
+                    "--data-dir", str(data_dir), "--bundles-dir", str(tmp_path / "bundles"),
+                    "--out-csv", str(tmp_path / csv_name), *TRAIN_ARGS[:-2], "--jobs", "8",
+                    *extra]
+
+        assert cli.main(args("3,4", "two.csv")) == 0
+        assert pools == [2]
+        # one cell runs in this process, with no pool at all
+        assert cli.main(args("3", "one.csv", "--resume")) == 0
+        assert pools == [2]
+        two = (tmp_path / "two.csv").read_text().splitlines()
+        assert (tmp_path / "one.csv").read_text().splitlines() == two[:4]
+        assert "nan" not in "".join(two)
+
+    def test_spawned_workers_match_serial_output(self, data_dir, tmp_path):
+        # the cells must pickle into a fresh interpreter, not only a fork
+        common = ["sweep", "--class", "0", "--bottlenecks", "3,4", "--seeds", "5",
+                  "--data-dir", str(data_dir), *TRAIN_ARGS[:-2]]
+        assert cli.main(common + ["--bundles-dir", str(tmp_path / "serial"),
+                                  "--out-csv", str(tmp_path / "serial.csv")]) == 0
+        script = ("import multiprocessing, sys\n"
+                  "from latent_guard import cli\n"
+                  "multiprocessing.set_start_method('spawn')\n"
+                  "sys.exit(cli.main(sys.argv[1:]))\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", script, *common, "--bundles-dir", str(tmp_path / "spawned"),
+             "--out-csv", str(tmp_path / "spawned.csv"), "--jobs", "2"],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 0 and result.stderr == "", result.stderr
+        assert (tmp_path / "spawned.csv").read_bytes() == (tmp_path / "serial.csv").read_bytes()
 
     def test_invalid_config_is_usage_error(self, data_dir, tmp_path, capsys):
         code = cli.main(["sweep", "--class", "0", "--bottlenecks", "3",
@@ -794,6 +866,7 @@ def _manifest_config(key, value):
 
 
 _DIGEST = "0" * 64
+_DEEP_JSON = b"[" * 100000  # deeper than the JSON parser recurses
 
 # (file, id, damage, the file the error names); a manifest case that changes
 # the config's k is blamed on the checkpoint, which no longer matches it
@@ -812,6 +885,7 @@ MUTATIONS = [
      "checkpoint.lgar"),
     ("manifest.json", "huge-k", _json_damage(_manifest_config("bottleneck_size", 10**9)),
      "checkpoint.lgar"),
+    ("manifest.json", "deep-nesting", lambda data: _DEEP_JSON, None),
     ("checkpoint.lgar", "drop-key", _lgar_damage(lambda h, a: h.pop("seed")), None),
     ("checkpoint.lgar", "add-key", _lgar_damage(lambda h, a: h.update(extra=1)), None),
     ("checkpoint.lgar", "drop-array", _lgar_damage(lambda h, a: a.pop("decoder.8.bias")), None),
@@ -856,6 +930,7 @@ MUTATIONS = [
     ("calibration.json", "non-finite", _json_damage(_set("alpha", float("nan"))), None),
     ("calibration.json", "huge-weight", _json_damage(_set("alpha", 10**400)), None),
     ("calibration.json", "other-version", _json_damage(_set("format_version", 9)), None),
+    ("calibration.json", "deep-nesting", lambda data: _DEEP_JSON, None),
     ("eval_LD.json", "drop-key", _json_damage(_drop("auroc")), None),
     ("eval_LD.json", "add-key", _json_damage(_set("tpr", 0.95)), None),
     ("eval_LD.json", "string-metric", _json_damage(_set("auroc", "0.99")), None),
@@ -866,6 +941,7 @@ MUTATIONS = [
     ("eval_LD.json", "change-k", _json_damage(_set("bottleneck_size", 8)), None),
     ("eval_LD.json", "other-seed", _json_damage(_set("seed", 99)), None),
     ("eval_LD.json", "other-class", _json_damage(_set("inlier_class", 1)), None),
+    ("eval_LD.json", "deep-nesting", lambda data: _DEEP_JSON, None),
 ]
 
 
@@ -946,6 +1022,17 @@ class TestMutationCatalogue:
             assert code == 0 and f"error[sweep]: class=0 k=3 seed=5: {name}: " in err, err
             assert (tmp_path / "resume.csv").read_text().count("nan,nan,nan,nan") == 3
         assert peak < valid_peaks[1], (peak, valid_peaks[1])
+
+    def test_manifest_that_is_not_json_names_the_file(self, data_dir, swept_bundles, tmp_path,
+                                                       capsys):
+        bundle = self.damaged_bundle(swept_bundles, tmp_path, "manifest.json",
+                                     lambda data: b"not json\n")
+        capsys.readouterr()
+        assert cli.main(self.eval_args(bundle, data_dir)) == 1
+        assert capsys.readouterr().err.startswith("error[bundle]: manifest.json is not JSON: ")
+        assert cli.main(self.resume_args(bundle, data_dir, tmp_path / "resume.csv")) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error[bundle]: cannot resume {bundle}: manifest.json is not JSON: ")
 
 
 class TestPlot:

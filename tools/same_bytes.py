@@ -11,11 +11,15 @@ Imports ``latent_guard`` from ``<checkout>/src`` and prints one
   models on the test images;
 - CLI ``train`` and then ``eval`` in RE, LD and H at k=4 and k=784 on
   synthetic IDX files: every bundle file but ``manifest.json``, whose
-  ``created_at`` is a timestamp.
+  ``created_at`` is a timestamp;
+- CLI ``sweep`` over the same two k: the CSV of a fresh ``--jobs 1`` run,
+  of the same grid under ``--resume`` and of ``--jobs 2`` into fresh
+  bundles, and every file but ``manifest.json`` of both runs' bundles.
 
 Run it on two checkouts and diff the outputs: a change that keeps every
 byte prints the same lines.  It writes only under a temporary directory,
-which it removes, and exits 1 if the CLI reports an error.
+which it removes, and exits 1 if the CLI reports an error or a sweep
+cell fails.
 """
 
 from __future__ import annotations
@@ -105,23 +109,48 @@ def main(argv=None) -> int:
                                         ("t10k", (test_u8, test_labels))):
             write_idx_images(data / f"{split}-images-idx3-ubyte", images)
             write_idx_labels(data / f"{split}-labels-idx1-ubyte", labels)
-        for k in CLI_BOTTLENECKS:
-            bundle = Path(tmp) / f"bundle_k{k}"
-            runs = [["train", "--class", "0", "--data-dir", str(data), "--max-epochs", "2",
-                     "--patience", "1", "--val-size", str(VAL_SIZE), "--seed", str(SEED),
-                     "--bottleneck", str(k), "--out", str(bundle)]]
-            runs += [["eval", "--bundle", str(bundle), "--data-dir", str(data), "--mode", mode]
-                     for mode in novelty.MODES]
-            for args in runs:
-                # the CLI's own report lines go to stderr, so stdout holds only digests
-                with contextlib.redirect_stdout(sys.stderr):
-                    code = cli.main(args)
-                if code != 0:
-                    print(f"cli {' '.join(args[:1])} at k={k} exited {code}", file=sys.stderr)
-                    return 1
+
+        def run_cli(args) -> bool:
+            # the CLI's own report lines go to stderr, so stdout holds only digests
+            with contextlib.redirect_stdout(sys.stderr):
+                code = cli.main(args)
+            if code != 0:
+                print(f"cli {args[0]} exited {code}", file=sys.stderr)
+            return code == 0
+
+        def print_bundle(bundle, label):
             for path in sorted(p for p in bundle.rglob("*") if p.is_file()):
                 if path.name != "manifest.json":
-                    print(f"{digest(path.read_bytes())}  cli k={k} {path.relative_to(bundle)}")
+                    print(f"{digest(path.read_bytes())}  {label} {path.relative_to(bundle)}")
+
+        recipe = ["--class", "0", "--data-dir", str(data), "--max-epochs", "2",
+                  "--patience", "1", "--val-size", str(VAL_SIZE)]
+        for k in CLI_BOTTLENECKS:
+            bundle = Path(tmp) / f"bundle_k{k}"
+            runs = [["train", *recipe, "--seed", str(SEED), "--bottleneck", str(k),
+                     "--out", str(bundle)]]
+            runs += [["eval", "--bundle", str(bundle), "--data-dir", str(data), "--mode", mode]
+                     for mode in novelty.MODES]
+            if not all(run_cli(args) for args in runs):
+                return 1
+            print_bundle(bundle, f"cli k={k}")
+
+        grid = ["sweep", *recipe, "--seeds", str(SEED),
+                "--bottlenecks", ",".join(map(str, CLI_BOTTLENECKS))]
+        for run, bundles, extra in (("jobs1", "sweep_jobs1", ["--jobs", "1"]),
+                                    ("resume", "sweep_jobs1", ["--jobs", "1", "--resume"]),
+                                    ("jobs2", "sweep_jobs2", ["--jobs", "2"])):
+            out_csv = Path(tmp) / f"sweep_{run}.csv"
+            if not run_cli([*grid, "--bundles-dir", str(Path(tmp) / bundles),
+                            "--out-csv", str(out_csv), *extra]):
+                return 1
+            if b"nan" in out_csv.read_bytes():  # a failed cell, which sweep exits 0 on
+                print(f"cli sweep {run} failed a cell", file=sys.stderr)
+                return 1
+            print(f"{digest(out_csv.read_bytes())}  cli sweep {run} csv")
+        for bundles in ("sweep_jobs1", "sweep_jobs2"):
+            for cell in sorted((Path(tmp) / bundles).iterdir()):
+                print_bundle(cell, f"cli {bundles} {cell.name}")
     return 0
 
 
