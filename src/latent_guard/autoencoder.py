@@ -40,22 +40,23 @@ taken (``scaled_pixels``), so a loaded split is never widened to float64,
 and the outputs are the bits of the same pixels passed as
 ``bytes / 255.0``.
 
-Inference and training both split a batch into fixed ``_CHUNK``-row
-chunks and run them on one thread per CPU the process may use, the
-caller's thread among them (``map_chunks``).  Each inference chunk writes
-its own rows of outputs sized up front; a scoring pass may reduce each
+Inference splits a batch into fixed ``_CHUNK``-row chunks and runs them
+on one thread per CPU the process may use, the caller's thread among
+them (``map_chunks``).  Each inference chunk writes its own rows of
+outputs sized up front; a scoring pass may reduce each
 chunk's embeddings to one value per row on the chunk's thread (the
 ``latent`` callable of ``encode_and_reconstruction_errors``), so no [N, k]
 embedding matrix is held.  A pass over selected rows of a larger array
 (its ``rows`` argument; training's validation pass) gathers each chunk's
-rows as the chunk is taken, so no copy of the selection is held.  Each
-training sub-batch runs forward and backward on this model's layers, which
-hold only parameters, with caches and gradients of its own, and the caller
-sums the sub-batch results in sub-batch order.  Neither the output bytes
-nor the gradients depend on the core count or on the order the threads
-finish in.  The first chunked call tunes glibc's allocator for these
-threads (``tune_allocator``), so library callers that never enter the CLI
-or the trainer get the same hot heap.
+rows as the chunk is taken, so no copy of the selection is held.  The
+output bytes depend neither on the core count nor on the order the
+threads finish in.  ``map_chunks`` does not run training: the trainer
+runs each ``_CHUNK``-row training sub-batch through ``forward_training``
+and ``backward_training``, which keep caches and gradients of their own,
+in the caller or in a forked helper process (``trainer``).  The first
+chunked call tunes glibc's allocator for these threads
+(``tune_allocator``), so library callers that never enter the CLI or the
+trainer get the same hot heap.
 """
 
 from __future__ import annotations
@@ -88,7 +89,7 @@ _FLAT_DIM = 7 * 7 * 2  # encoder spatial trace: 28 -> 14 -> 7 with 2 channels
 
 # Batch rows per inference chunk and per training sub-batch.  It bounds the
 # transient im2col buffers of the 32-channel convolutions, one set per
-# thread in flight, and fixes the GEMM shapes, so it is a constant: never
+# thread or training helper in flight, and fixes the GEMM shapes, so it is a constant: never
 # derived from the core count.
 _CHUNK = 64
 
@@ -110,7 +111,8 @@ _ARRAYS = {f"{layer}.{key}": shape if key == "weight" else shape[:1]
 
 
 def _workers() -> int:
-    """Chunk threads: one per CPU in the process's affinity mask."""
+    """Chunk threads, and training's team of caller and helper processes:
+    one per CPU in the process's affinity mask."""
     try:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
@@ -129,8 +131,8 @@ def tune_allocator() -> None:
     every free and the chunks spend most of their time in page faults.
     Raising the thresholds keeps the heap hot.
 
-    It also caps malloc at one arena.  Inference chunks and training
-    sub-batches run on threads, and glibc would give each thread its own
+    It also caps malloc at one arena.  Inference chunks and training's
+    validation chunks run on threads, and glibc would give each thread its own
     arena, whose freed buffers the raised trim threshold never hands back,
     so peak RSS would grow with the thread count.  One shared arena reuses
     the same hot pages instead.
@@ -267,6 +269,13 @@ class Autoencoder:
     def named_parameters(self):
         """Live references to every parameter array, in a stable order."""
         return self._named(lambda layer: layer.params)
+
+    def bind_parameters(self, arrays):
+        """Makes the layers hold ``arrays`` (checkpoint name -> array of the
+        parameter's shape) as their parameters, without a copy."""
+        holders = self._named(lambda layer: {key: layer.params for key in layer.params})
+        for name, params in holders.items():
+            params[name.rsplit(".", 1)[1]] = arrays[name]
 
     # -- inference ----------------------------------------------------------
 

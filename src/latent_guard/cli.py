@@ -36,7 +36,7 @@ from latent_guard.latent_stats import fit_gaussian
 from latent_guard.metrics import ScoredSet, evaluate
 from latent_guard.novelty import MODES
 from latent_guard.plot import write_scatter_svg
-from latent_guard.trainer import TrainConfig, inlier_indices, train_on_rows
+from latent_guard.trainer import MAX_BOTTLENECK, TrainConfig, inlier_indices, train_on_rows
 
 DATA_DIR_ENV = "LATENT_GUARD_DATA_DIR"
 
@@ -318,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_train_flags(p_train)
     p_train.add_argument("--seed", type=int, required=True, help="master seed for the run")
     p_train.add_argument("--bottleneck", type=_positive_int, required=True,
-                         help="bottleneck size k (>= 1)")
+                         help=f"bottleneck size k (1-{MAX_BOTTLENECK})")
     p_train.add_argument("--out", required=True, help="bundle directory to create")
     p_train.set_defaults(func=cmd_train)
 

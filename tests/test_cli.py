@@ -96,6 +96,26 @@ class TestTrain:
                       *TRAIN_ARGS])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("command", [
+        ["train", "--bottleneck", "50000", "--seed", "5", "--out", "{out}"],
+        ["sweep", "--bottlenecks", "16,785", "--seeds", "5", "--bundles-dir", "{out}",
+         "--out-csv", "{out}.csv"],
+    ], ids=["train", "sweep"])
+    def test_bottleneck_above_784_is_usage_error_before_any_work(self, data_dir, tmp_path,
+                                                                capsys, monkeypatch, command):
+        def no_work(*args):
+            raise AssertionError("the data was loaded")
+
+        monkeypatch.setattr(cli, "_load_split", no_work)
+        out = str(tmp_path / "out")
+        code = cli.main([command[0], "--class", "0", "--data-dir", str(data_dir),
+                         *(arg.format(out=out) for arg in command[1:]), *TRAIN_ARGS[:4]])
+        assert code == 1
+        k = 50000 if command[0] == "train" else 785
+        assert capsys.readouterr().err == (
+            f"error[usage]: invalid configuration: bottleneck_size must be 1-784, got {k}\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_data_dir_is_data_error(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv(cli.DATA_DIR_ENV, raising=False)
         code = cli.main(["train", "--class", "0", "--bottleneck", "4",
@@ -427,6 +447,7 @@ class TestEval:
     @pytest.mark.parametrize("key, value, message", [
         ("seed", -1, "seed must be >= 0"), ("inlier_class", 10, "inlier_class must be 0-9"),
         ("patience", 2, "patience must satisfy"), ("val_size", 0, "val_size must be >= 1"),
+        ("bottleneck_size", 785, "bottleneck_size must be 1-784, got 785"),
     ])
     def test_manifest_config_out_of_range_is_bundle_error(self, data_dir, trained_bundle,
                                                           tmp_path, capsys, key, value,
@@ -883,8 +904,7 @@ MUTATIONS = [
      _json_damage(lambda m: {**m, "train": {**m["train"], "best_val_loss": float("nan")}}), None),
     ("manifest.json", "change-k", _json_damage(_manifest_config("bottleneck_size", 4)),
      "checkpoint.lgar"),
-    ("manifest.json", "huge-k", _json_damage(_manifest_config("bottleneck_size", 10**9)),
-     "checkpoint.lgar"),
+    ("manifest.json", "huge-k", _json_damage(_manifest_config("bottleneck_size", 10**9)), None),
     ("manifest.json", "deep-nesting", lambda data: _DEEP_JSON, None),
     ("checkpoint.lgar", "drop-key", _lgar_damage(lambda h, a: h.pop("seed")), None),
     ("checkpoint.lgar", "add-key", _lgar_damage(lambda h, a: h.update(extra=1)), None),

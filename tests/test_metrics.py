@@ -36,6 +36,10 @@ class TestAuroc:
         with pytest.raises(ValueError, match="inlier and one OOD"):
             auroc(ScoredSet(scores=np.ones(3), is_inlier=np.ones(3, bool)))
 
+    def test_scores_and_labels_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match=r"scores \(3,\) and labels \(4,\) must be"):
+            ScoredSet(scores=np.ones(3), is_inlier=np.ones(4, bool))
+
     def test_matches_pairwise_oracle(self):
         rng = np.random.default_rng(0)
         for trial in range(40):
@@ -108,6 +112,15 @@ class TestFprAtTpr:
     def test_all_identical_scores(self):
         scored = scored_set([2.0, 2.0, 2.0], [2.0, 2.0])
         assert fpr_at_tpr(scored) == 1.0
+
+    def test_target_bounds(self):
+        # a target of 1.0 admits every inlier, so the threshold is the
+        # highest inlier score; 0.0 admits none and is refused
+        inliers = np.arange(1.0, 21.0)
+        oods = np.array([5.0, 20.0, 25.0, 30.0])
+        assert fpr_at_tpr(scored_set(inliers, oods), 1.0) == 0.5
+        with pytest.raises(ValueError, match=r"tpr_target must be in \(0, 1\], got 0.0"):
+            fpr_at_tpr(scored_set(inliers, oods), 0.0)
 
     def test_matches_sweep_oracle(self):
         rng = np.random.default_rng(4)

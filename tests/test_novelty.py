@@ -70,9 +70,16 @@ class TestCalibration:
             calibrate(codec, stats, same)
 
     def test_too_few_validation_samples(self, manifold_setup):
-        codec, stats, _ = manifold_setup
+        codec, stats, ms = manifold_setup
         with pytest.raises(ValueError, match="at least 2"):
             calibrate(codec, stats, np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="need at least 2 validation inliers, got 1"):
+            calibrate(codec, stats, ms.inlier_test[:1])
+
+    def test_two_validation_samples_calibrate(self, manifold_setup):
+        codec, stats, ms = manifold_setup
+        cal = calibrate(codec, stats, ms.inlier_test[:2])
+        assert cal.alpha > 0 and cal.beta > 0
 
     def test_nonpositive_weights_rejected(self):
         with pytest.raises(ValueError, match="positive"):

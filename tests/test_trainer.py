@@ -1,8 +1,12 @@
 """Split, early-stopping rule, and the training loop on tiny data."""
 
 import dataclasses
+import multiprocessing
+import os
+import signal
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -16,8 +20,10 @@ from latent_guard.trainer import (
     L1_LAMBDA,
     STOP_EARLY,
     STOP_MAX_EPOCHS,
+    MAX_BOTTLENECK,
     EarlyStopping,
     _batch_loss_and_grads,
+    _forked_helpers,
     inlier_indices,
     train_on_rows,
 )
@@ -139,9 +145,38 @@ class TestTrainConfig:
         with pytest.raises(ValueError, match="patience"):
             TrainConfig(inlier_class=0, bottleneck_size=4, seed=0, max_epochs=20, patience=20)
 
+    def test_patience_zero_is_refused(self):
+        with pytest.raises(ValueError, match="patience"):
+            TrainConfig(inlier_class=0, bottleneck_size=4, seed=0, patience=0)
+
     def test_class_range(self):
         with pytest.raises(ValueError, match="inlier_class"):
             TrainConfig(inlier_class=10, bottleneck_size=4, seed=0)
+
+    def test_bottleneck_above_the_input_size_is_refused_before_any_model(self, monkeypatch):
+        # k=50000 would train every epoch and then ask the fit for 18.6 GiB;
+        # the config refuses it before a layer or an array exists
+        def no_model(*args, **kwargs):
+            raise AssertionError("a model was built")
+
+        monkeypatch.setattr(Autoencoder, "__init__", no_model)
+        assert MAX_BOTTLENECK == 784
+        TrainConfig(inlier_class=0, bottleneck_size=MAX_BOTTLENECK, seed=0)
+        tracemalloc.start()
+        try:
+            for k in (MAX_BOTTLENECK + 1, 50000):
+                with pytest.raises(ValueError, match=rf"^bottleneck_size must be 1-784, got {k}$"):
+                    TrainConfig(inlier_class=0, bottleneck_size=k, seed=0)
+            assert tracemalloc.get_traced_memory()[1] < 1 << 20
+        finally:
+            tracemalloc.stop()
+
+    def test_bottleneck_one_trains(self, tiny_train_set):
+        config = TrainConfig(inlier_class=0, bottleneck_size=1, seed=5, max_epochs=2,
+                             patience=1, val_size=50)
+        model, record = train(config, tiny_train_set)
+        assert model.bottleneck_size == 1 and len(record.epochs) == 2
+        assert model.encode(tiny_train_set.images[:3]).shape == (3, 1)
 
     def test_numpy_integers_are_stored_as_python_ints(self):
         config = TrainConfig(inlier_class=np.uint8(3), bottleneck_size=np.int64(4),
@@ -409,9 +444,52 @@ def params_equal(a, b):
     return pa.keys() == pb.keys() and all(np.array_equal(pa[k], pb[k]) for k in pa)
 
 
+class SubBatchLog:
+    """Patches ``Autoencoder.forward_training`` to append each call's
+    process id and row count to a file, which forked helpers write too;
+    the sub-batch equal to ``marked`` gets a NaN reconstruction."""
+
+    def __init__(self, monkeypatch, path, marked=None):
+        self.path = path
+        path.touch()
+        real = Autoencoder.forward_training
+
+        def forward_training(model, batch):
+            with open(path, "a") as log:
+                log.write(f"{os.getpid()} {len(batch)}\n")
+            recon, bottleneck, caches = real(model, batch)
+            if marked is not None and np.array_equal(batch, marked):
+                recon = np.full_like(recon, np.nan)
+            return recon, bottleneck, caches
+
+        monkeypatch.setattr(Autoencoder, "forward_training", forward_training)
+
+    def calls(self):
+        """(process id, rows) of each call so far, in the order written."""
+        return [tuple(map(int, line.split())) for line in self.path.read_text().splitlines()]
+
+    def sizes(self):
+        return [rows for _, rows in self.calls()]
+
+    def helpers(self, *callers):
+        """Process ids of the calls made outside this process and ``callers``."""
+        return {pid for pid, _ in self.calls()} - {os.getpid(), *callers}
+
+
+def exited(pid):
+    """Whether process ``pid`` has ended: gone, or a zombie that an
+    ancestor other than this process has yet to reap."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] in ("Z", "X")
+    except FileNotFoundError:
+        return True
+
+
 class TestSubBatches:
-    """Each batch runs as fixed _CHUNK-row sub-batches on every core, summed
-    in sub-batch order into one optimizer step."""
+    """Each batch runs as fixed _CHUNK-row sub-batches, shared between the
+    caller and its forked helpers, summed in sub-batch order into one
+    optimizer step."""
 
     # 250 images, 50 held out: 200 training rows, i.e. batches of 128 (two
     # sub-batches) and 72 (a full sub-batch and an 8-row one)
@@ -436,6 +514,7 @@ class TestSubBatches:
                 monkeypatch.setattr(autoencoder, "_workers", lambda: workers)
                 runs.append(train(config, data))
                 assert threading.active_count() == threads
+                assert multiprocessing.active_children() == []
         finally:
             sys.setswitchinterval(interval)
         (model, record), *others = runs
@@ -452,11 +531,18 @@ class TestSubBatches:
         assert [e.train_loss for e in record.epochs] == ref_losses
         assert params_equal(model, ref_model)
 
+    @pytest.mark.parametrize("helpers", [0, 1])
     @pytest.mark.parametrize("rows", [2 * _CHUNK, _CHUNK + 8])
-    def test_summed_sub_batch_grads_match_whole_batch(self, rows):
+    def test_summed_sub_batch_grads_match_whole_batch(self, rows, helpers, monkeypatch):
+        monkeypatch.setattr(autoencoder, "_workers", lambda: 1 + helpers)
         model = Autoencoder(16, seed=23)
-        batch = np.random.default_rng(rows).uniform(0.0, 1.0, (rows, 28, 28, 1))
-        loss, grads = _batch_loss_and_grads(model, batch, "test batch")
+        images = np.random.default_rng(rows).uniform(0.0, 1.0, (rows, 1, 28, 28))
+        batch = images.transpose(0, 2, 3, 1)
+        with _forked_helpers(model, images, 2) as team:
+            assert len(team) == helpers
+            loss, grads = _batch_loss_and_grads(model, images, np.arange(rows), "test batch",
+                                                team)
+        assert multiprocessing.active_children() == []
 
         recon, bottleneck, caches = model.forward_training(batch)
         bce, d_recon = bce_loss_and_grad(recon, batch)
@@ -468,49 +554,127 @@ class TestSubBatches:
             scale = np.abs(ref[name]).max()
             assert np.abs(grad - ref[name]).max() <= 1e-12 * scale, name
 
-    def nan_in_sub_batch(self, monkeypatch, config, dataset, epoch, rows):
+    def nan_in_sub_batch(self, monkeypatch, tmp_path, config, dataset, epoch, rows):
         """Makes the reconstruction NaN for the sub-batch that holds exactly
-        training ``rows`` of ``epoch``'s shuffle; returns the list the
-        patched ``forward_training`` appends each sub-batch's size to."""
+        training ``rows`` of ``epoch``'s shuffle; returns the ``SubBatchLog``
+        of every sub-batch run, in this process or a helper."""
         train_rows, _ = inlier_indices(config, dataset.labels)
         x = dataset.images[train_rows].transpose(0, 2, 3, 1)
         order = np.random.default_rng([config.seed, epoch]).permutation(len(x))
-        marked = x[order[rows]]
-        real = Autoencoder.forward_training
-        calls = []
-
-        def forward_training(model, batch):
-            calls.append(len(batch))
-            recon, bottleneck, caches = real(model, batch)
-            if np.array_equal(batch, marked):
-                recon = np.full_like(recon, np.nan)
-            return recon, bottleneck, caches
-
-        monkeypatch.setattr(Autoencoder, "forward_training", forward_training)
-        return calls
+        return SubBatchLog(monkeypatch, tmp_path / "sub_batches", marked=x[order[rows]])
 
     @pytest.mark.parametrize("workers", [1, 2, 4])
-    def test_nan_in_second_sub_batch_names_epoch_and_batch(self, workers, monkeypatch):
+    def test_nan_in_second_sub_batch_names_epoch_and_batch(self, workers, monkeypatch,
+                                                          tmp_path):
         # 350 images, 50 held out: batches of 128, 128 and 44 training rows;
-        # the NaN is in the second sub-batch of epoch 2's batch 1
+        # the NaN is in the second sub-batch of epoch 2's batch 1, which a
+        # helper runs when there is one
         data = synthetic_digits(350, seed=24, n_classes=1)
         config = TrainConfig(**self.CONFIG)
-        calls = self.nan_in_sub_batch(monkeypatch, config, data, epoch=2,
-                                      rows=slice(128 + _CHUNK, 256))
+        log = self.nan_in_sub_batch(monkeypatch, tmp_path, config, data, epoch=2,
+                                    rows=slice(128 + _CHUNK, 256))
         monkeypatch.setattr(autoencoder, "_workers", lambda: workers)
         threads = threading.active_count()
         with pytest.raises(FloatingPointError, match=r"epoch 2, batch 1\b"):
             train(config, data)
         assert threading.active_count() == threads
         # epoch 1 ran 2 + 2 + 1 sub-batches; epoch 2 stopped in its batch 1
-        assert len(calls) == 5 + 4
+        assert len(log.sizes()) == 5 + 4
+        helpers = log.helpers()
+        assert len(helpers) == (workers > 1)
+        assert all(exited(pid) for pid in helpers)
+        assert multiprocessing.active_children() == []
 
-    def test_error_drops_sub_batches_not_started(self, data, monkeypatch):
+    def test_error_drops_sub_batches_not_started(self, data, monkeypatch, tmp_path):
         config = TrainConfig(**{**self.CONFIG, "batch_size": 5 * _CHUNK, "val_size": 10})
         # 240 training rows, one batch of four sub-batches; the second fails
-        calls = self.nan_in_sub_batch(monkeypatch, config, data, epoch=1,
-                                      rows=slice(_CHUNK, 2 * _CHUNK))
+        log = self.nan_in_sub_batch(monkeypatch, tmp_path, config, data, epoch=1,
+                                    rows=slice(_CHUNK, 2 * _CHUNK))
         monkeypatch.setattr(autoencoder, "_workers", lambda: 1)
         with pytest.raises(FloatingPointError, match=r"epoch 1, batch 0\b"):
             train(config, data)
-        assert calls == [_CHUNK, _CHUNK]
+        assert log.sizes() == [_CHUNK, _CHUNK]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="sub-batch helpers fork on Linux only")
+class TestSubBatchHelpers:
+    """Training forks min(workers, sub-batches per batch) - 1 helpers per
+    call; sub-batch i of a batch runs on team member i % m, and no helper
+    outlives the call, however it ends."""
+
+    # 250 images, 50 held out: one batch of 200 rows, sub-batches of 64,
+    # 64, 64 and 8
+    CONFIG = dict(inlier_class=0, bottleneck_size=4, seed=21, max_epochs=2,
+                  patience=1, batch_size=200, val_size=50)
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        return synthetic_digits(250, seed=22, n_classes=1)
+
+    @pytest.mark.parametrize("workers, shares", [
+        (2, [[_CHUNK, _CHUNK], [_CHUNK, 8]]),
+        (4, [[_CHUNK], [_CHUNK], [_CHUNK], [8]]),
+        (8, [[_CHUNK], [_CHUNK], [_CHUNK], [8]]),
+    ])
+    def test_helpers_run_their_share_and_exit_after_training(self, data, workers, shares,
+                                                             monkeypatch, tmp_path):
+        log = SubBatchLog(monkeypatch, tmp_path / "sub_batches")
+        monkeypatch.setattr(autoencoder, "_workers", lambda: workers)
+        train(TrainConfig(**self.CONFIG), data)
+        by_process = {}
+        for pid, rows in log.calls():
+            by_process.setdefault(pid, []).append(rows)
+        # each of the two epochs runs the batch once; the caller takes
+        # sub-batch 0, so its share comes first
+        caller = by_process.pop(os.getpid())
+        assert [caller] + sorted(by_process.values(), key=lambda share: (-share[0], share)) == [
+            share * 2 for share in shares]
+        assert all(exited(pid) for pid in by_process)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("gate", ["beside another thread", "in a daemonic process"])
+    def test_no_helper_where_a_fork_is_unsafe(self, data, gate, monkeypatch, tmp_path):
+        log = SubBatchLog(monkeypatch, tmp_path / "sub_batches")
+        monkeypatch.setattr(autoencoder, "_workers", lambda: 2)
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait, args=(30,))
+        if gate == "in a daemonic process":
+            monkeypatch.setattr(multiprocessing.current_process(), "daemon", True)
+        else:
+            thread.start()
+        try:
+            train(TrainConfig(**self.CONFIG), data)
+        finally:
+            done.set()
+            if thread.is_alive():
+                thread.join(10)
+        assert log.helpers() == set() and log.sizes() == [_CHUNK, _CHUNK, _CHUNK, 8] * 2
+
+    def test_helper_exits_when_its_caller_is_killed(self, data, monkeypatch, tmp_path):
+        log = SubBatchLog(monkeypatch, tmp_path / "sub_batches")
+        monkeypatch.setattr(autoencoder, "_workers", lambda: 2)
+        config = TrainConfig(**{**self.CONFIG, "max_epochs": 500, "patience": 499})
+        child = multiprocessing.get_context("fork").Process(target=train, args=(config, data))
+        child.start()
+        caller = child.pid
+        try:
+            deadline = time.monotonic() + 60
+            while not log.helpers(caller):
+                assert child.is_alive() and time.monotonic() < deadline
+                time.sleep(0.01)
+            os.kill(caller, signal.SIGKILL)
+            child.join(10)
+            assert child.exitcode == -signal.SIGKILL
+            (helper,) = log.helpers(caller)
+            deadline = time.monotonic() + 5
+            while not exited(helper):
+                assert time.monotonic() < deadline, "the helper outlived its caller by 5 s"
+                time.sleep(0.01)
+        finally:
+            child.kill()
+            child.join()
+            child.close()
+            for pid in log.helpers(caller):  # none is left when the test passes
+                if not exited(pid):
+                    os.kill(pid, signal.SIGKILL)
+        assert multiprocessing.active_children() == []
